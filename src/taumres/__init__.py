@@ -22,7 +22,7 @@ from .spectrum import (SpectrumReport, equivalence_spectrum, export_spectrum_csv
 from .tau import (Tau1D, TauPreconditioner, build_preconditioner, tau_dense,
                   tau_eigs, tau_eigs_direct)
 from .toeplitz import MultilevelOperator, Toeplitz1D, flip
-from .transforms import TransformPlan, circular_convolve, dst1, dst1_multi
+from .transforms import circular_convolve, dst1, dst1_multi
 
 __version__ = "0.1.0"
 
@@ -42,5 +42,5 @@ __all__ = [
     "Tau1D", "TauPreconditioner", "build_preconditioner", "tau_dense",
     "tau_eigs", "tau_eigs_direct",
     "MultilevelOperator", "Toeplitz1D", "flip",
-    "TransformPlan", "circular_convolve", "dst1", "dst1_multi",
+    "circular_convolve", "dst1", "dst1_multi",
 ]

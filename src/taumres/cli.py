@@ -17,6 +17,7 @@ argparse).
 import argparse
 import concurrent.futures
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -35,6 +36,7 @@ CSV_COLUMNS = ("alpha1", "alpha2", "n", "preconditioner", "iters", "converged",
                "relres", "err_inf", "wall_seconds")
 
 _SCHEME_MAP = {"first": FIRST_ORDER, "second": SECOND_ORDER}
+PRECONDITIONERS = ("tau", "identity")
 
 
 @dataclass(frozen=True)
@@ -61,6 +63,9 @@ class RunConfig:
             raise ValueError(f"maxit must be at least 1, got {self.maxit}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be at least 1, got {self.jobs}")
+        if self.preconditioner not in PRECONDITIONERS:
+            raise ValueError(f"unknown preconditioner {self.preconditioner!r}, "
+                             f"expected one of {PRECONDITIONERS}")
 
 
 def _parse_alpha_pairs(values):
@@ -70,7 +75,10 @@ def _parse_alpha_pairs(values):
             nums = chunk.split(",")
             if len(nums) != 2:
                 raise ValueError(f"alpha pair {chunk!r} must be 'a1,a2'")
-            pairs.append((float(nums[0]), float(nums[1])))
+            pair = (float(nums[0]), float(nums[1]))
+            if not all(1.0 < a < 2.0 for a in pair):
+                raise ValueError(f"fractional orders in {chunk!r} must lie in (1, 2)")
+            pairs.append(pair)
     if not pairs:
         raise ValueError("no alpha pairs given")
     return tuple(pairs)
@@ -84,8 +92,8 @@ def _build_parser():
     parser.add_argument("--n1", type=int, default=None, help="interior points per direction")
     parser.add_argument("--alphas", action="append", default=None, metavar="A1,A2",
                         help="fractional-order pair, repeatable")
-    parser.add_argument("--scheme", choices=("first", "second"), default=None)
-    parser.add_argument("--precond", choices=("tau", "identity"), default=None)
+    parser.add_argument("--scheme", choices=tuple(_SCHEME_MAP), default=None)
+    parser.add_argument("--precond", choices=PRECONDITIONERS, default=None)
     parser.add_argument("--tol", type=float, default=None)
     parser.add_argument("--maxit", type=int, default=None)
     parser.add_argument("--out", default=None, help="output CSV path")
@@ -117,6 +125,8 @@ def parse_config(argv):
 
     command = ns.command
     scheme_word = pick(ns.scheme, "scheme", None)
+    if scheme_word is not None and scheme_word not in _SCHEME_MAP:
+        parser.error(f"unknown scheme {scheme_word!r}, expected one of {tuple(_SCHEME_MAP)}")
     if command == "example1":
         if scheme_word == "second":
             parser.error("example1 is the first-order benchmark; --scheme second is contradictory")
@@ -237,8 +247,8 @@ def run(config):
                   f"{'eps*':>8} {'violations':>10}")
             violations = 0
             for pair, rep in reports:
-                path = out if len(reports) == 1 else \
-                    out.replace(".csv", f"_{pair[0]}_{pair[1]}.csv")
+                root, ext = os.path.splitext(out)
+                path = out if len(reports) == 1 else f"{root}_{pair[0]}_{pair[1]}{ext}"
                 export_spectrum_csv(rep, path)
                 eps = "-" if rep.which_theorem == "none" else f"{rep.epsilon_star:.4f}"
                 print(f"{pair[0]:>7.2f} {pair[1]:>7.2f} {rep.n:>8d} "

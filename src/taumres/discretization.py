@@ -57,7 +57,7 @@ class FractionalParams:
     ``alpha[i]`` must lie strictly in (1, 2); the coefficients are
     nonnegative.  A direction with ``d_plus + d_minus == 0`` makes the
     spatial operator vanish there (allowed for degenerate identity-like
-    operators; ``epsilon_bound`` rejects it).
+    operators; ``epsilon_bound`` skips it).
     """
 
     alpha: tuple
@@ -254,13 +254,16 @@ def symbol_closed(alpha, theta, scheme=SECOND_ORDER):
 
 
 def epsilon_bound(params):
-    """Closed-form essup bound max_i |d+_i - d-_i|/(d+_i + d-_i) |tan(alpha_i pi/2)|."""
+    """Closed-form essup bound max_i |d+_i - d-_i|/(d+_i + d-_i) |tan(alpha_i pi/2)|.
+
+    A direction with d+_i + d-_i = 0 adds nothing to the symbol and is
+    skipped; when every direction vanishes the bound is 0.
+    """
     eps = 0.0
     for a, dp, dm in zip(params.alpha, params.d_plus, params.d_minus):
-        denom = dp + dm
-        if denom == 0.0:
-            raise ValueError("epsilon bound undefined when d_plus + d_minus = 0 in a direction")
-        eps = max(eps, abs(dp - dm) / denom * abs(math.tan(0.5 * a * math.pi)))
+        if dp + dm == 0.0:
+            continue
+        eps = max(eps, abs(dp - dm) / (dp + dm) * abs(math.tan(0.5 * a * math.pi)))
     return eps
 
 

@@ -58,12 +58,15 @@ def pminres(apply_a, apply_pinv, b, cfg=None, check_symmetry=False):
     vectors; ``apply_pinv=None`` gives plain MINRES.  The iteration stops
     once the estimated preconditioned-norm relative residual drops below
     ``cfg.tol``; ``relres_history`` is nonincreasing by construction.
+    A non-finite ``b`` or ``cfg.x0`` raises ``ValueError``.
     """
     if cfg is None:
         cfg = MinresConfig()
     if apply_pinv is None:
         apply_pinv = lambda r: r
     b = np.asarray(b, dtype=float)
+    if not np.all(np.isfinite(b)):
+        raise ValueError("right-hand side has non-finite entries")
     n = b.shape[0]
     if check_symmetry:
         _sample_symmetry(apply_a, n, np.random.default_rng(0))
@@ -76,6 +79,8 @@ def pminres(apply_a, apply_pinv, b, cfg=None, check_symmetry=False):
         x = np.array(cfg.x0, dtype=float)
         if x.shape != (n,):
             raise ValueError(f"x0 shape {x.shape} does not match rhs length {n}")
+        if not np.all(np.isfinite(x)):
+            raise ValueError("x0 has non-finite entries")
         r = b - apply_a(x)
 
     z = apply_pinv(r)

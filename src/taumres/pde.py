@@ -125,7 +125,12 @@ def step_first_order(problem, A, P, u_prev, t_k, cfg=None):
 
 
 def run_steps(problem, num_steps=None, preconditioner="tau", cfg=None):
-    """March the scheme from u0; returns the final iterate and reports."""
+    """March the scheme from u0; returns the final iterate and reports.
+
+    Each step's MINRES starts from ``cfg.x0``, which defaults to the zero
+    vector (the first-step rows of ``run_example1``/``run_example2`` start
+    from the constant vector 1/sqrt(n) instead).
+    """
     num_steps = problem.M if num_steps is None else num_steps
     A = assemble_operator(problem.params, problem.grid, problem.nu)
     P = build_preconditioner(problem.params, problem.grid, problem.nu) \
@@ -227,7 +232,11 @@ def _first_step_row(problem, preconditioner, tol, maxit):
 
 def run_example1(n1, alphas=ALPHA_PAIRS, preconditioners=("tau", "identity"),
                  tol=1e-8, maxit=100):
-    """First-step benchmark rows for the first-order problem."""
+    """First-step benchmark rows for the first-order problem.
+
+    MINRES starts from the constant vector x0 = 1/sqrt(n) (``run_steps``
+    starts from 0).
+    """
     rows = []
     for pair in alphas:
         problem = example1_problem(n1, pair)
@@ -244,6 +253,8 @@ def run_example2(n1, alphas=ALPHA_PAIRS, preconditioners=("tau",),
     only: a local error of size tau (tau^2 + h^2), whose ratios under
     refinement tend to 8.  It is not a convergence-order quantity; the
     order shows in the error at T of a full march by ``run_steps``.
+    MINRES starts from the constant vector x0 = 1/sqrt(n) (``run_steps``
+    starts from 0).
     """
     rows = []
     for pair in alphas:

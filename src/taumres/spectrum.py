@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import FIRST_ORDER
+from .discretization import FIRST_ORDER, epsilon_bound
 from .toeplitz import flip
 
 __all__ = ["SpectrumReport", "sym_eig", "preconditioned_spectrum",
@@ -68,16 +68,6 @@ def _count_outside(ev, lo, hi, signed, tol):
     return int(np.count_nonzero((mag < lo - tol) | (mag > hi + tol)))
 
 
-def _epsilon_star(params):
-    # directions with no spatial operator contribute nothing to the symbol
-    active = [(a, dp, dm) for a, dp, dm in zip(params.alpha, params.d_plus, params.d_minus)
-              if dp + dm > 0.0]
-    if not active:
-        return 0.0
-    return max(abs(dp - dm) / (dp + dm) * abs(math.tan(0.5 * a * math.pi))
-               for a, dp, dm in active)
-
-
 def _dense_from_columns(n, column_fn):
     M = np.empty((n, n))
     e = np.zeros(n)
@@ -106,7 +96,7 @@ def preconditioned_spectrum(A, P, params, tol=INTERVAL_TOL):
     """
     if A.n > SYM_EIG_CAP:
         raise ValueError(f"dense verification capped at n={SYM_EIG_CAP}, got {A.n}")
-    eps = _epsilon_star(params)
+    eps = epsilon_bound(params)
     M = _dense_from_columns(
         A.n, lambda e: P.apply_inv_sqrt(flip(A.dims, A.apply(P.apply_inv_sqrt(e)))))
     ev = sym_eig(_symmetrize_checked(M))
@@ -124,7 +114,7 @@ def ideal_preconditioned_spectrum(A, params, tol=INTERVAL_TOL):
     """
     if A.n > IDEAL_CAP:
         raise ValueError(f"ideal-preconditioner verification capped at n={IDEAL_CAP}, got {A.n}")
-    eps = _epsilon_star(params)
+    eps = epsilon_bound(params)
     dense = A.materialize()
     HA = 0.5 * (dense + dense.T)
     try:

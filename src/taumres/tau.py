@@ -153,7 +153,7 @@ def build_preconditioner(params, grid, nu, scheme=None):
         if vp + vm == 0.0:
             continue
         L = build_L(params.alpha[i], grid.n[i], params.scheme)
-        q = tau_eigs(L.symmetric_part().col).q
+        q = tau_eigs(0.5 * (L.col + L.row)).q
         shape = [1] * params.d
         shape[i] = grid.n[i]
         lam = lam + (vp + vm) * q.reshape(shape)

@@ -7,9 +7,20 @@ represents the Kronecker-sum form
     nu*I + sum_i ( v_plus[i] * W_i + v_minus[i] * W_i^T ),
     W_i = I (x) L_i (x) I,
 
-applied axis by axis on the lexicographically ordered vector.  Dense
+applied axis by axis on the lexicographically ordered vector.
+
+The circulant embedding of T^T is the cyclic reversal of T's, and the
+real FFT of a reversed real vector is the complex conjugate, so with
+c_i the rFFT of L_i's embedding each level is the single kernel
+
+    k_i = v_plus[i] * c_i + v_minus[i] * conj(c_i).
+
+A uses k_i, A^T uses conj(k_i) and H(A) = (A + A^T)/2 uses Re(k_i): one
+forward and one inverse FFT per axis for each of them.  Dense
 materialization is provided as a desk-scale oracle.
 """
+
+import functools
 
 import numpy as np
 
@@ -43,9 +54,6 @@ class Toeplitz1D:
         self.col = col
         self.row = row
         self.m = col.shape[0]
-        self._kernel_fft = None
-        self._pad = None
-        self._transpose = None
 
     def __repr__(self):
         return f"Toeplitz1D(m={self.m})"
@@ -54,41 +62,23 @@ class Toeplitz1D:
     def is_symmetric(self):
         return self.row is self.col or np.array_equal(self.col, self.row)
 
-    def transpose(self):
-        if self._transpose is None:
-            t = Toeplitz1D(self.row, self.col)
-            t._transpose = self
-            self._transpose = t
-        return self._transpose
-
-    def symmetric_part(self):
-        half = 0.5 * (self.col + self.row)
-        return Toeplitz1D(half)
-
+    @functools.cached_property
     def _embedding(self):
-        # circulant kernel of power-of-two length >= 2m-1
-        if self._kernel_fft is None:
-            L = _next_pow2(2 * self.m - 1)
-            c = np.zeros(L)
-            c[:self.m] = self.col
-            if self.m > 1:
-                c[L - self.m + 1:] = self.row[1:][::-1]
-            self._pad = L
-            self._kernel_fft = np.fft.rfft(c)
-        return self._pad, self._kernel_fft
+        # (L, rFFT of the circulant kernel) with L a power of two >= 2m-1
+        L = _next_pow2(2 * self.m - 1)
+        c = np.zeros(L)
+        c[:self.m] = self.col
+        if self.m > 1:
+            c[L - self.m + 1:] = self.row[1:][::-1]
+        return L, np.fft.rfft(c)
 
     def matvec(self, x):
         """T @ x in O(m log m) via the circulant embedding."""
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.m:
             raise ValueError(f"expected trailing dimension {self.m}, got shape {x.shape}")
-        L, chat = self._embedding()
-        y = np.fft.rfft(x, n=L, axis=-1)
-        y *= chat
-        return np.fft.irfft(y, n=L, axis=-1)[..., :self.m]
-
-    def matvec_transpose(self, x):
-        return self.transpose().matvec(x)
+        L, chat = self._embedding
+        return _axis_apply(x, -1, chat, L, self.m)
 
     def dense(self):
         idx = np.subtract.outer(np.arange(self.m), np.arange(self.m))
@@ -108,9 +98,11 @@ def flip(dims, x):
     return x[::-1].copy()
 
 
-def _axis_matvec(T, X, axis):
-    Xm = np.moveaxis(X, axis, -1)
-    return np.moveaxis(T.matvec(Xm), -1, axis)
+def _axis_apply(X, axis, kernel, L, m):
+    """Circulant product along ``axis``: rfft to length L, multiply, irfft, keep m."""
+    Y = np.fft.rfft(np.moveaxis(X, axis, -1), n=L, axis=-1)
+    Y *= kernel
+    return np.moveaxis(np.fft.irfft(Y, n=L, axis=-1)[..., :m], -1, axis)
 
 
 class MultilevelOperator:
@@ -147,46 +139,39 @@ class MultilevelOperator:
             raise ValueError(f"expected vector of length {self.n}, got shape {x.shape}")
         return x
 
-    def _apply(self, x, transpose):
+    @functools.cached_property
+    def _kernels(self):
+        # built on first use, so assembly costs no FFT; vanishing levels are skipped
+        kernels = []
+        for axis, (T, vp, vm) in enumerate(self.levels):
+            if vp + vm == 0.0:
+                continue
+            L, chat = T._embedding
+            kernels.append((axis, vp * chat + vm * np.conj(chat), L, T.m))
+        return kernels
+
+    def _apply(self, x, kernel_map):
         X = self._check(x).reshape(self.dims)
         out = self.nu * X
-        for axis, (T, vp, vm) in enumerate(self.levels):
-            if transpose:
-                vp, vm = vm, vp
-            if vp != 0.0:
-                out += vp * _axis_matvec(T, X, axis)
-            if vm != 0.0:
-                out += vm * _axis_matvec(T.transpose(), X, axis)
+        for axis, kernel, L, m in self._kernels:
+            out += _axis_apply(X, axis, kernel_map(kernel), L, m)
         return out.reshape(self.n)
 
     def apply(self, x):
         """A @ x."""
-        return self._apply(x, transpose=False)
+        return self._apply(x, lambda k: k)
 
     def apply_transpose(self, x):
-        """A.T @ x (roles of W_i and W_i^T swapped)."""
-        return self._apply(x, transpose=True)
+        """A.T @ x (each level kernel conjugated)."""
+        return self._apply(x, np.conj)
 
     def apply_symmetric_part(self, x):
-        """H(A) @ x with H(A) = (A + A.T)/2."""
-        X = self._check(x).reshape(self.dims)
-        out = self.nu * X
-        for axis, (T, vp, vm) in enumerate(self.levels):
-            w = 0.5 * (vp + vm)
-            if w != 0.0:
-                out += w * _axis_matvec(T, X, axis)
-                out += w * _axis_matvec(T.transpose(), X, axis)
-        return out.reshape(self.n)
+        """H(A) @ x with H(A) = (A + A.T)/2 (real part of each level kernel)."""
+        return self._apply(x, np.real)
 
     def apply_symmetrized(self, x):
         """(Y A) @ x; the induced dense matrix is symmetric."""
         return self.apply(x)[::-1].copy()
-
-    def symmetric_part(self):
-        """H(A) as a MultilevelOperator."""
-        levels = [(T.symmetric_part(), 0.5 * (vp + vm), 0.5 * (vp + vm))
-                  for T, vp, vm in self.levels]
-        return MultilevelOperator(self.dims, self.nu, levels)
 
     def materialize(self, cap=MATERIALIZE_CAP):
         """Dense n x n assembly (oracle use; refuses n > cap)."""

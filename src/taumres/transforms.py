@@ -13,7 +13,7 @@ import functools
 
 import numpy as np
 
-__all__ = ["TransformPlan", "dst1", "dst1_multi", "circular_convolve"]
+__all__ = ["dst1", "dst1_multi", "circular_convolve"]
 
 _METHODS = ("fft", "direct")
 _DIRECT_MAX = 4096
@@ -43,48 +43,25 @@ def _dst1_fft_axis(a, axis):
     return np.moveaxis(out, -1, axis)
 
 
-class TransformPlan:
-    """Reusable DST-I plan for a fixed length.
-
-    Immutable; applying a plan twice returns the input (S is an
-    involution).  ``method`` selects the fast FFT path or the dense
-    O(m^2) reference evaluation.
-    """
-
-    __slots__ = ("m", "method")
-
-    def __init__(self, m, method="fft"):
-        m = int(m)
-        if m < 1:
-            raise ValueError(f"transform length must be positive, got {m}")
-        if method not in _METHODS:
-            raise ValueError(f"unknown method {method!r}, expected one of {_METHODS}")
-        if method == "direct" and m > _DIRECT_MAX:
-            raise ValueError(f"direct method capped at m={_DIRECT_MAX}, got {m}")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "method", method)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TransformPlan is immutable")
-
-    def __repr__(self):
-        return f"TransformPlan(m={self.m}, method={self.method!r})"
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.m,):
-            raise ValueError(f"expected vector of length {self.m}, got shape {x.shape}")
-        if self.method == "direct":
-            return _sine_matrix(self.m) @ x
-        return _dst1_fft_axis(x, 0)
-
-
 def dst1(x, method="fft"):
-    """Apply the orthonormal DST-I to a vector."""
+    """Apply the orthonormal DST-I to a vector.
+
+    ``method`` selects the fast FFT path or the dense O(m^2) reference
+    evaluation; S is an involution, so applying it twice returns ``x``.
+    """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError(f"expected a vector, got shape {x.shape}")
-    return TransformPlan(x.shape[0], method)(x)
+    m = x.shape[0]
+    if m < 1:
+        raise ValueError(f"transform length must be positive, got {m}")
+    if method not in _METHODS:
+        raise ValueError(f"unknown method {method!r}, expected one of {_METHODS}")
+    if method == "direct":
+        if m > _DIRECT_MAX:
+            raise ValueError(f"direct method capped at m={_DIRECT_MAX}, got {m}")
+        return _sine_matrix(m) @ x
+    return _dst1_fft_axis(x, 0)
 
 
 def dst1_multi(dims, x, method="fft"):

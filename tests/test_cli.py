@@ -191,3 +191,30 @@ def test_multiple_spectrum_pairs_write_suffixed_files(tmp_path):
     assert code == 0
     assert (tmp_path / "spec_1.5_1.5.csv").exists()
     assert (tmp_path / "spec_1.9_1.9.csv").exists()
+
+
+def test_multiple_spectrum_pairs_keep_a_non_csv_suffix(tmp_path):
+    out = tmp_path / "spec.out"
+    code = run_cli(["spectrum", "--n1", "5", "--scheme", "first",
+                    "--alphas", "1.5,1.5", "--alphas", "1.9,1.9", "--out", str(out)])
+    assert code == 0
+    assert (tmp_path / "spec_1.5_1.5.out").exists()
+    assert (tmp_path / "spec_1.9_1.9.out").exists()
+    assert not out.exists()
+
+
+def test_config_file_values_are_checked(tmp_path):
+    for bad in ({"precond": "foo"}, {"scheme": "bogus"}, {"alphas": "1.5,2.5"}):
+        cfile = tmp_path / "run.json"
+        cfile.write_text(json.dumps(bad))
+        with pytest.raises(SystemExit) as exc:
+            cli.parse_config(["solve", "--config", str(cfile)])
+        assert exc.value.code == 2
+
+
+def test_alpha_out_of_range_is_usage_error(capsys):
+    for pair in ("2.5,1.5", "1.5,1.0", "nan,1.5"):
+        with pytest.raises(SystemExit) as exc:
+            cli.parse_config(["example2", "--alphas", pair])
+        assert exc.value.code == 2
+        assert "(1, 2)" in capsys.readouterr().err

@@ -9,7 +9,7 @@ from taumres.discretization import (FIRST_ORDER, SECOND_ORDER, FractionalParams,
                                     omega_bound, symbol_closed, symbol_series,
                                     weights_first, weights_second)
 
-from conftest import assemble_dense, rel_err
+from conftest import assemble_dense, rel_err, toeplitz_dense
 
 ALPHAS = (1.1, 1.5, 1.9)
 
@@ -275,7 +275,8 @@ def test_epsilon_bounds_two_dimensional_symbol():
 def test_symmetric_part_of_block_is_spd(scheme):
     for alpha in ALPHAS:
         for m in (8, 64):
-            H = build_L(alpha, m, scheme).symmetric_part().dense()
+            L = build_L(alpha, m, scheme)
+            H = toeplitz_dense(0.5 * (L.col + L.row))
             assert np.linalg.eigvalsh(H).min() > 0
 
 
@@ -313,10 +314,12 @@ def test_epsilon_scaling_invariance():
     assert epsilon_bound(p1) == pytest.approx(epsilon_bound(p2), rel=1e-14)
 
 
-def test_epsilon_rejects_vanishing_direction():
-    params = FractionalParams((1.5, 1.5), (1.0, 0.0), (1.0, 0.0))
-    with pytest.raises(ValueError):
-        epsilon_bound(params)
+def test_epsilon_skips_vanishing_direction():
+    # a direction with d+ + d- = 0 adds nothing to the symbol and is skipped
+    params = FractionalParams((1.5, 1.9), (2.0, 0.0), (1.0, 0.0))
+    assert epsilon_bound(params) == pytest.approx(1.0 / 3.0, abs=1e-13)
+    params = FractionalParams((1.5, 1.5), (0.0, 0.0), (0.0, 0.0))
+    assert epsilon_bound(params) == 0.0
 
 
 def test_omega_frozen_values():

@@ -157,6 +157,17 @@ def test_singular_operator_stops_cleanly(rng):
     assert res.true_relres == pytest.approx(1.0, abs=1e-12)
 
 
+def test_non_finite_input_rejected(rng):
+    b = rng.standard_normal(5)
+    b[2] = np.nan
+    with pytest.raises(ValueError):
+        pminres(dense_op(np.eye(5)), None, b)
+    x0 = np.zeros(5)
+    x0[0] = np.inf
+    with pytest.raises(ValueError):
+        pminres(dense_op(np.eye(5)), None, np.ones(5), MinresConfig(x0=x0))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         MinresConfig(tol=0.0)

@@ -7,7 +7,13 @@ from taumres.tau import (TauPreconditioner, build_preconditioner, tau_dense,
                          tau_eigs, tau_eigs_direct)
 from taumres.toeplitz import Toeplitz1D
 
-from conftest import kron_chain, rel_err, sine_matrix
+from conftest import kron_chain, rel_err, sine_matrix, toeplitz_dense
+
+
+def symmetric_part_col(alpha, m, scheme):
+    """First column of H(L) = (L + L^T)/2 for the Grünwald block L."""
+    L = build_L(alpha, m, scheme)
+    return 0.5 * (L.col + L.row)
 
 
 def tau_dense_oracle(col):
@@ -94,7 +100,7 @@ def test_eigs_match_dense_eigendecomposition(m, rng):
 def test_eigs_of_grunwald_symmetric_part_positive():
     for scheme in (FIRST_ORDER, SECOND_ORDER):
         for alpha in (1.1, 1.5, 1.9):
-            col = build_L(alpha, 8, scheme).symmetric_part().col
+            col = symmetric_part_col(alpha, 8, scheme)
             q = tau_eigs(col).q
             assert q.min() > 0
             ev = np.linalg.eigvalsh(tau_dense(Toeplitz1D(col)))
@@ -119,7 +125,7 @@ def test_preconditioner_dense_identity_1d():
     nu = 2.5
     P = build_preconditioner(params, grid, nu)
     (vp, vm), = level_scales(params, grid)
-    col = build_L(1.5, 16, SECOND_ORDER).symmetric_part().col
+    col = symmetric_part_col(1.5, 16, SECOND_ORDER)
     dense = nu * np.eye(16) + (vp + vm) * tau_dense_oracle(col)
     S = sine_matrix(16)
     assert rel_err(S @ np.diag(P.lam) @ S, dense) <= 1e-11
@@ -133,7 +139,7 @@ def test_preconditioner_dense_identity_2d():
     P = build_preconditioner(params, grid, nu)
     dense = nu * np.eye(9)
     for i, (vp, vm) in enumerate(level_scales(params, grid)):
-        col = build_L(params.alpha[i], 3, params.scheme).symmetric_part().col
+        col = symmetric_part_col(params.alpha[i], 3, params.scheme)
         blocks = [np.eye(3), np.eye(3)]
         blocks[i] = tau_dense_oracle(col)
         dense = dense + (vp + vm) * kron_chain(blocks)
@@ -200,7 +206,7 @@ def test_three_level_preconditioner_round_trip(rng):
     # Kronecker-sum structure: the spectrum equals the broadcast sum of levels
     qs = []
     for i in range(3):
-        col = build_L(params.alpha[i], grid.n[i], SECOND_ORDER).symmetric_part().col
+        col = symmetric_part_col(params.alpha[i], grid.n[i], SECOND_ORDER)
         vp, vm = level_scales(params, grid)[i]
         qs.append((vp + vm) * tau_eigs(col).q)
     lam = 2.0 + qs[0][:, None, None] + qs[1][None, :, None] + qs[2][None, None, :]
@@ -229,9 +235,9 @@ def test_lemma_interval_for_tau_of_symmetric_part():
     for scheme in (FIRST_ORDER, SECOND_ORDER):
         for alpha in (1.1, 1.5, 1.9):
             for m in (8, 16, 32):
-                H = build_L(alpha, m, scheme).symmetric_part().dense()
-                C = np.linalg.cholesky(tau_dense(Toeplitz1D(
-                    build_L(alpha, m, scheme).symmetric_part().col)))
+                col = symmetric_part_col(alpha, m, scheme)
+                H = toeplitz_dense(col)
+                C = np.linalg.cholesky(tau_dense(Toeplitz1D(col)))
                 M = np.linalg.solve(C, np.linalg.solve(C, H.T).T)
                 ev = np.linalg.eigvalsh(0.5 * (M + M.T))
                 assert ev.min() > 0.5 + 1e-10

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from taumres.transforms import TransformPlan, circular_convolve, dst1, dst1_multi
+from taumres.transforms import circular_convolve, dst1, dst1_multi
 
 from conftest import convolve_direct, kron_chain, rel_err, sine_matrix
 
@@ -32,19 +32,18 @@ def test_fft_matches_direct_and_dense(m, rng):
     x = rng.standard_normal(m)
     dense = sine_matrix(m) @ x
     assert rel_err(dst1(x, method="fft"), dense) <= 1e-13
-    assert rel_err(TransformPlan(m, "direct")(x), dense) <= 1e-13
+    assert rel_err(dst1(x, method="direct"), dense) <= 1e-13
 
 
-def test_plan_is_immutable_and_validates():
-    plan = TransformPlan(4)
-    with pytest.raises(AttributeError):
-        plan.m = 5
+def test_dst1_validates():
     with pytest.raises(ValueError):
-        TransformPlan(0)
+        dst1(np.zeros(0))
     with pytest.raises(ValueError):
-        TransformPlan(4, "fastest")
+        dst1(np.zeros(4), method="fastest")
     with pytest.raises(ValueError):
-        plan(np.zeros(5))
+        dst1(np.zeros(4097), method="direct")
+    with pytest.raises(ValueError):
+        dst1(np.zeros((2, 2)))
 
 
 def test_multi_trivial_cases(rng):
