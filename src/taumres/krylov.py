@@ -15,7 +15,8 @@ __all__ = ["MinresConfig", "MinresResult", "BreakdownError", "pminres", "bound_c
 
 
 class BreakdownError(RuntimeError):
-    """Raised when the preconditioner is detected to be non-SPD."""
+    """Raised when the preconditioner is detected to be non-SPD, or when the
+    operator or the preconditioner returns non-finite values."""
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,9 @@ def pminres(apply_a, apply_pinv, b, cfg=None, check_symmetry=False):
     vectors; ``apply_pinv=None`` gives plain MINRES.  The iteration stops
     once the estimated preconditioned-norm relative residual drops below
     ``cfg.tol``; ``relres_history`` is nonincreasing by construction.
-    A non-finite ``b`` or ``cfg.x0`` raises ``ValueError``.
+    A non-finite ``b`` or ``cfg.x0`` raises ``ValueError``; non-finite
+    operator or preconditioner output raises ``BreakdownError`` in the
+    iteration where it first shows.
     """
     if cfg is None:
         cfg = MinresConfig()
@@ -85,6 +88,8 @@ def pminres(apply_a, apply_pinv, b, cfg=None, check_symmetry=False):
 
     z = apply_pinv(r)
     g2 = float(z @ r)
+    if not math.isfinite(g2):
+        raise BreakdownError(f"<r, P^-1 r> = {g2}: non-finite operator or preconditioner output")
     if g2 < 0.0:
         raise BreakdownError(f"<r, P^-1 r> = {g2} < 0: preconditioner is not SPD")
     gamma = math.sqrt(g2)
@@ -116,6 +121,9 @@ def pminres(apply_a, apply_pinv, b, cfg=None, check_symmetry=False):
         v_new = q - (delta / gamma) * v - (gamma / gamma_old) * v_old
         z_new = apply_pinv(v_new)
         g2 = float(z_new @ v_new)
+        if not (math.isfinite(delta) and math.isfinite(g2)):
+            raise BreakdownError(f"<A z, z> = {delta}, <v, P^-1 v> = {g2} in iteration {it}: "
+                                 "non-finite operator or preconditioner output")
         vnorm2 = float(v_new @ v_new)
         if g2 < -1e-13 * max(vnorm2, 1.0):
             raise BreakdownError(f"<v, P^-1 v> = {g2} < 0: preconditioner is not SPD")

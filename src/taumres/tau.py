@@ -10,7 +10,8 @@ diagonalized by the DST-I, tau(T) = S diag(q) S, with
 The multilevel preconditioner is built from the tau approximations of
 the symmetric parts of the per-direction Grünwald blocks and stored as
 its eigenvalue vector in the multilevel sine basis, so applying the
-inverse (or inverse square root) costs two multilevel DSTs.
+inverse (or inverse square root) costs two multilevel DSTs: one dense
+BLAS product per axis with n_i <= DENSE_AXIS_MAX, one FFT per longer axis.
 """
 
 from dataclasses import dataclass, replace
@@ -102,6 +103,8 @@ class TauPreconditioner:
         lam = np.asarray(lam, dtype=float)
         if lam.shape != (self.n,):
             raise ValueError(f"expected {self.n} eigenvalues, got shape {lam.shape}")
+        if not np.all(np.isfinite(lam)):
+            raise ValueError("preconditioner eigenvalues have non-finite entries")
         if lam.min() <= 0.0:
             raise ValueError(f"preconditioner not positive definite: min eigenvalue {lam.min()}")
         lam = lam.copy()

@@ -1,28 +1,37 @@
-"""Uni-level and multilevel Toeplitz operators with FFT matvecs.
+"""Uni-level and multilevel Toeplitz operators.
 
-A ``Toeplitz1D`` stores first column and first row; products use a
+A ``Toeplitz1D`` stores first column and first row; its matvec uses a
 circulant embedding padded to a power of two.  ``MultilevelOperator``
 represents the Kronecker-sum form
 
     nu*I + sum_i ( v_plus[i] * W_i + v_minus[i] * W_i^T ),
     W_i = I (x) L_i (x) I,
 
-applied axis by axis on the lexicographically ordered vector.
+applied axis by axis on the lexicographically ordered vector, each
+level as one kernel.  A level on an axis with m_i <= DENSE_AXIS_MAX
+(see ``transforms``) is the dense matrix
 
-The circulant embedding of T^T is the cyclic reversal of T's, and the
-real FFT of a reversed real vector is the complex conjugate, so with
-c_i the rFFT of L_i's embedding each level is the single kernel
+    K_i = v_plus[i] * L_i + v_minus[i] * L_i^T,
 
-    k_i = v_plus[i] * c_i + v_minus[i] * conj(c_i).
+and A, A^T and H(A) = (A + A^T)/2 use K_i, K_i^T and (K_i + K_i^T)/2,
+one BLAS product per axis.  On a longer axis the circulant embedding of
+L_i^T is the cyclic reversal of L_i's, and the real FFT of a reversed
+real vector is the complex conjugate, so with c_i the rFFT of L_i's
+embedding the level is the single kernel
 
-A uses k_i, A^T uses conj(k_i) and H(A) = (A + A^T)/2 uses Re(k_i): one
-forward and one inverse FFT per axis for each of them.  Dense
-materialization is provided as a desk-scale oracle.
+    k_i = v_plus[i] * c_i + v_minus[i] * conj(c_i),
+
+and A, A^T and H(A) use k_i, conj(k_i) and Re(k_i): one forward and one
+inverse FFT per axis.  Dense materialization is provided as a
+desk-scale oracle.
 """
 
 import functools
+import math
 
 import numpy as np
+
+from .transforms import DENSE_AXIS_MAX, _axis_matmul
 
 __all__ = ["Toeplitz1D", "MultilevelOperator", "flip"]
 
@@ -121,10 +130,11 @@ class MultilevelOperator:
         for m, (T, vp, vm) in zip(dims, levels):
             if T.m != m:
                 raise ValueError(f"level size {T.m} does not match dim {m}")
-            if vp < 0 or vm < 0:
-                raise ValueError("level coefficients must be nonnegative")
-        if nu < 0:
-            raise ValueError(f"nu must be nonnegative, got {nu}")
+            if not (math.isfinite(vp) and math.isfinite(vm)) or vp < 0 or vm < 0:
+                raise ValueError(f"level coefficients must be finite and nonnegative, "
+                                 f"got {vp} and {vm}")
+        if not math.isfinite(nu) or nu < 0:
+            raise ValueError(f"nu must be finite and nonnegative, got {nu}")
         self.dims = dims
         self.n = int(np.prod(dims))
         self.nu = float(nu)
@@ -141,33 +151,41 @@ class MultilevelOperator:
 
     @functools.cached_property
     def _kernels(self):
-        # built on first use, so assembly costs no FFT; vanishing levels are skipped
+        # built on first use, so assembly costs no product; vanishing levels
+        # are skipped.  One (axis, L, kernel) per level, L = None on a dense one
         kernels = []
         for axis, (T, vp, vm) in enumerate(self.levels):
             if vp + vm == 0.0:
                 continue
-            L, chat = T._embedding
-            kernels.append((axis, vp * chat + vm * np.conj(chat), L, T.m))
+            if T.m <= DENSE_AXIS_MAX:
+                D = T.dense()
+                kernels.append((axis, None, vp * D + vm * D.T))
+            else:
+                L, chat = T._embedding
+                kernels.append((axis, L, vp * chat + vm * np.conj(chat)))
         return kernels
 
-    def _apply(self, x, kernel_map):
+    def _apply(self, x, dense_map, fft_map):
         X = self._check(x).reshape(self.dims)
         out = self.nu * X
-        for axis, kernel, L, m in self._kernels:
-            out += _axis_apply(X, axis, kernel_map(kernel), L, m)
+        for axis, L, kernel in self._kernels:
+            if L is None:
+                out += _axis_matmul(X, axis, dense_map(kernel))
+            else:
+                out += _axis_apply(X, axis, fft_map(kernel), L, self.dims[axis])
         return out.reshape(self.n)
 
     def apply(self, x):
         """A @ x."""
-        return self._apply(x, lambda k: k)
+        return self._apply(x, lambda K: K, lambda k: k)
 
     def apply_transpose(self, x):
-        """A.T @ x (each level kernel conjugated)."""
-        return self._apply(x, np.conj)
+        """A.T @ x (each level kernel transposed or conjugated)."""
+        return self._apply(x, np.transpose, np.conj)
 
     def apply_symmetric_part(self, x):
-        """H(A) @ x with H(A) = (A + A.T)/2 (real part of each level kernel)."""
-        return self._apply(x, np.real)
+        """H(A) @ x with H(A) = (A + A.T)/2 (symmetric or real part of each level kernel)."""
+        return self._apply(x, lambda K: 0.5 * (K + K.T), np.real)
 
     def apply_symmetrized(self, x):
         """(Y A) @ x; the induced dense matrix is symmetric."""

@@ -168,6 +168,26 @@ def test_non_finite_input_rejected(rng):
         pminres(dense_op(np.eye(5)), None, np.ones(5), MinresConfig(x0=x0))
 
 
+def test_non_finite_operator_output_breaks_down(rng):
+    # a diagonal operator that returns a NaN from its 4th call on; without the
+    # check the iteration would run to maxit and return NaN residuals
+    d = np.linspace(1.0, 10.0, 50)
+    calls = []
+
+    def apply_a(v):
+        calls.append(1)
+        out = d * v
+        if len(calls) >= 4:
+            out[0] = np.nan
+        return out
+
+    with pytest.raises(BreakdownError):
+        pminres(apply_a, None, rng.standard_normal(50), MinresConfig(tol=1e-14, maxit=100))
+    assert len(calls) <= 4
+    with pytest.raises(BreakdownError):
+        pminres(dense_op(np.eye(5)), lambda r: np.full_like(r, np.inf), np.ones(5))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         MinresConfig(tol=0.0)

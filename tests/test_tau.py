@@ -6,6 +6,7 @@ from taumres.discretization import (FIRST_ORDER, SECOND_ORDER, FractionalParams,
 from taumres.tau import (TauPreconditioner, build_preconditioner, tau_dense,
                          tau_eigs, tau_eigs_direct)
 from taumres.toeplitz import Toeplitz1D
+from taumres.transforms import DENSE_AXIS_MAX
 
 from conftest import kron_chain, rel_err, sine_matrix, toeplitz_dense
 
@@ -213,9 +214,26 @@ def test_three_level_preconditioner_round_trip(rng):
     assert np.max(np.abs(P.lam - lam.reshape(-1))) <= 1e-11 * np.max(np.abs(lam))
 
 
+def test_round_trip_and_sine_oracle_across_cutoff(rng):
+    # the second axis is one longer than the dense cutoff, so it runs by FFT
+    params = FractionalParams((1.5, 1.8), (2.0, 1.0), (1.0, 0.5), SECOND_ORDER)
+    grid = GridSpec((0, 0), (1, 1), (2, DENSE_AXIS_MAX + 1))
+    P = build_preconditioner(params, grid, 1.0)
+    x = rng.standard_normal(P.n)
+    assert np.max(np.abs(P.apply(P.apply_inverse(x)) - x)) <= 1e-11 * np.max(np.abs(x))
+    S = kron_chain([sine_matrix(m) for m in grid.n])
+    assert rel_err(P.apply_inverse(x), S @ ((S @ x) / P.lam)) <= 1e-11
+
+
 def test_nonpositive_spectrum_rejected():
     with pytest.raises(ValueError):
         TauPreconditioner((3,), np.array([1.0, 0.0, 2.0]))
+
+
+def test_non_finite_spectrum_rejected():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            TauPreconditioner((3,), np.array([1.0, bad, 2.0]))
 
 
 def test_dimension_validation(rng):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from taumres.toeplitz import MultilevelOperator, Toeplitz1D, flip
-from taumres.transforms import circular_convolve
+from taumres.transforms import DENSE_AXIS_MAX, circular_convolve
 
 from conftest import assemble_dense, rel_err, toeplitz_dense
 
@@ -126,7 +126,9 @@ def test_apply_matches_explicit_2x2_kron(rng):
 
 
 # one (n_i, sides) entry per axis: sides "+-" is two-sided, "+" or "-"
-# one-sided (v- = 0 or v+ = 0) and "" vanishing (v+ = v- = 0, skipped)
+# one-sided (v- = 0 or v+ = 0) and "" vanishing (v+ = v- = 0, skipped);
+# the last three sit at the cutoff: an FFT axis (DENSE_AXIS_MAX + 1) next to
+# a dense one, either way round, and a dense axis of exactly DENSE_AXIS_MAX
 ORACLE_DIMS = (
     ((5, "+-"),),
     ((3, "+-"), (4, "+-")),
@@ -139,6 +141,9 @@ ORACLE_DIMS = (
     ((15, ""), (2, "+-")),
     ((5, "+"), (1, ""), (3, "+-")),
     ((7, "-"), (2, "+-"), (1, "+")),
+    ((DENSE_AXIS_MAX + 1, "+-"), (2, "+-")),
+    ((2, "+-"), (DENSE_AXIS_MAX + 1, "+-")),
+    ((DENSE_AXIS_MAX, "+-"), (2, "+-"), (3, "+-")),
 )
 
 
@@ -248,3 +253,11 @@ def test_dimension_validation(rng):
         MultilevelOperator((3,), 1.0, [(random_toeplitz(rng, 4), 1.0, 1.0)])
     with pytest.raises(ValueError):
         MultilevelOperator((3,), -1.0, [(random_toeplitz(rng, 3), 1.0, 1.0)])
+
+
+def test_non_finite_coefficients_rejected(rng):
+    T = random_toeplitz(rng, 3)
+    for nu, vp, vm in ((np.nan, 1.0, 1.0), (np.inf, 1.0, 1.0),
+                       (1.0, np.nan, 1.0), (1.0, 1.0, np.nan), (1.0, np.inf, 0.0)):
+        with pytest.raises(ValueError):
+            MultilevelOperator((3,), nu, [(T, vp, vm)])
