@@ -103,29 +103,35 @@ def pminres(apply_a, apply_pinv, b, cfg=None, check_symmetry=False):
 
     eta0 = gamma
     eta = gamma
+    # solver-owned buffers, updated in place: v_new is written over v_old
+    # and w_new over w_old; arrays from apply_a and apply_pinv are only read
     v_old = np.zeros(n)
     v = r
+    w = np.zeros(n)
+    w_old = np.zeros(n)
+    zhat = np.empty(n)
+    t = np.empty(n)
     gamma_old = 1.0
     c_old = c = 1.0
     s_old = s = 0.0
-    w = np.zeros(n)
-    w_old = np.zeros(n)
     history = []
     converged = False
     it = 0
     while it < cfg.maxit:
         it += 1
-        zhat = z / gamma
+        np.divide(z, gamma, out=zhat)
         q = apply_a(zhat)
         delta = float(q @ zhat)
-        v_new = q - (delta / gamma) * v - (gamma / gamma_old) * v_old
+        np.multiply(v, delta / gamma, out=t)
+        np.subtract(q, t, out=t)
+        np.multiply(v_old, gamma / gamma_old, out=v_old)
+        v_new = np.subtract(t, v_old, out=v_old)
         z_new = apply_pinv(v_new)
         g2 = float(z_new @ v_new)
         if not (math.isfinite(delta) and math.isfinite(g2)):
             raise BreakdownError(f"<A z, z> = {delta}, <v, P^-1 v> = {g2} in iteration {it}: "
                                  "non-finite operator or preconditioner output")
-        vnorm2 = float(v_new @ v_new)
-        if g2 < -1e-13 * max(vnorm2, 1.0):
+        if g2 < 0.0 and g2 < -1e-13 * max(float(v_new @ v_new), 1.0):
             raise BreakdownError(f"<v, P^-1 v> = {g2} < 0: preconditioner is not SPD")
         gamma_new = math.sqrt(max(g2, 0.0))
 
@@ -140,8 +146,12 @@ def pminres(apply_a, apply_pinv, b, cfg=None, check_symmetry=False):
         c_old, s_old = c, s
         c = a0 / a1
         s = gamma_new / a1
-        w_new = (zhat - a3 * w_old - a2 * w) / a1
-        x = x + (c * eta) * w_new
+        np.multiply(w_old, a3, out=w_old)
+        np.subtract(zhat, w_old, out=w_old)
+        np.multiply(w, a2, out=t)
+        np.subtract(w_old, t, out=w_old)
+        w_new = np.divide(w_old, a1, out=w_old)
+        x += np.multiply(w_new, c * eta, out=t)
         eta = -s * eta
 
         history.append(abs(eta) / eta0)

@@ -18,7 +18,7 @@ from .discretization import (FIRST_ORDER, SECOND_ORDER, FractionalParams, GridSp
 from .krylov import MinresConfig, pminres
 from .tau import build_preconditioner, tau_dense, tau_eigs, tau_eigs_direct
 from .toeplitz import MultilevelOperator, Toeplitz1D, flip
-from .transforms import circular_convolve, dst1
+from .transforms import DENSE_AXIS_MAX, circular_convolve, dst1
 
 __all__ = ["run_selftest"]
 
@@ -147,8 +147,9 @@ def _check_minres(rng):
 
 
 def _scaling_report():
+    # three dense sizes and the first 2^k - 1 above the cutoff, which runs by FFT
     lines = []
-    for n1 in (63, 127, 255):
+    for n1 in (63, 127, 255, (1 << DENSE_AXIS_MAX.bit_length()) - 1):
         params = FractionalParams((1.5, 1.5), (2.0, 3.0), (1.0, 1.0))
         grid = GridSpec((0, 0), (1, 1), (n1, n1))
         P = build_preconditioner(params, grid, 1.0)
@@ -158,7 +159,8 @@ def _scaling_report():
         reps = 5
         for _ in range(reps):
             P.apply_inverse(x)
-        lines.append((n1 * n1, (time.perf_counter() - t0) / reps))
+        path = "dense, O(n*n1)" if n1 <= DENSE_AXIS_MAX else "FFT, O(n log n1)"
+        lines.append((n1, n1 * n1, (time.perf_counter() - t0) / reps, path))
     return lines
 
 
@@ -180,6 +182,6 @@ def run_selftest(seed=0, verbose=True):
             status = "PASS" if failure is None else f"FAIL ({failure})"
             print(f"[selftest] {name}: {status}")
     if verbose:
-        for n, secs in _scaling_report():
-            print(f"[selftest] apply_inverse n={n}: {secs * 1e3:.2f} ms (O(n log n) expected)")
+        for n1, n, secs, path in _scaling_report():
+            print(f"[selftest] apply_inverse n1={n1} n={n}: {secs * 1e3:.2f} ms ({path})")
     return ok

@@ -11,9 +11,12 @@ The multilevel preconditioner is built from the tau approximations of
 the symmetric parts of the per-direction Grünwald blocks and stored as
 its eigenvalue vector in the multilevel sine basis, so applying the
 inverse (or inverse square root) costs two multilevel DSTs: one dense
-BLAS product per axis with n_i <= DENSE_AXIS_MAX, one FFT per longer axis.
+BLAS product per axis with n_i <= DENSE_AXIS_MAX, one real FFT of length
+2(n_i+1) per fibre of a longer axis.  Set-up costs one 1-D DST per
+direction; S e_1 is taken in closed form.
 """
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -75,7 +78,7 @@ def tau_eigs(col):
     """Eigenvalues via the DST first-column identity in O(m log m).
 
     q = diag(S e_1)^{-1} (S tau(T) e_1); the first column of tau(T) is
-    t_j - t_{j+2}.
+    t_j - t_{j+2}, and (S e_1)_k = sqrt(2/(m+1)) * sin(pi*k/(m+1)).
     """
     col = np.asarray(col, dtype=float)
     m = col.shape[0]
@@ -84,9 +87,8 @@ def tau_eigs(col):
     u = col.copy()
     if m > 2:
         u[:m - 2] -= col[2:]
-    e1 = np.zeros(m)
-    e1[0] = 1.0
-    return Tau1D(m, dst1(u) / dst1(e1))
+    s_e1 = np.sqrt(2.0 / (m + 1)) * np.sin(np.pi * np.arange(1, m + 1) / (m + 1))
+    return Tau1D(m, dst1(u) / s_e1)
 
 
 class TauPreconditioner:
@@ -111,10 +113,14 @@ class TauPreconditioner:
         lam.setflags(write=False)
         self.lam = lam
         self.nu = float(nu)
-        self._inv_sqrt = np.sqrt(1.0 / lam)
 
     def __repr__(self):
         return f"TauPreconditioner(dims={self.dims}, nu={self.nu})"
+
+    @functools.cached_property
+    def _inv_sqrt(self):
+        # built on first use: only the spectrum code applies P^{-1/2}
+        return np.sqrt(1.0 / self.lam)
 
     def apply(self, x):
         """P @ x."""

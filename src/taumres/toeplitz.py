@@ -22,8 +22,9 @@ embedding the level is the single kernel
     k_i = v_plus[i] * c_i + v_minus[i] * conj(c_i),
 
 and A, A^T and H(A) use k_i, conj(k_i) and Re(k_i): one forward and one
-inverse FFT per axis.  Dense materialization is provided as a
-desk-scale oracle.
+inverse FFT per axis, run on contiguous blocks of fibres
+(``transforms._fibre_blocks``) and added into the result block by block.
+Dense materialization is provided as a desk-scale oracle.
 """
 
 import functools
@@ -31,7 +32,7 @@ import math
 
 import numpy as np
 
-from .transforms import _axis_matmul
+from .transforms import _axis_matmul, _fibre_blocks
 
 __all__ = ["Toeplitz1D", "MultilevelOperator", "flip"]
 
@@ -41,7 +42,9 @@ MATERIALIZE_CAP = 4096
 # example2 first-step solves (2 vCPUs, one BLAS thread), dense took 12-34%
 # less time per iteration at m = 767 and 895; at m = 1023 the FFT level
 # gave the solve_large benchmark workload 2.6% lower op_s and 12% lower
-# peak_rss_mb, since each dense level holds m^2 floats.
+# peak_rss_mb, since each dense level holds m^2 floats.  With the blocked
+# FFT level, apply_symmetrized per call took FFT/dense 1.40 at m = 767,
+# 1.10 at 895 and 0.85 at 1023.
 DENSE_LEVEL_MAX = 895
 
 
@@ -94,7 +97,9 @@ class Toeplitz1D:
         if x.shape[-1] != self.m:
             raise ValueError(f"expected trailing dimension {self.m}, got shape {x.shape}")
         L, chat = self._embedding
-        return _axis_apply(x, -1, chat, L, self.m)
+        out = np.zeros(x.shape)
+        _axis_apply(x, x.ndim - 1, chat, L, out)
+        return out
 
     def dense(self):
         idx = np.subtract.outer(np.arange(self.m), np.arange(self.m))
@@ -114,11 +119,17 @@ def flip(dims, x):
     return x[::-1].copy()
 
 
-def _axis_apply(X, axis, kernel, L, m):
-    """Circulant product along ``axis``: rfft to length L, multiply, irfft, keep m."""
-    Y = np.fft.rfft(np.moveaxis(X, axis, -1), n=L, axis=-1)
-    Y *= kernel
-    return np.moveaxis(np.fft.irfft(Y, n=L, axis=-1)[..., :m], -1, axis)
+def _axis_apply(X, axis, kernel, L, out):
+    """Add the circulant product along ``axis`` >= 0 to ``out``.
+
+    Per block of fibres: contiguous copy, rfft to length L, multiply,
+    irfft, keep the first m entries.
+    """
+    m = X.shape[axis]
+    for xs, os in zip(_fibre_blocks(X, axis), _fibre_blocks(out, axis)):
+        Y = np.fft.rfft(np.ascontiguousarray(xs), n=L, axis=-1)
+        Y *= kernel
+        os += np.fft.irfft(Y, n=L, axis=-1)[:, :m]
 
 
 class MultilevelOperator:
@@ -179,7 +190,7 @@ class MultilevelOperator:
             if L is None:
                 out += _axis_matmul(X, axis, dense_map(kernel))
             else:
-                out += _axis_apply(X, axis, fft_map(kernel), L, self.dims[axis])
+                _axis_apply(X, axis, fft_map(kernel), L, out)
         return out.reshape(self.n)
 
     def apply(self, x):

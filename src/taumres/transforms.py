@@ -4,15 +4,25 @@ The transform realized here is the symmetric orthogonal matrix
 
     S[j, k] = sqrt(2/(m+1)) * sin(pi*j*k/(m+1)),   j, k = 1..m,
 
-which is its own inverse.  The FFT path evaluates S @ x through a real
-FFT of the odd extension of length 2*(m+1); the direct path materializes
-S and costs O(m^2).
+which is its own inverse.  The FFT path pads each fibre to
+u = (0, x_1, ..., x_m, 0, ..., 0) of length 2(m+1); the imaginary part of
+its real FFT is U_k = -sum_j x_j sin(pi*j*k/(m+1)), so y = -sqrt(2/(m+1)) * Im U.
+The half-length DST-I (one FFT of length m+1 and a running sum for the
+odd outputs) is not used: the running sum divides the rounding error of
+its input by about sin(pi/(m+1)), and P P^{-1} x of the tau
+preconditioner at dims (2, 513) then missed x by 7e-11 instead of 3e-13.
+The direct path materializes S and costs O(m^2).
+
+FFTs along an axis run _FIBRE_BLOCK fibres at a time: each block is
+gathered into a contiguous buffer (for a non-last axis, a transposed
+copy), so every FFT reads contiguous rows and a block's temporaries stay
+in cache.  ``_fibre_blocks`` is shared with ``toeplitz``.
 
 Per-axis rule of ``dst1_multi``: an axis of length m <= DENSE_AXIS_MAX is
 applied as one dense BLAS product with the m x m sine matrix (O(n*m)
-flops), a longer axis by FFT (O(n log m)); the DST's crossover lies
-between m = 511 and 767.  ``_axis_matmul`` is the one dense per-axis
-product, shared with ``toeplitz.MultilevelOperator``.
+flops), a longer axis by FFT (O(n log m)).  ``_axis_matmul`` is the one
+dense per-axis product, shared with ``toeplitz.MultilevelOperator``.
+``dst1`` always takes the FFT path unless asked for the direct one.
 """
 
 import functools
@@ -22,7 +32,17 @@ import numpy as np
 
 __all__ = ["DENSE_AXIS_MAX", "dst1", "dst1_multi", "circular_convolve"]
 
-DENSE_AXIS_MAX = 512
+# Longest axis applied densely by dst1_multi.  dst1_multi on (m, m), FFT
+# time over dense time per call (2 vCPUs, one BLAS thread, two interleaved
+# runs): m = 255 1.32/1.25, 287 1.22/1.04, 351 1.10/1.20, 383 0.92/0.88,
+# 447 1.00/1.02, 511 0.82/0.73, 767 0.70/0.66.  Lengths with a large prime
+# factor in 2(m+1) are slow by FFT (m = 513: 5.6/4.9).
+DENSE_AXIS_MAX = 351
+
+# Fibres per FFT block: 32 fibres padded to 2048 points hold about 1 MB of
+# buffers, which stays in cache.  At m = 1023, blocks of 32 and 64 were the
+# fastest per call; 16 and 128 were 2-20% slower.
+_FIBRE_BLOCK = 32
 
 _METHODS = ("fft", "direct")
 _DIRECT_MAX = 4096
@@ -34,8 +54,10 @@ def _sine_factor(m):
 
 @functools.lru_cache(maxsize=64)
 def _sine_matrix(m):
+    # jk is reduced mod 2(m+1) before scaling by pi: sin of the unreduced
+    # angle, up to about pi*m radians, had errors of 2e-13 at m = 512
     j = np.arange(1, m + 1)
-    S = _sine_factor(m) * np.sin(np.pi * np.outer(j, j) / (m + 1))
+    S = _sine_factor(m) * np.sin(np.pi * (np.outer(j, j) % (2 * (m + 1))) / (m + 1))
     S.setflags(write=False)
     return S
 
@@ -49,16 +71,33 @@ def _axis_matmul(X, axis, K):
     return np.matmul(K, X.reshape(left, m, -1)).reshape(X.shape)
 
 
-def _dst1_fft_axis(a, axis):
-    """DST-I along one axis via real FFT of the odd extension."""
-    a = np.moveaxis(a, axis, -1)
-    m = a.shape[-1]
-    v = np.zeros(a.shape[:-1] + (2 * (m + 1),))
-    v[..., 1:m + 1] = a
-    v[..., m + 2:] = -a[..., ::-1]
-    y = np.fft.rfft(v, axis=-1)
-    out = (-0.5 * _sine_factor(m)) * y.imag[..., 1:m + 1]
-    return np.moveaxis(out, -1, axis)
+def _fibre_blocks(X, axis):
+    """Views (k, m), k <= _FIBRE_BLOCK, of the fibres of X along ``axis`` >= 0, one per row.
+
+    X must be C-contiguous when the views are written to.
+    """
+    m = X.shape[axis]
+    left = math.prod(X.shape[:axis])
+    right = math.prod(X.shape[axis + 1:])
+    X3 = X.reshape(left, m, right)
+    if right == 1:
+        return [X3[i:i + _FIBRE_BLOCK, :, 0] for i in range(0, left, _FIBRE_BLOCK)]
+    return [X3[i, :, j:j + _FIBRE_BLOCK].T
+            for i in range(left) for j in range(0, right, _FIBRE_BLOCK)]
+
+
+def _dst1_fft_axis(X, axis):
+    """DST-I along ``axis`` >= 0: one real FFT of length 2(m+1) per fibre."""
+    m = X.shape[axis]
+    scale = -_sine_factor(m)
+    out = np.empty(X.shape)
+    u = np.zeros((min(_FIBRE_BLOCK, X.size // m), m + 1))
+    for xs, ys in zip(_fibre_blocks(X, axis), _fibre_blocks(out, axis)):
+        k = xs.shape[0]
+        u[:k, 1:] = xs
+        U = np.fft.rfft(u[:k], n=2 * (m + 1), axis=-1)
+        np.multiply(U.imag[:, 1:m + 1], scale, out=ys)
+    return out
 
 
 def dst1(x, method="fft"):

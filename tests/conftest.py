@@ -11,9 +11,17 @@ def rng():
 # Independent dense oracles (kept free of the library's fast paths)
 
 def sine_matrix(m):
-    """Dense orthonormal DST-I matrix."""
+    """Dense orthonormal DST-I matrix (angles reduced mod 2*pi exactly, in integers)."""
     j = np.arange(1, m + 1)
-    return np.sqrt(2.0 / (m + 1)) * np.sin(np.pi * np.outer(j, j) / (m + 1))
+    return np.sqrt(2.0 / (m + 1)) * np.sin(np.pi * (np.outer(j, j) % (2 * (m + 1))) / (m + 1))
+
+
+def sine_oracle(dims, x):
+    """S_{m1} (x) ... (x) S_{md} applied one axis at a time with tensordot."""
+    a = x.reshape(dims)
+    for axis, m in enumerate(dims):
+        a = np.moveaxis(np.tensordot(sine_matrix(m), a, axes=([1], [axis])), 0, axis)
+    return a.reshape(-1)
 
 
 def toeplitz_dense(col, row=None):

@@ -188,6 +188,34 @@ def test_non_finite_operator_output_breaks_down(rng):
         pminres(dense_op(np.eye(5)), lambda r: np.full_like(r, np.inf), np.ones(5))
 
 
+def test_reused_output_buffers_match_fresh_arrays(rng):
+    # the recurrences run in place on solver-owned buffers, so an operator or
+    # preconditioner that hands back one reused buffer must give bit for bit
+    # the result of one that returns fresh arrays; b and x0 stay untouched
+    n = 40
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    A = Q @ np.diag(rng.uniform(-4.0, 6.0, n)) @ Q.T
+    M = Q @ np.diag(rng.uniform(0.5, 2.0, n)) @ Q.T
+    b = rng.standard_normal(n)
+    x0 = rng.standard_normal(n)
+    b_copy, x0_copy = b.copy(), x0.copy()
+
+    def reused(K):
+        out = np.empty(n)
+        return lambda v: np.matmul(K, v, out=out)
+
+    cfg = MinresConfig(tol=1e-12, maxit=60, x0=x0)
+    for pinv_fresh, pinv_reused in ((None, None), (dense_op(M), reused(M))):
+        fresh = pminres(dense_op(A), pinv_fresh, b, cfg)
+        again = pminres(reused(A), pinv_reused, b, cfg)
+        assert fresh.iters > 2
+        assert np.array_equal(again.x, fresh.x)
+        assert again.relres_history == fresh.relres_history
+        assert again.true_relres == fresh.true_relres
+    assert np.array_equal(b, b_copy)
+    assert np.array_equal(x0, x0_copy)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         MinresConfig(tol=0.0)

@@ -82,7 +82,7 @@ def test_eigs_size_one():
     assert tau_eigs(np.array([3.25])).q == pytest.approx([3.25], abs=0)
 
 
-@pytest.mark.parametrize("m", (1, 2, 3, 8, 31, 64))
+@pytest.mark.parametrize("m", (1, 2, 3, 4, 8, 31, 64, 1023))
 def test_dst_route_matches_cosine_sum(m, rng):
     col = rng.standard_normal(m)
     q_fast = tau_eigs(col).q

@@ -3,7 +3,7 @@ import pytest
 
 from taumres.transforms import DENSE_AXIS_MAX, circular_convolve, dst1, dst1_multi
 
-from conftest import convolve_direct, kron_chain, rel_err, sine_matrix
+from conftest import convolve_direct, kron_chain, rel_err, sine_matrix, sine_oracle
 
 SIZES = (1, 3, 7, 15, 31, 63, 255, 511)
 
@@ -27,12 +27,24 @@ def test_involution_and_parseval(m, rng):
         assert abs(np.linalg.norm(y) - np.linalg.norm(x)) <= 1e-12 * np.linalg.norm(x)
 
 
-@pytest.mark.parametrize("m", SIZES + (2, 5, 12, 100))
+# every m up to 33 (both parities of m and of m+1) and long axes; 513 has the
+# awkward FFT length 2*514 = 4*257
+@pytest.mark.parametrize("m", tuple(range(1, 34)) + (63, 100, 127, 128, 255, 511, 513, 1023))
 def test_fft_matches_direct_and_dense(m, rng):
     x = rng.standard_normal(m)
     dense = sine_matrix(m) @ x
     assert rel_err(dst1(x, method="fft"), dense) <= 1e-13
     assert rel_err(dst1(x, method="direct"), dense) <= 1e-13
+
+
+# the FFT axis first, in the middle and last of a 3-D array; the last three
+# hold more fibres than one FFT block, with a partial last block
+@pytest.mark.parametrize("dims", ((DENSE_AXIS_MAX + 1, 2, 3), (2, DENSE_AXIS_MAX + 1, 3),
+                                  (2, 3, DENSE_AXIS_MAX + 1), (DENSE_AXIS_MAX + 1, 70),
+                                  (70, DENSE_AXIS_MAX + 1), (2, DENSE_AXIS_MAX + 1, 33)))
+def test_multi_fft_axis_matches_tensordot_oracle(dims, rng):
+    x = rng.standard_normal(int(np.prod(dims)))
+    assert rel_err(dst1_multi(dims, x), sine_oracle(dims, x)) <= 1e-13
 
 
 def test_dst1_validates():
