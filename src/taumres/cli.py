@@ -8,10 +8,12 @@ solve      single first-step solve for one or more (alpha1, alpha2) pairs
 spectrum   dense spectrum of the (preconditioned) symmetrized operator, CSV export
 selftest   run the built-in oracle checks
 
-Flags override values from an optional flat-JSON --config file.  Exit
-codes: 0 success, 2 a solve failed to converge, 3 a spectrum violated
-its theorem interval, 4 I/O failure (usage errors exit nonzero via
-argparse).
+Flags override values from an optional flat-JSON --config file, whose
+keys are the long flag names; null leaves a key unset, and an unknown
+key or a value of the wrong JSON type (a fractional or boolean count,
+say) is a usage error.  Exit codes: 0 success, 2 a solve failed to
+converge, 3 a spectrum violated its theorem interval, 4 I/O failure
+(usage errors exit nonzero via argparse).
 """
 
 import argparse
@@ -103,6 +105,34 @@ def _build_parser():
     return parser
 
 
+# config-file keys and the JSON type each value must have; null means unset
+_FILE_INT_KEYS = ("n1", "maxit", "jobs", "seed")
+_FILE_STR_KEYS = ("scheme", "precond", "out")
+_FILE_KEYS = _FILE_INT_KEYS + _FILE_STR_KEYS + ("tol", "alphas")
+
+
+def _config_file_problem(values):
+    """Why a config file's values cannot be used as given, or None."""
+    unknown = sorted(set(values) - set(_FILE_KEYS))
+    if unknown:
+        return f"unknown key(s) {', '.join(map(repr, unknown))}; expected {', '.join(_FILE_KEYS)}"
+    for key, value in values.items():
+        if value is None:
+            continue
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        integral = number and (isinstance(value, int) or value.is_integer())
+        if key in _FILE_INT_KEYS and not integral:
+            return f"{key} must be an integer, got {value!r}"
+        if key == "tol" and not number:
+            return f"tol must be a number, got {value!r}"
+        if key in _FILE_STR_KEYS and not isinstance(value, str):
+            return f"{key} must be a string, got {value!r}"
+        if key == "alphas" and not (isinstance(value, str) or (
+                isinstance(value, list) and all(isinstance(v, str) for v in value))):
+            return f"alphas must be a string or a list of strings, got {value!r}"
+    return None
+
+
 def parse_config(argv):
     """Parse flags (and optional --config file; flags win) into a RunConfig."""
     parser = _build_parser()
@@ -117,6 +147,10 @@ def parse_config(argv):
             parser.error(f"cannot read config file {ns.config}: {exc}")
         if not isinstance(fromfile, dict):
             parser.error(f"config file {ns.config} must hold a flat JSON object")
+        problem = _config_file_problem(fromfile)
+        if problem:
+            parser.error(f"config file {ns.config}: {problem}")
+        fromfile = {key: value for key, value in fromfile.items() if value is not None}
 
     def pick(flag, key, default):
         if flag is not None:

@@ -18,7 +18,7 @@ from .discretization import (FIRST_ORDER, SECOND_ORDER, FractionalParams, GridSp
 from .krylov import MinresConfig, pminres
 from .tau import build_preconditioner, tau_dense, tau_eigs, tau_eigs_direct
 from .toeplitz import MultilevelOperator, Toeplitz1D, flip
-from .transforms import DENSE_AXIS_MAX, circular_convolve, dst1
+from .transforms import DENSE_AXIS_MAX, _axis_path, circular_convolve, dst1
 
 __all__ = ["run_selftest"]
 
@@ -146,8 +146,13 @@ def _check_minres(rng):
     return None
 
 
+_PATH_LABELS = {"full": "full dense product, O(n*n1)",
+                "fold": "fold and two half-size products, O(n*n1/2)",
+                "fft": "FFT, O(n log n1)"}
+
+
 def _scaling_report():
-    # three dense sizes and the first 2^k - 1 above the cutoff, which runs by FFT
+    # below and above FOLD_MIN, and the first 2^k - 1 past the cutoff, which runs by FFT
     lines = []
     for n1 in (63, 127, 255, (1 << DENSE_AXIS_MAX.bit_length()) - 1):
         params = FractionalParams((1.5, 1.5), (2.0, 3.0), (1.0, 1.0))
@@ -159,8 +164,8 @@ def _scaling_report():
         reps = 5
         for _ in range(reps):
             P.apply_inverse(x)
-        path = "dense, O(n*n1)" if n1 <= DENSE_AXIS_MAX else "FFT, O(n log n1)"
-        lines.append((n1, n1 * n1, (time.perf_counter() - t0) / reps, path))
+        secs = (time.perf_counter() - t0) / reps
+        lines.append((n1, n1 * n1, secs, _PATH_LABELS[_axis_path(n1)]))
     return lines
 
 
@@ -183,5 +188,6 @@ def run_selftest(seed=0, verbose=True):
             print(f"[selftest] {name}: {status}")
     if verbose:
         for n1, n, secs, path in _scaling_report():
-            print(f"[selftest] apply_inverse n1={n1} n={n}: {secs * 1e3:.2f} ms ({path})")
+            print(f"[selftest] apply_inverse n1={n1} n={n}: {secs * 1e3:.2f} ms "
+                  f"(two DSTs, per axis: {path})")
     return ok

@@ -9,10 +9,11 @@ diagonalized by the DST-I, tau(T) = S diag(q) S, with
 
 The multilevel preconditioner is built from the tau approximations of
 the symmetric parts of the per-direction Grünwald blocks and stored as
-its eigenvalue vector in the multilevel sine basis, so applying the
-inverse (or inverse square root) costs two multilevel DSTs: one dense
-BLAS product per axis with n_i <= DENSE_AXIS_MAX, one real FFT of length
-2(n_i+1) per fibre of a longer axis.  Set-up costs one 1-D DST per
+its eigenvalue vector in the multilevel sine basis, so applying P, its
+inverse or its inverse square root costs two multilevel DSTs around one
+elementwise scaling.  Per axis each DST is one full dense product, the
+exact even/odd fold with two half-size products, or real FFTs of length
+2(n_i+1), by the rule of ``transforms``.  Set-up costs one 1-D DST per
 direction; S e_1 is taken in closed form.
 """
 
@@ -122,17 +123,26 @@ class TauPreconditioner:
         # built on first use: only the spectrum code applies P^{-1/2}
         return np.sqrt(1.0 / self.lam)
 
+    # the first DST's result is the one new array: it is scaled and
+    # transformed again in place, and returned
+
     def apply(self, x):
         """P @ x."""
-        return dst1_multi(self.dims, self.lam * dst1_multi(self.dims, x))
+        y = dst1_multi(self.dims, x)
+        y *= self.lam
+        return dst1_multi(self.dims, y, out=y)
 
     def apply_inverse(self, x):
         """P^{-1} @ x."""
-        return dst1_multi(self.dims, dst1_multi(self.dims, x) / self.lam)
+        y = dst1_multi(self.dims, x)
+        y /= self.lam
+        return dst1_multi(self.dims, y, out=y)
 
     def apply_inv_sqrt(self, x):
         """P^{-1/2} @ x; applying twice equals ``apply_inverse``."""
-        return dst1_multi(self.dims, self._inv_sqrt * dst1_multi(self.dims, x))
+        y = dst1_multi(self.dims, x)
+        y *= self._inv_sqrt
+        return dst1_multi(self.dims, y, out=y)
 
     def materialize(self):
         """Dense P (oracle use)."""

@@ -13,16 +13,29 @@ its input by about sin(pi/(m+1)), and P P^{-1} x of the tau
 preconditioner at dims (2, 513) then missed x by 7e-11 instead of 3e-13.
 The direct path materializes S and costs O(m^2).
 
+The dense fold is exact.  S[m+1-j, k] = (-1)^(k+1) S[j, k] (Britanak, Yip
+and Rao, Discrete Cosine and Sine Transforms, 2007), so with the pairs
+x_j +- x_{m+1-j} (one add each, no running sum) the odd coefficients
+k = 1, 3, ... are one product with a ceil(m/2)-square block of S and the
+even ones one product with an (m/2)-square block: half the flops of the
+full product, and no rounding error is amplified (the folded transform
+matched the dense oracle to 2e-15 relative).  The two products write
+their outputs straight to the odd and even positions, so the result is
+in natural order.
+
 FFTs along an axis run _FIBRE_BLOCK fibres at a time: each block is
 gathered into a contiguous buffer (for a non-last axis, a transposed
 copy), so every FFT reads contiguous rows and a block's temporaries stay
 in cache.  ``_fibre_blocks`` is shared with ``toeplitz``.
 
-Per-axis rule of ``dst1_multi``: an axis of length m <= DENSE_AXIS_MAX is
-applied as one dense BLAS product with the m x m sine matrix (O(n*m)
-flops), a longer axis by FFT (O(n log m)).  ``_axis_matmul`` is the one
-dense per-axis product, shared with ``toeplitz.MultilevelOperator``.
-``dst1`` always takes the FFT path unless asked for the direct one.
+Per-axis rule of ``dst1_multi`` (``_axis_path``): an axis with
+m < FOLD_MIN is one full dense BLAS product with the m x m sine matrix
+(O(n*m) flops); up to DENSE_AXIS_MAX it is folded (O(n*m/2)); a longer
+axis goes by FFT (O(n log m)), unless 2(m+1) has a prime factor above 7,
+for which numpy's FFT is slow: such an axis stays folded up to
+AWKWARD_AXIS_MAX.  ``_axis_matmul`` is the one full per-axis product,
+shared with ``toeplitz.MultilevelOperator``.  ``dst1`` always takes the
+FFT path unless asked for the direct one.
 """
 
 import functools
@@ -30,14 +43,28 @@ import math
 
 import numpy as np
 
-__all__ = ["DENSE_AXIS_MAX", "dst1", "dst1_multi", "circular_convolve"]
+__all__ = ["FOLD_MIN", "DENSE_AXIS_MAX", "AWKWARD_AXIS_MAX", "dst1", "dst1_multi",
+           "circular_convolve"]
 
-# Longest axis applied densely by dst1_multi.  dst1_multi on (m, m), FFT
-# time over dense time per call (2 vCPUs, one BLAS thread, two interleaved
-# runs): m = 255 1.32/1.25, 287 1.22/1.04, 351 1.10/1.20, 383 0.92/0.88,
-# 447 1.00/1.02, 511 0.82/0.73, 767 0.70/0.66.  Lengths with a large prime
-# factor in 2(m+1) are slow by FFT (m = 513: 5.6/4.9).
-DENSE_AXIS_MAX = 351
+# The per-axis rule, measured inside MINRES: example2 first-step solves at
+# n1 = m, alpha = (1.5, 1.5), time per iteration with the axis forced onto
+# each path, interleaved medians (2 vCPUs, one BLAS thread).
+# FOLD_MIN: full over fold time 0.82 at m = 63, 0.91 at 79, 0.95 at 95,
+# 1.05 at 103, 1.08 at 111, 1.12 at 127.
+FOLD_MIN = 100
+# DENSE_AXIS_MAX: FFT over fold time 1.07 at m = 255, 1.09 at 287, 0.99 at
+# 319, 1.01 at 351, 1.00 at 383, 1.01 at 447, 0.88 at 511, 0.90 at 575,
+# 0.87 at 639, 0.95 at 671, 0.84 at 767.  Per call on (m, m) the FFT
+# already wins from 319 on: 1.37 at 255, 0.98 at 287, 0.85 at 319, 0.79
+# at 383, 0.90 at 447, 0.68 at 511.
+DENSE_AXIS_MAX = 287
+# AWKWARD_AXIS_MAX: per call on (m, 128), FFT over fold time with p the
+# largest prime factor of 2(m+1).  p = 11 or 13: 1.58 at m = 351, 1.46 at
+# 415, 1.07 at 703, 0.86 at 831, 0.96 at 1000, 0.85 at 1055, 0.76 at 1247.
+# Larger p: 4.7 at 513 (p = 257), 1.69 at 800 (89), 1.23 at 900 (53).
+# Past the cap the FFT is still slower for some lengths: 3.8 at 1100
+# (367), 1.13 at 1702 (131), 2.5 at 2002 (2003), but not 0.71 at 2302 (47).
+AWKWARD_AXIS_MAX = 1024
 
 # Fibres per FFT block: 32 fibres padded to 2048 points hold about 1 MB of
 # buffers, which stays in cache.  At m = 1023, blocks of 32 and 64 were the
@@ -52,14 +79,33 @@ def _sine_factor(m):
     return np.sqrt(2.0 / (m + 1))
 
 
-@functools.lru_cache(maxsize=64)
-def _sine_matrix(m):
-    # jk is reduced mod 2(m+1) before scaling by pi: sin of the unreduced
-    # angle, up to about pi*m radians, had errors of 2e-13 at m = 512
-    j = np.arange(1, m + 1)
-    S = _sine_factor(m) * np.sin(np.pi * (np.outer(j, j) % (2 * (m + 1))) / (m + 1))
+def _sine_block(m, rows, cols):
+    # S[rows, cols] for 1-based indices.  jk is reduced mod 2(m+1) before
+    # scaling by pi: sin of the unreduced angle, up to about pi*m radians,
+    # had errors of 2e-13 at m = 512
+    S = _sine_factor(m) * np.sin(np.pi * (np.outer(rows, cols) % (2 * (m + 1))) / (m + 1))
     S.setflags(write=False)
     return S
+
+
+@functools.lru_cache(maxsize=64)
+def _sine_matrix(m):
+    j = np.arange(1, m + 1)
+    return _sine_block(m, j, j)
+
+
+@functools.lru_cache(maxsize=64)
+def _sine_halves(m):
+    # S_odd (rows k = 1, 3, ... on columns j <= ceil(m/2)), S_even (rows
+    # k = 2, 4, ... on j <= m/2) and their transposes, all C-contiguous: a
+    # product with a transposed view as its right factor ran about 25%
+    # slower at m = 127
+    j = np.arange(1, m + 1)
+    odd, even = _sine_block(m, j[0::2], j[:m - m // 2]), _sine_block(m, j[1::2], j[:m // 2])
+    odd_t, even_t = np.ascontiguousarray(odd.T), np.ascontiguousarray(even.T)
+    odd_t.setflags(write=False)
+    even_t.setflags(write=False)
+    return odd, even, odd_t, even_t
 
 
 def _axis_matmul(X, axis, K):
@@ -69,6 +115,62 @@ def _axis_matmul(X, axis, K):
     if axis == X.ndim - 1:
         return (X.reshape(left, m) @ K.T).reshape(X.shape)
     return np.matmul(K, X.reshape(left, m, -1)).reshape(X.shape)
+
+
+def _fibres(buf, dims, axis):
+    """``buf`` (n floats) as (left, m) fibres along the last axis, else as (left, m, right)."""
+    shape = (math.prod(dims[:axis]), dims[axis])
+    return buf.reshape(shape if axis == len(dims) - 1 else shape + (-1,))
+
+
+def _halves(buf, dims, axis):
+    """The two folded halves of ``buf`` (n floats) along ``axis``, ceil(m/2) then m/2 long.
+
+    On the last axis they are two contiguous blocks, (left, ceil(m/2)) then
+    (left, m/2), so the products read whole blocks; on another axis they
+    are the two slices along the axis.
+    """
+    m = dims[axis]
+    o = m - m // 2
+    if axis == len(dims) - 1:
+        flat = buf.reshape(-1)
+        left = flat.size // m
+        return flat[:left * o].reshape(left, o), flat[left * o:].reshape(left, m - o)
+    b3 = _fibres(buf, dims, axis)
+    return b3[:, :o], b3[:, o:]
+
+
+def _half_product(K, K_t, V, out):
+    # K along axis 1 of V: one (left, k) @ K_t product for a last-axis block, else batched K @ V
+    if V.ndim == 2:
+        np.matmul(V, K_t, out=out)
+    else:
+        np.matmul(K, V, out=out)
+
+
+def _fold(X, dims, axis, work, out):
+    """S along ``axis`` by the even/odd fold; ``out`` may be X.
+
+    With h = m // 2 pairs, S[m+1-j, k] = (-1)^(k+1) S[j, k] makes the odd
+    coefficients S_odd (x_j + x_{m+1-j}; middle entry) and the even ones
+    S_even (x_j - x_{m+1-j}), j <= h: one add per input pair, then two
+    products of half size, written straight to the odd and even positions
+    of ``out`` (a strided output cost no more than a contiguous one plus
+    an interleaving copy).  ``work`` (n floats) holds the folded input.
+    """
+    m = dims[axis]
+    h, o = m // 2, m - m // 2
+    Xn = _fibres(X, dims, axis)
+    top, bot = Xn[:, :h], Xn[:, m - h:][:, ::-1]
+    P, Q = _halves(work, dims, axis)
+    np.add(top, bot, out=P[:, :h])
+    P[:, h:] = Xn[:, h:o]
+    np.subtract(top, bot, out=Q)
+    S_odd, S_even, S_odd_t, S_even_t = _sine_halves(m)
+    Yn = _fibres(out, dims, axis)
+    _half_product(S_odd, S_odd_t, P, Yn[:, 0::2])
+    _half_product(S_even, S_even_t, Q, Yn[:, 1::2])
+    return out
 
 
 def _fibre_blocks(X, axis):
@@ -86,11 +188,15 @@ def _fibre_blocks(X, axis):
             for i in range(left) for j in range(0, right, _FIBRE_BLOCK)]
 
 
-def _dst1_fft_axis(X, axis):
-    """DST-I along ``axis`` >= 0: one real FFT of length 2(m+1) per fibre."""
+def _dst1_fft_axis(X, axis, out=None):
+    """DST-I along ``axis`` >= 0: one real FFT of length 2(m+1) per fibre.
+
+    ``out`` may be X itself: every block is copied into the padded buffer
+    before it is written.
+    """
     m = X.shape[axis]
     scale = -_sine_factor(m)
-    out = np.empty(X.shape)
+    out = np.empty(X.shape) if out is None else out
     u = np.zeros((min(_FIBRE_BLOCK, X.size // m), m + 1))
     for xs, ys in zip(_fibre_blocks(X, axis), _fibre_blocks(out, axis)):
         k = xs.shape[0]
@@ -121,27 +227,62 @@ def dst1(x, method="fft"):
     return _dst1_fft_axis(x, 0)
 
 
-def dst1_multi(dims, x):
-    """Apply the tensorized DST-I ``S_{m1} (x) ... (x) S_{md}``.
+def _smooth(n):
+    for p in (2, 3, 5, 7):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+def _axis_path(m):
+    """How dst1_multi applies S along an axis of length m: "full", "fold" or "fft"."""
+    if m < FOLD_MIN:
+        return "full"
+    if m <= DENSE_AXIS_MAX or (m <= AWKWARD_AXIS_MAX and not _smooth(2 * (m + 1))):
+        return "fold"
+    return "fft"
+
+
+def dst1_multi(dims, x, out=None):
+    """Apply the tensorized DST-I ``S = S_{m1} (x) ... (x) S_{md}``.
 
     ``x`` is a flat vector in lexicographic order with dimension 1
-    outermost; the transform is applied axis by axis, densely on axes
-    with m <= DENSE_AXIS_MAX and by FFT on longer ones.
+    outermost.  Each axis runs by its ``_axis_path``: one full dense
+    product, the even/odd fold and two half-size products, or FFTs.  The
+    result is a new array, or ``out`` (a C-contiguous float vector of n
+    entries; it may be ``x`` itself, which is then transformed in place).
     """
     dims = tuple(int(m) for m in dims)
-    if any(m < 1 for m in dims):
-        raise ValueError(f"dims must be positive, got {dims}")
+    if not dims or any(m < 1 for m in dims):
+        raise ValueError(f"dims must be one or more positive lengths, got {dims}")
     x = np.asarray(x, dtype=float)
-    n = int(np.prod(dims))
+    n = math.prod(dims)
     if x.shape != (n,):
         raise ValueError(f"expected vector of length {n} for dims {dims}, got shape {x.shape}")
-    a = x.reshape(dims)
-    for axis, m in enumerate(dims):
-        if m <= DENSE_AXIS_MAX:
+    if out is not None and not (isinstance(out, np.ndarray) and out.shape == x.shape
+                                and out.dtype == float and out.flags.c_contiguous):
+        raise ValueError(f"out must be a C-contiguous float vector of length {n}")
+    paths = [_axis_path(m) for m in dims]
+    xa = x.reshape(dims)
+    own = None if out is None else out.reshape(dims)
+    a = xa
+    # the fold's scratch is allocated before the output: the other order
+    # ran the example2 march at n1 = 127 2-6% slower in benchmark runs
+    # (likely the allocator trimming the freed scratch off the heap top)
+    work = np.empty(dims) if "fold" in paths else None
+    for axis, (m, path) in enumerate(zip(dims, paths)):
+        if path == "full":
             a = _axis_matmul(a, axis, _sine_matrix(m))
+            continue
+        # folds and FFTs write in place once a is no longer the caller's x
+        target = (np.empty(dims) if own is None else own) if a is xa else a
+        if path == "fft":
+            a = _dst1_fft_axis(a, axis, out=target)
         else:
-            a = _dst1_fft_axis(a, axis)
-    return a.reshape(n)
+            a = _fold(a, dims, axis, work, target)
+    if own is not None and a is not own:
+        own[...] = a
+    return a.reshape(-1) if own is None else out
 
 
 def circular_convolve(a, b):

@@ -203,13 +203,25 @@ def test_multiple_spectrum_pairs_keep_a_non_csv_suffix(tmp_path):
     assert not out.exists()
 
 
-def test_config_file_values_are_checked(tmp_path):
-    for bad in ({"precond": "foo"}, {"scheme": "bogus"}, {"alphas": "1.5,2.5"}):
-        cfile = tmp_path / "run.json"
+def test_config_file_values_are_checked(tmp_path, capsys):
+    cfile = tmp_path / "run.json"
+    for bad in ({"precond": "foo"}, {"scheme": "bogus"}, {"alphas": "1.5,2.5"},
+                {"n1": 31.7}, {"maxit": 2.9}, {"tol": True}, {"n1": True}, {"seed": "3"},
+                {"jobs": float("inf")}, {"tol": "1e-8"}, {"scheme": ["second"]}, {"out": 5},
+                {"alphas": 5}, {"alphas": ["1.5,1.5", 1.9]}, {"alphas": {"1.5,1.5": 1}},
+                {"n_1": 63}, {"n_1": None}, {"n1": 31.7, "maxit": 2.9, "tol": True, "n_1": 63}):
         cfile.write_text(json.dumps(bad))
         with pytest.raises(SystemExit) as exc:
             cli.parse_config(["solve", "--config", str(cfile)])
         assert exc.value.code == 2
+    assert "'n_1'" in capsys.readouterr().err
+    # integral numbers are counts, whatever their JSON spelling
+    cfile.write_text(json.dumps({"n1": 31.0, "maxit": 7, "tol": 1}))
+    cfg = cli.parse_config(["solve", "--config", str(cfile)])
+    assert (cfg.n1, cfg.maxit, cfg.tol) == (31, 7, 1.0)
+    # null leaves a key at its default
+    cfile.write_text(json.dumps({"out": None, "scheme": None, "n1": None, "alphas": None}))
+    assert cli.parse_config(["solve", "--config", str(cfile)]) == cli.parse_config(["solve"])
 
 
 def test_alpha_out_of_range_is_usage_error(capsys):

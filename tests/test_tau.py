@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -6,9 +8,12 @@ from taumres.discretization import (FIRST_ORDER, SECOND_ORDER, FractionalParams,
 from taumres.tau import (TauPreconditioner, build_preconditioner, tau_dense,
                          tau_eigs, tau_eigs_direct)
 from taumres.toeplitz import Toeplitz1D
-from taumres.transforms import DENSE_AXIS_MAX
+from taumres.transforms import DENSE_AXIS_MAX, FOLD_MIN, _axis_path
 
-from conftest import kron_chain, rel_err, sine_matrix, toeplitz_dense
+from conftest import kron_chain, rel_err, sine_matrix, sine_oracle, toeplitz_dense
+
+# the first length past the dense cutoff that runs by FFT
+FFT_M = next(m for m in itertools.count(DENSE_AXIS_MAX + 1) if _axis_path(m) == "fft")
 
 
 def symmetric_part_col(alpha, m, scheme):
@@ -215,14 +220,35 @@ def test_three_level_preconditioner_round_trip(rng):
 
 
 def test_round_trip_and_sine_oracle_across_cutoff(rng):
-    # the second axis is one longer than the dense cutoff, so it runs by FFT
+    # the second axis is the first length past the dense cutoff that runs by FFT
     params = FractionalParams((1.5, 1.8), (2.0, 1.0), (1.0, 0.5), SECOND_ORDER)
-    grid = GridSpec((0, 0), (1, 1), (2, DENSE_AXIS_MAX + 1))
+    grid = GridSpec((0, 0), (1, 1), (2, FFT_M))
     P = build_preconditioner(params, grid, 1.0)
     x = rng.standard_normal(P.n)
     assert np.max(np.abs(P.apply(P.apply_inverse(x)) - x)) <= 1e-11 * np.max(np.abs(x))
     S = kron_chain([sine_matrix(m) for m in grid.n])
     assert rel_err(P.apply_inverse(x), S @ ((S @ x) / P.lam)) <= 1e-11
+
+
+# grids on both sides of each boundary of the per-axis rule (full product,
+# fold, FFT), including a 3-D grid that mixes all three
+@pytest.mark.parametrize("dims", ((FOLD_MIN - 1, FOLD_MIN), (FOLD_MIN, FOLD_MIN - 1),
+                                  (FFT_M, FOLD_MIN), (FOLD_MIN + 1, FFT_M),
+                                  (3, FOLD_MIN, FFT_M), (FFT_M, FFT_M)))
+def test_applications_across_the_path_rule(dims, rng):
+    d = len(dims)
+    params = FractionalParams((1.3, 1.8, 1.5)[:d], (1.0, 2.0, 0.5)[:d], (2.0, 0.5, 1.0)[:d],
+                              SECOND_ORDER)
+    P = build_preconditioner(params, GridSpec((0,) * d, (1,) * d, dims), 2.0)
+    x = rng.standard_normal(P.n)
+    xc = x.copy()
+    scale = np.max(np.abs(x))
+    inv = P.apply_inverse(x)
+    assert rel_err(inv, sine_oracle(dims, sine_oracle(dims, x) / P.lam)) <= 1e-11
+    assert np.max(np.abs(P.apply(inv) - x)) <= 1e-11 * scale
+    twice = P.apply_inv_sqrt(P.apply_inv_sqrt(x))
+    assert np.max(np.abs(twice - inv)) <= 1e-11 * scale
+    assert np.array_equal(x, xc)
 
 
 def test_nonpositive_spectrum_rejected():

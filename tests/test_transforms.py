@@ -1,11 +1,20 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from taumres.transforms import DENSE_AXIS_MAX, circular_convolve, dst1, dst1_multi
+from taumres import transforms
+from taumres.transforms import (AWKWARD_AXIS_MAX, DENSE_AXIS_MAX, FOLD_MIN, _axis_path,
+                                circular_convolve, dst1, dst1_multi)
 
 from conftest import convolve_direct, kron_chain, rel_err, sine_matrix, sine_oracle
 
 SIZES = (1, 3, 7, 15, 31, 63, 255, 511)
+
+# the first length past the dense cutoff that runs by FFT; 513 (2 * 514 =
+# 4 * 257) is an awkward FFT length, folded although it is past the cutoff
+FFT_M = next(m for m in itertools.count(DENSE_AXIS_MAX + 1) if _axis_path(m) == "fft")
+AWKWARD_M = 513
 
 
 def test_length_one_is_identity():
@@ -39,12 +48,51 @@ def test_fft_matches_direct_and_dense(m, rng):
 
 # the FFT axis first, in the middle and last of a 3-D array; the last three
 # hold more fibres than one FFT block, with a partial last block
-@pytest.mark.parametrize("dims", ((DENSE_AXIS_MAX + 1, 2, 3), (2, DENSE_AXIS_MAX + 1, 3),
-                                  (2, 3, DENSE_AXIS_MAX + 1), (DENSE_AXIS_MAX + 1, 70),
-                                  (70, DENSE_AXIS_MAX + 1), (2, DENSE_AXIS_MAX + 1, 33)))
+@pytest.mark.parametrize("dims", ((FFT_M, 2, 3), (2, FFT_M, 3), (2, 3, FFT_M), (FFT_M, 70),
+                                  (70, FFT_M), (2, FFT_M, 33)))
 def test_multi_fft_axis_matches_tensordot_oracle(dims, rng):
     x = rng.standard_normal(int(np.prod(dims)))
     assert rel_err(dst1_multi(dims, x), sine_oracle(dims, x)) <= 1e-13
+
+
+def test_axis_path_rule():
+    assert [_axis_path(m) for m in (1, FOLD_MIN - 1, FOLD_MIN, DENSE_AXIS_MAX)] == \
+        ["full", "full", "fold", "fold"]
+    assert _axis_path(FFT_M) == "fft" and _axis_path(AWKWARD_M) == "fold"
+    assert _axis_path(1023) == "fft"  # 2 * 1024 is a power of two
+    # past the awkward cap even a length with a large prime factor goes by FFT
+    awkward_past_cap = next(m for m in itertools.count(AWKWARD_AXIS_MAX + 1)
+                            if not transforms._smooth(2 * (m + 1)))
+    assert _axis_path(awkward_past_cap) == "fft"
+
+
+# every m folds here: odd and even m, with and without a middle row, on the
+# last axis (two contiguous halves) and on a leading or middle axis (slices)
+@pytest.mark.parametrize("m", (1, 2, 3, 4, 5, 62, 63, 64, 127, 128))
+def test_fold_matches_sine_oracle(m, rng, monkeypatch):
+    monkeypatch.setattr(transforms, "FOLD_MIN", 1)
+    for dims in ((m,), (m, 3), (3, m), (2, m, 2)):
+        assert _axis_path(m) == "fold"
+        x = rng.standard_normal(int(np.prod(dims)))
+        y = dst1_multi(dims, x)
+        assert rel_err(y, sine_oracle(dims, x)) <= 1e-13
+        # S is an involution
+        assert np.max(np.abs(dst1_multi(dims, y) - x)) <= 1e-13 * np.max(np.abs(x))
+
+
+# 3-D arrays that mix full, folded and FFT axes, and lengths on both sides
+# of each boundary of the path rule
+@pytest.mark.parametrize("dims", ((FOLD_MIN - 1, FOLD_MIN, 2), (2, FOLD_MIN, FOLD_MIN - 1),
+                                  (FFT_M, 2, FOLD_MIN), (FOLD_MIN, FFT_M, 3),
+                                  (3, FOLD_MIN + 1, FFT_M), (AWKWARD_M, 3, FOLD_MIN - 1),
+                                  (AWKWARD_M, 1, FFT_M), (DENSE_AXIS_MAX, FFT_M)))
+def test_mixed_paths_match_tensordot_oracle(dims, rng):
+    x = rng.standard_normal(int(np.prod(dims)))
+    xc = x.copy()
+    y = dst1_multi(dims, x)
+    assert rel_err(y, sine_oracle(dims, x)) <= 1e-13
+    assert np.max(np.abs(dst1_multi(dims, y) - x)) <= 1e-13 * np.max(np.abs(x))
+    assert np.array_equal(x, xc)
 
 
 def test_dst1_validates():
@@ -66,7 +114,7 @@ def test_multi_trivial_cases(rng):
 
 def test_multi_matches_kronecker_oracle(rng):
     # the last two put an axis on each side of the dense/FFT cutoff
-    for dims in ((2, 3), (2, 3, 4), (5, 4), (DENSE_AXIS_MAX + 1, 3), (3, DENSE_AXIS_MAX)):
+    for dims in ((2, 3), (2, 3, 4), (5, 4), (FFT_M, 3), (3, DENSE_AXIS_MAX)):
         n = int(np.prod(dims))
         S = kron_chain([sine_matrix(m) for m in dims])
         e1 = np.zeros(n)
@@ -79,6 +127,33 @@ def test_multi_matches_kronecker_oracle(rng):
 def test_multi_rejects_bad_length():
     with pytest.raises(ValueError):
         dst1_multi((2, 3), np.zeros(5))
+    for dims in ((), (3, 0)):
+        with pytest.raises(ValueError):
+            dst1_multi(dims, np.zeros(1))
+
+
+# TauPreconditioner scales the first DST's result and transforms it again
+# in place; every path, and a full axis after a folded or FFT one
+@pytest.mark.parametrize("dims", ((1,), (1, 1), (3, 4), (FOLD_MIN, 2), (FFT_M,), (2, FFT_M),
+                                  (FOLD_MIN, 3, FFT_M)))
+def test_multi_new_array_or_out(dims, rng):
+    x = rng.standard_normal(int(np.prod(dims)))
+    expected = sine_oracle(dims, x)
+    y = dst1_multi(dims, x)
+    assert not np.shares_memory(y, x)
+    out = np.empty(x.size)
+    assert dst1_multi(dims, x, out=out) is out
+    assert np.array_equal(out, y)
+    assert dst1_multi(dims, x, out=x) is x
+    assert np.array_equal(x, y) and rel_err(x, expected) <= 1e-13
+
+
+def test_multi_rejects_bad_out():
+    x = np.zeros(6)
+    for out in (np.zeros(5), np.zeros((2, 3)), np.zeros(12)[::2], np.zeros(6, dtype=int),
+                [0.0] * 6):
+        with pytest.raises(ValueError):
+            dst1_multi((2, 3), x, out=out)
 
 
 def test_convolve_identity_kernel():
