@@ -8,8 +8,7 @@ eigenvalue-interval bounds densely at desk scale.
 """
 
 from .discretization import (FIRST_ORDER, SECOND_ORDER, CoefficientTable,
-                             ConvergenceBound, FractionalParams, GridSpec,
-                             assemble_operator, build_L, convergence_bound,
+                             FractionalParams, GridSpec, assemble_operator, build_L,
                              epsilon_bound, grunwald_g, omega_bound, symbol_closed,
                              symbol_series, weights_first, weights_second)
 from .krylov import BreakdownError, MinresConfig, MinresResult, bound_curve, pminres
@@ -19,17 +18,16 @@ from .pde import (ALPHA_PAIRS, FractionalProblem, StepReport, example1_problem,
 from .spectrum import (SpectrumReport, equivalence_spectrum, export_spectrum_csv,
                        ideal_preconditioned_spectrum, preconditioned_spectrum,
                        sym_eig, unpreconditioned_spectrum)
-from .tau import (Tau1D, TauPreconditioner, build_preconditioner, tau_dense,
-                  tau_eigs, tau_eigs_direct)
+from .tau import Tau1D, TauPreconditioner, build_preconditioner, tau_eigs
 from .toeplitz import MultilevelOperator, Toeplitz1D, flip
-from .transforms import circular_convolve, dst1, dst1_multi
+from .transforms import dst1, dst1_multi
 
 __version__ = "0.1.0"
 
 __all__ = [
     "FIRST_ORDER", "SECOND_ORDER",
-    "CoefficientTable", "ConvergenceBound", "FractionalParams", "GridSpec",
-    "assemble_operator", "build_L", "convergence_bound", "epsilon_bound",
+    "CoefficientTable", "FractionalParams", "GridSpec",
+    "assemble_operator", "build_L", "epsilon_bound",
     "grunwald_g", "omega_bound", "symbol_closed", "symbol_series",
     "weights_first", "weights_second",
     "BreakdownError", "MinresConfig", "MinresResult", "bound_curve", "pminres",
@@ -39,8 +37,7 @@ __all__ = [
     "SpectrumReport", "equivalence_spectrum", "export_spectrum_csv",
     "ideal_preconditioned_spectrum", "preconditioned_spectrum", "sym_eig",
     "unpreconditioned_spectrum",
-    "Tau1D", "TauPreconditioner", "build_preconditioner", "tau_dense",
-    "tau_eigs", "tau_eigs_direct",
+    "Tau1D", "TauPreconditioner", "build_preconditioner", "tau_eigs",
     "MultilevelOperator", "Toeplitz1D", "flip",
-    "circular_convolve", "dst1", "dst1_multi",
+    "dst1", "dst1_multi",
 ]

@@ -19,13 +19,14 @@ converge, 3 a spectrum violated its theorem interval, 4 I/O failure
 import argparse
 import concurrent.futures
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
 
 from .discretization import FIRST_ORDER, SECOND_ORDER, assemble_operator
-from .pde import (ALPHA_PAIRS, example1_problem, example2_problem, run_example1,
-                  run_example2)
+from .pde import (ALPHA_PAIRS, PRECONDITIONERS, example1_problem, example2_problem,
+                  run_example1, run_example2)
 from .spectrum import (export_spectrum_csv, preconditioned_spectrum,
                        unpreconditioned_spectrum)
 from .tau import build_preconditioner
@@ -38,7 +39,6 @@ CSV_COLUMNS = ("alpha1", "alpha2", "n", "preconditioner", "iters", "converged",
                "relres", "err_inf", "wall_seconds")
 
 _SCHEME_MAP = {"first": FIRST_ORDER, "second": SECOND_ORDER}
-PRECONDITIONERS = ("tau", "identity")
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,8 @@ class RunConfig:
             raise ValueError(f"unknown command {self.command!r}")
         if self.n1 < 1:
             raise ValueError(f"n1 must be at least 1, got {self.n1}")
-        if self.tol <= 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.maxit < 1:
             raise ValueError(f"maxit must be at least 1, got {self.maxit}")
         if self.jobs < 1:

@@ -23,7 +23,6 @@ __all__ = [
     "FractionalParams",
     "GridSpec",
     "CoefficientTable",
-    "ConvergenceBound",
     "grunwald_g",
     "weights_second",
     "weights_first",
@@ -128,19 +127,6 @@ class CoefficientTable:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
-    def __len__(self):
-        return len(self.values)
-
-
-@dataclass(frozen=True)
-class ConvergenceBound:
-    """Spectral-interval data for the preconditioned symmetrized system."""
-
-    epsilon_star: float
-    omega: float
-    kappa_lo: float = 0.5
-    kappa_hi: float = 1.5
-
 
 def grunwald_g(alpha, K):
     """Coefficients g_0..g_K with g_0 = 1, g_k = (1 - (alpha+1)/k) g_{k-1}.
@@ -172,10 +158,6 @@ def weights_first(alpha, K):
     return CoefficientTable(alpha, FIRST_ORDER, grunwald_g(alpha, K))
 
 
-def _table(alpha, K, scheme):
-    return weights_second(alpha, K) if scheme == SECOND_ORDER else weights_first(alpha, K)
-
-
 def build_L(alpha, m, scheme=SECOND_ORDER):
     """Lower-Hessenberg Grünwald Toeplitz block of size m.
 
@@ -185,7 +167,7 @@ def build_L(alpha, m, scheme=SECOND_ORDER):
     _check_scheme(scheme)
     if m < 1:
         raise ValueError(f"matrix size must be positive, got {m}")
-    c = _table(alpha, m, scheme).values
+    c = (weights_second if scheme == SECOND_ORDER else weights_first)(alpha, m).values
     col = -c[1:m + 1]
     row = np.zeros(m)
     row[0] = -c[1]
@@ -272,9 +254,3 @@ def omega_bound(epsilon):
     if epsilon < 0:
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
     return math.sqrt((2.0 + 3.0 * epsilon) / (4.0 + 3.0 * epsilon))
-
-
-def convergence_bound(params):
-    """Bundle epsilon* and omega for the given problem."""
-    eps = epsilon_bound(params)
-    return ConvergenceBound(epsilon_star=eps, omega=omega_bound(eps))

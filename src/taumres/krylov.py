@@ -3,7 +3,8 @@
 Standard Lanczos-based MINRES in the inner product induced by an SPD
 preconditioner inverse.  The recurrence tracks the preconditioned-norm
 residual, which is what the convergence theory bounds; the true 2-norm
-residual is recomputed at exit.
+residual is recomputed at exit.  The operator's symmetry is not sampled:
+Y A is symmetric by construction, which the tests check densely.
 """
 
 import math
@@ -26,10 +27,10 @@ class MinresConfig:
     x0: np.ndarray = None
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.maxit < 1:
-            raise ValueError(f"maxit must be at least 1, got {self.maxit}")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
+        if not float(self.maxit).is_integer() or self.maxit < 1:
+            raise ValueError(f"maxit must be an integer of at least 1, got {self.maxit}")
 
 
 @dataclass
@@ -41,18 +42,7 @@ class MinresResult:
     converged: bool = False
 
 
-def _sample_symmetry(apply_a, n, rng, tol=1e-10, pairs=3):
-    for _ in range(pairs):
-        x = rng.standard_normal(n)
-        y = rng.standard_normal(n)
-        ax_y = float(apply_a(x) @ y)
-        x_ay = float(x @ apply_a(y))
-        scale = max(abs(ax_y), abs(x_ay), 1.0)
-        if abs(ax_y - x_ay) > tol * scale:
-            raise ValueError(f"operator not symmetric: <Ax,y>={ax_y} vs <x,Ay>={x_ay}")
-
-
-def pminres(apply_a, apply_pinv, b, cfg=None, check_symmetry=False):
+def pminres(apply_a, apply_pinv, b, cfg=None):
     """Solve A x = b, A symmetric, with SPD preconditioner inverse.
 
     ``apply_a`` and ``apply_pinv`` are callables mapping vectors to
@@ -71,8 +61,6 @@ def pminres(apply_a, apply_pinv, b, cfg=None, check_symmetry=False):
     if not np.all(np.isfinite(b)):
         raise ValueError("right-hand side has non-finite entries")
     n = b.shape[0]
-    if check_symmetry:
-        _sample_symmetry(apply_a, n, np.random.default_rng(0))
 
     bnorm = float(np.linalg.norm(b))
     if cfg.x0 is None:

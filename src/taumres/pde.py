@@ -4,7 +4,14 @@ Each step solves the symmetrized system Y A u = Y b by preconditioned
 MINRES.  Two benchmark setups are provided: a first-order (backward
 Euler + shifted Grünwald) problem with a smooth source on the unit
 square, and a second-order (Crank-Nicolson + weighted-shifted Grünwald)
-problem on (0,2)^2 with a known exact solution.
+problem on (0,2)^2 with a known exact solution.  Each scheme only
+builds its right-hand side (``step_first_order``, ``step_second_order``);
+one helper solves and reports, and both ``run_steps`` and the first-step
+rows of ``run_example1``/``run_example2`` step through the two.
+
+Starting vector: first-step rows start MINRES from the constant vector
+x0 = 1/sqrt(n), the experiments' protocol; every step of ``run_steps``
+starts from ``cfg.x0``, which is 0 unless a config sets it.
 """
 
 import math
@@ -22,8 +29,9 @@ from .toeplitz import flip
 __all__ = ["FractionalProblem", "StepReport", "sample_grid",
            "step_second_order", "step_first_order",
            "example1_problem", "example2_problem",
-           "run_example1", "run_example2", "run_steps", "ALPHA_PAIRS"]
+           "run_example1", "run_example2", "run_steps", "ALPHA_PAIRS", "PRECONDITIONERS"]
 
+PRECONDITIONERS = ("tau", "identity")
 ALPHA_PAIRS = tuple((a1, a2) for a1 in (1.1, 1.5, 1.9) for a2 in (1.1, 1.5, 1.9))
 
 
@@ -79,15 +87,15 @@ def sample_grid(grid, fn, t=None):
     return np.broadcast_to(np.asarray(vals, dtype=float), grid.n).reshape(grid.size).copy()
 
 
-def _solve_symmetrized(A, P, b, cfg):
+def _solve_step(problem, A, P, b, t, cfg):
+    """Solve A u = b for the iterate at time t through Y A u = Y b; (u, report)."""
     pinv = P.apply_inverse if P is not None else None
-    return pminres(A.apply_symmetrized, pinv, flip(A.dims, b), cfg)
-
-
-def _err_inf(problem, u, t):
-    if problem.exact is None:
-        return None
-    return float(np.max(np.abs(u - sample_grid(problem.grid, problem.exact, t))))
+    res = pminres(A.apply_symmetrized, pinv, flip(A.dims, b), cfg)
+    err = None if problem.exact is None else \
+        float(np.max(np.abs(res.x - sample_grid(problem.grid, problem.exact, t))))
+    report = StepReport(int(round(t / problem.tau_step)), res.iters, res.converged,
+                        res.relres_history[-1] if res.relres_history else 0.0, err)
+    return res.x, report
 
 
 def step_second_order(problem, A, P, u_k, t_k, cfg=None):
@@ -103,12 +111,7 @@ def step_second_order(problem, A, P, u_k, t_k, cfg=None):
     nu = problem.nu
     tau = problem.tau_step
     b = 2.0 * nu * u_k - A.apply(u_k) + sample_grid(problem.grid, problem.source, t_k + 0.5 * tau)
-    res = _solve_symmetrized(A, P, b, cfg or MinresConfig())
-    k_next = int(round((t_k + tau) / tau))
-    report = StepReport(k_next, res.iters, res.converged,
-                        res.relres_history[-1] if res.relres_history else 0.0,
-                        _err_inf(problem, res.x, t_k + tau))
-    return res.x, report
+    return _solve_step(problem, A, P, b, t_k + tau, cfg)
 
 
 def step_first_order(problem, A, P, u_prev, t_k, cfg=None):
@@ -116,33 +119,34 @@ def step_first_order(problem, A, P, u_prev, t_k, cfg=None):
     if problem.params.scheme != FIRST_ORDER:
         raise ValueError("step_first_order requires first-order params")
     b = problem.nu * u_prev + sample_grid(problem.grid, problem.source, t_k)
-    res = _solve_symmetrized(A, P, b, cfg or MinresConfig())
-    k = int(round(t_k / problem.tau_step))
-    report = StepReport(k, res.iters, res.converged,
-                        res.relres_history[-1] if res.relres_history else 0.0,
-                        _err_inf(problem, res.x, t_k))
-    return res.x, report
+    return _solve_step(problem, A, P, b, t_k, cfg)
 
 
-def run_steps(problem, num_steps=None, preconditioner="tau", cfg=None):
-    """March the scheme from u0; returns the final iterate and reports.
+def _step(problem, A, P, u, k, cfg):
+    """Advance u from step k to step k+1 by the problem's scheme."""
+    tau = problem.tau_step
+    if problem.params.scheme == SECOND_ORDER:
+        return step_second_order(problem, A, P, u, k * tau, cfg)
+    return step_first_order(problem, A, P, u, (k + 1) * tau, cfg)
 
-    Each step's MINRES starts from ``cfg.x0``, which defaults to the zero
-    vector (the first-step rows of ``run_example1``/``run_example2`` start
-    from the constant vector 1/sqrt(n) instead).
-    """
-    num_steps = problem.M if num_steps is None else num_steps
+
+def _setup(problem, preconditioner):
+    """Operator, preconditioner (None for "identity") and sampled u0 of a problem."""
+    if preconditioner not in PRECONDITIONERS:
+        raise ValueError(f"unknown preconditioner {preconditioner!r}, "
+                         f"expected one of {PRECONDITIONERS}")
     A = assemble_operator(problem.params, problem.grid, problem.nu)
     P = build_preconditioner(problem.params, problem.grid, problem.nu) \
         if preconditioner == "tau" else None
-    u = sample_grid(problem.grid, problem.u0)
-    tau = problem.tau_step
+    return A, P, sample_grid(problem.grid, problem.u0)
+
+
+def run_steps(problem, preconditioner="tau", cfg=None):
+    """March the scheme from u0 over all M steps; returns the final iterate and reports."""
+    A, P, u = _setup(problem, preconditioner)
     reports = []
-    for k in range(num_steps):
-        if problem.params.scheme == SECOND_ORDER:
-            u, rep = step_second_order(problem, A, P, u, k * tau, cfg)
-        else:
-            u, rep = step_first_order(problem, A, P, u, (k + 1) * tau, cfg)
+    for k in range(problem.M):
+        u, rep = _step(problem, A, P, u, k, cfg)
         reports.append(rep)
     return u, reports
 
@@ -201,48 +205,35 @@ def example2_problem(n1, alphas):
                              lambda x1, x2: example2_exact(x1, x2, 0.0), example2_exact)
 
 
-def _experiment_x0(n):
-    return np.ones(n) / math.sqrt(n)
-
-
-def _first_step_row(problem, preconditioner, tol, maxit):
-    A = assemble_operator(problem.params, problem.grid, problem.nu)
-    P = build_preconditioner(problem.params, problem.grid, problem.nu) \
-        if preconditioner == "tau" else None
-    u0 = sample_grid(problem.grid, problem.u0)
-    cfg = MinresConfig(tol=tol, maxit=maxit, x0=_experiment_x0(problem.grid.size))
-    t0 = time.perf_counter()
-    if problem.params.scheme == SECOND_ORDER:
-        _, rep = step_second_order(problem, A, P, u0, 0.0, cfg)
-    else:
-        _, rep = step_first_order(problem, A, P, u0, problem.tau_step, cfg)
-    wall = time.perf_counter() - t0
-    return {
-        "alpha1": problem.params.alpha[0],
-        "alpha2": problem.params.alpha[1],
-        "n": problem.grid.size,
-        "preconditioner": preconditioner,
-        "iters": rep.iters,
-        "converged": rep.converged,
-        "relres": rep.relres,
-        "err_inf": rep.err_inf,
-        "wall_seconds": wall,
-    }
+def _first_step_rows(problem_of, n1, alphas, preconditioners, tol, maxit):
+    rows = []
+    for pair in alphas:
+        problem = problem_of(n1, pair)
+        n = problem.grid.size
+        for pc in preconditioners:
+            A, P, u0 = _setup(problem, pc)
+            cfg = MinresConfig(tol=tol, maxit=maxit, x0=np.ones(n) / math.sqrt(n))
+            t0 = time.perf_counter()
+            _, rep = _step(problem, A, P, u0, 0, cfg)
+            wall = time.perf_counter() - t0
+            rows.append({
+                "alpha1": problem.params.alpha[0],
+                "alpha2": problem.params.alpha[1],
+                "n": n,
+                "preconditioner": pc,
+                "iters": rep.iters,
+                "converged": rep.converged,
+                "relres": rep.relres,
+                "err_inf": rep.err_inf,
+                "wall_seconds": wall,
+            })
+    return rows
 
 
 def run_example1(n1, alphas=ALPHA_PAIRS, preconditioners=("tau", "identity"),
                  tol=1e-8, maxit=100):
-    """First-step benchmark rows for the first-order problem.
-
-    MINRES starts from the constant vector x0 = 1/sqrt(n) (``run_steps``
-    starts from 0).
-    """
-    rows = []
-    for pair in alphas:
-        problem = example1_problem(n1, pair)
-        for pc in preconditioners:
-            rows.append(_first_step_row(problem, pc, tol, maxit))
-    return rows
+    """First-step benchmark rows for the first-order problem."""
+    return _first_step_rows(example1_problem, n1, alphas, preconditioners, tol, maxit)
 
 
 def run_example2(n1, alphas=ALPHA_PAIRS, preconditioners=("tau",),
@@ -253,12 +244,5 @@ def run_example2(n1, alphas=ALPHA_PAIRS, preconditioners=("tau",),
     only: a local error of size tau (tau^2 + h^2), whose ratios under
     refinement tend to 8.  It is not a convergence-order quantity; the
     order shows in the error at T of a full march by ``run_steps``.
-    MINRES starts from the constant vector x0 = 1/sqrt(n) (``run_steps``
-    starts from 0).
     """
-    rows = []
-    for pair in alphas:
-        problem = example2_problem(n1, pair)
-        for pc in preconditioners:
-            rows.append(_first_step_row(problem, pc, tol, maxit))
-    return rows
+    return _first_step_rows(example2_problem, n1, alphas, preconditioners, tol, maxit)

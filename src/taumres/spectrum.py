@@ -20,6 +20,7 @@ __all__ = ["SpectrumReport", "sym_eig", "preconditioned_spectrum",
            "unpreconditioned_spectrum", "export_spectrum_csv"]
 
 SYM_EIG_CAP = 4096
+SYM_TOL = 1e-10
 IDEAL_CAP = 1024
 INTERVAL_TOL = 1e-8
 
@@ -49,16 +50,16 @@ class SpectrumReport:
         object.__setattr__(self, "eigenvalues", ev)
 
 
-def sym_eig(M, cap=SYM_EIG_CAP, sym_tol=1e-10):
-    """Sorted eigenvalues of a dense symmetric matrix (verification oracle)."""
+def sym_eig(M):
+    """Sorted eigenvalues of a dense symmetric matrix; refuses n > SYM_EIG_CAP."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
     n = M.shape[0]
-    if n > cap:
-        raise ValueError(f"dense eigensolve capped at n={cap}, got {n}")
+    if n > SYM_EIG_CAP:
+        raise ValueError(f"dense eigensolve capped at n={SYM_EIG_CAP}, got {n}")
     scale = np.max(np.abs(M))
-    if scale > 0 and np.max(np.abs(M - M.T)) > sym_tol * scale:
+    if scale > 0 and np.max(np.abs(M - M.T)) > SYM_TOL * scale:
         raise ValueError("matrix is not symmetric to tolerance")
     return np.linalg.eigvalsh(M)
 
@@ -144,8 +145,6 @@ def equivalence_spectrum(A, P, tol=1e-10):
 
 def unpreconditioned_spectrum(A):
     """Spectrum of Y A itself; exported for plotting, no theorem interval."""
-    if A.n > SYM_EIG_CAP:
-        raise ValueError(f"dense verification capped at n={SYM_EIG_CAP}, got {A.n}")
     dense = A.materialize()
     ev = sym_eig(_symmetrize_checked(dense[::-1, :]))
     return SpectrumReport(A.n, ev, math.nan, math.nan, math.nan, 0, "none")

@@ -7,7 +7,9 @@ diagonalized by the DST-I, tau(T) = S diag(q) S, with
 
     q_i = t_1 + 2 sum_{j>=2} t_j cos(pi*i*(j-1)/(m+1)).
 
-The multilevel preconditioner is built from the tau approximations of
+Only q is computed, by the DST first-column identity in O(m log m)
+(``tau_eigs``); the dense tau(T) and the cosine sum are the test
+suite's oracles.  The multilevel preconditioner is built from the tau approximations of
 the symmetric parts of the per-direction Grünwald blocks and stored as
 its eigenvalue vector in the multilevel sine basis, so applying P, its
 inverse or its inverse square root costs two multilevel DSTs around one
@@ -18,15 +20,14 @@ direction; S e_1 is taken in closed form.
 """
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .discretization import build_L, level_scales
 from .transforms import dst1, dst1_multi
 
-__all__ = ["Tau1D", "TauPreconditioner", "tau_dense", "tau_eigs", "tau_eigs_direct",
-           "build_preconditioner"]
+__all__ = ["Tau1D", "TauPreconditioner", "tau_eigs", "build_preconditioner"]
 
 
 @dataclass(frozen=True)
@@ -42,37 +43,6 @@ class Tau1D:
             raise ValueError(f"expected {self.m} eigenvalues, got shape {q.shape}")
         q.setflags(write=False)
         object.__setattr__(self, "q", q)
-
-
-def tau_dense(T):
-    """Dense tau(T) = T - Hankel correction; requires symmetric T."""
-    if not T.is_symmetric:
-        raise ValueError("tau matrix is defined for symmetric Toeplitz input")
-    m = T.m
-    col = T.col
-    out = T.dense()
-    for j in range(m):
-        for k in range(m):
-            s = j + k
-            if s <= m - 3:
-                out[j, k] -= col[s + 2]
-            elif s >= m + 1:
-                out[j, k] -= col[2 * m - s]
-    return out
-
-
-def tau_eigs_direct(col):
-    """Eigenvalues by the explicit cosine sum (O(m^2) reference)."""
-    col = np.asarray(col, dtype=float)
-    m = col.shape[0]
-    if m < 1:
-        raise ValueError("empty eigenvalue problem")
-    i = np.arange(1, m + 1)
-    j = np.arange(2, m + 1)
-    if m == 1:
-        return Tau1D(1, col.copy())
-    q = col[0] + 2.0 * np.cos(np.pi * np.outer(i, j - 1) / (m + 1)) @ col[1:]
-    return Tau1D(m, q)
 
 
 def tau_eigs(col):
@@ -144,25 +114,14 @@ class TauPreconditioner:
         y *= self._inv_sqrt
         return dst1_multi(self.dims, y, out=y)
 
-    def materialize(self):
-        """Dense P (oracle use)."""
-        cols = np.empty((self.n, self.n))
-        for j in range(self.n):
-            e = np.zeros(self.n)
-            e[j] = 1.0
-            cols[:, j] = self.apply(e)
-        return cols
 
-
-def build_preconditioner(params, grid, nu, scheme=None):
+def build_preconditioner(params, grid, nu):
     """Multilevel tau preconditioner for the symmetrized system.
 
     Per direction, q_i is the tau spectrum of the first column of the
     symmetric part of the Grünwald block; the eigenvalue vector is the
     Kronecker sum nu + sum_i (v+_i + v-_i) q_i.
     """
-    if scheme is not None and scheme != params.scheme:
-        params = replace(params, scheme=scheme)
     if len(grid.n) != params.d:
         raise ValueError(f"grid has {len(grid.n)} directions, params has {params.d}")
     if nu < 0:

@@ -13,18 +13,18 @@ the dense matrix
 
     K_i = v_plus[i] * L_i + v_minus[i] * L_i^T,
 
-and A, A^T and H(A) = (A + A^T)/2 use K_i, K_i^T and (K_i + K_i^T)/2,
-one BLAS product per axis.  On a longer axis the circulant embedding of
+and A and H(A) = (A + A^T)/2 use K_i and (K_i + K_i^T)/2, one BLAS
+product per axis.  On a longer axis the circulant embedding of
 L_i^T is the cyclic reversal of L_i's, and the real FFT of a reversed
 real vector is the complex conjugate, so with c_i the rFFT of L_i's
 embedding the level is the single kernel
 
     k_i = v_plus[i] * c_i + v_minus[i] * conj(c_i),
 
-and A, A^T and H(A) use k_i, conj(k_i) and Re(k_i): one forward and one
-inverse FFT per axis, run on contiguous blocks of fibres
-(``transforms._fibre_blocks``) and added into the result block by block.
-Dense materialization is provided as a desk-scale oracle.
+and A and H(A) use k_i and Re(k_i): one forward and one inverse FFT per
+axis, run on contiguous blocks of fibres (``transforms._fibre_blocks``)
+and added into the result block by block.  Dense materialization, capped
+at MATERIALIZE_CAP unknowns, serves the dense spectra of ``spectrum``.
 """
 
 import functools
@@ -76,10 +76,6 @@ class Toeplitz1D:
 
     def __repr__(self):
         return f"Toeplitz1D(m={self.m})"
-
-    @property
-    def is_symmetric(self):
-        return self.row is self.col or np.array_equal(self.col, self.row)
 
     @functools.cached_property
     def _embedding(self):
@@ -161,12 +157,6 @@ class MultilevelOperator:
     def __repr__(self):
         return f"MultilevelOperator(dims={self.dims}, nu={self.nu})"
 
-    def _check(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
-            raise ValueError(f"expected vector of length {self.n}, got shape {x.shape}")
-        return x
-
     @functools.cached_property
     def _kernels(self):
         # built on first use, so assembly costs no product; vanishing levels
@@ -184,7 +174,10 @@ class MultilevelOperator:
         return kernels
 
     def _apply(self, x, dense_map, fft_map):
-        X = self._check(x).reshape(self.dims)
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.n,):
+            raise ValueError(f"expected vector of length {self.n}, got shape {x.shape}")
+        X = x.reshape(self.dims)
         out = self.nu * X
         for axis, L, kernel in self._kernels:
             if L is None:
@@ -197,10 +190,6 @@ class MultilevelOperator:
         """A @ x."""
         return self._apply(x, lambda K: K, lambda k: k)
 
-    def apply_transpose(self, x):
-        """A.T @ x (each level kernel transposed or conjugated)."""
-        return self._apply(x, np.transpose, np.conj)
-
     def apply_symmetric_part(self, x):
         """H(A) @ x with H(A) = (A + A.T)/2 (symmetric or real part of each level kernel)."""
         return self._apply(x, lambda K: 0.5 * (K + K.T), np.real)
@@ -209,10 +198,10 @@ class MultilevelOperator:
         """(Y A) @ x; the induced dense matrix is symmetric."""
         return self.apply(x)[::-1].copy()
 
-    def materialize(self, cap=MATERIALIZE_CAP):
-        """Dense n x n assembly (oracle use; refuses n > cap)."""
-        if self.n > cap:
-            raise ValueError(f"materialize capped at n={cap}, operator has n={self.n}")
+    def materialize(self):
+        """Dense n x n assembly; refuses n > MATERIALIZE_CAP."""
+        if self.n > MATERIALIZE_CAP:
+            raise ValueError(f"materialize capped at n={MATERIALIZE_CAP}, operator has n={self.n}")
         A = self.nu * np.eye(self.n)
         for axis, (T, vp, vm) in enumerate(self.levels):
             left = int(np.prod(self.dims[:axis])) if axis > 0 else 1

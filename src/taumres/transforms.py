@@ -1,4 +1,4 @@
-"""Orthonormal sine transform (DST-I) and FFT-based circular convolution.
+"""Orthonormal sine transform (DST-I), one vector or tensorized over axes.
 
 The transform realized here is the symmetric orthogonal matrix
 
@@ -11,7 +11,6 @@ The half-length DST-I (one FFT of length m+1 and a running sum for the
 odd outputs) is not used: the running sum divides the rounding error of
 its input by about sin(pi/(m+1)), and P P^{-1} x of the tau
 preconditioner at dims (2, 513) then missed x by 7e-11 instead of 3e-13.
-The direct path materializes S and costs O(m^2).
 
 The dense fold is exact.  S[m+1-j, k] = (-1)^(k+1) S[j, k] (Britanak, Yip
 and Rao, Discrete Cosine and Sine Transforms, 2007), so with the pairs
@@ -34,8 +33,9 @@ m < FOLD_MIN is one full dense BLAS product with the m x m sine matrix
 axis goes by FFT (O(n log m)), unless 2(m+1) has a prime factor above 7,
 for which numpy's FFT is slow: such an axis stays folded up to
 AWKWARD_AXIS_MAX.  ``_axis_matmul`` is the one full per-axis product,
-shared with ``toeplitz.MultilevelOperator``.  ``dst1`` always takes the
-FFT path unless asked for the direct one.
+shared with ``toeplitz.MultilevelOperator``.  ``dst1``, the 1-D
+transform the tau preconditioner is built with, always takes the FFT
+path.
 """
 
 import functools
@@ -43,8 +43,7 @@ import math
 
 import numpy as np
 
-__all__ = ["FOLD_MIN", "DENSE_AXIS_MAX", "AWKWARD_AXIS_MAX", "dst1", "dst1_multi",
-           "circular_convolve"]
+__all__ = ["FOLD_MIN", "DENSE_AXIS_MAX", "AWKWARD_AXIS_MAX", "dst1", "dst1_multi"]
 
 # The per-axis rule, measured inside MINRES: example2 first-step solves at
 # n1 = m, alpha = (1.5, 1.5), time per iteration with the axis forced onto
@@ -70,9 +69,6 @@ AWKWARD_AXIS_MAX = 1024
 # buffers, which stays in cache.  At m = 1023, blocks of 32 and 64 were the
 # fastest per call; 16 and 128 were 2-20% slower.
 _FIBRE_BLOCK = 32
-
-_METHODS = ("fft", "direct")
-_DIRECT_MAX = 4096
 
 
 def _sine_factor(m):
@@ -206,11 +202,10 @@ def _dst1_fft_axis(X, axis, out=None):
     return out
 
 
-def dst1(x, method="fft"):
-    """Apply the orthonormal DST-I to a vector.
+def dst1(x):
+    """Apply the orthonormal DST-I to a vector by one real FFT of length 2(m+1).
 
-    ``method`` selects the fast FFT path or the dense O(m^2) reference
-    evaluation; S is an involution, so applying it twice returns ``x``.
+    S is an involution, so applying it twice returns ``x``.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
@@ -218,12 +213,6 @@ def dst1(x, method="fft"):
     m = x.shape[0]
     if m < 1:
         raise ValueError(f"transform length must be positive, got {m}")
-    if method not in _METHODS:
-        raise ValueError(f"unknown method {method!r}, expected one of {_METHODS}")
-    if method == "direct":
-        if m > _DIRECT_MAX:
-            raise ValueError(f"direct method capped at m={_DIRECT_MAX}, got {m}")
-        return _sine_matrix(m) @ x
     return _dst1_fft_axis(x, 0)
 
 
@@ -283,13 +272,3 @@ def dst1_multi(dims, x, out=None):
     if own is not None and a is not own:
         own[...] = a
     return a.reshape(-1) if own is None else out
-
-
-def circular_convolve(a, b):
-    """Cyclic convolution ``out[j] = sum_k a[k] * b[(j-k) mod L]``."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 1 or a.shape != b.shape:
-        raise ValueError(f"expected equal-length vectors, got {a.shape} and {b.shape}")
-    L = a.shape[0]
-    return np.fft.irfft(np.fft.rfft(a) * np.fft.rfft(b), n=L)

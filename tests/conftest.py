@@ -51,6 +51,29 @@ def assemble_dense(dims, nu, level_data):
     return A
 
 
+def tau_dense_oracle(col):
+    """Dense tau(T) of the symmetric Toeplitz T with first column col: T minus the Hankel correction."""
+    m = len(col)
+    T = np.array([[col[abs(j - k)] for k in range(m)] for j in range(m)])
+    H = np.zeros((m, m))
+    for j in range(m):
+        for k in range(m):
+            s = j + k
+            if s + 2 <= m - 1:
+                H[j, k] = col[s + 2]
+            elif s >= m + 1:
+                H[j, k] = col[2 * m - s]
+    return T - H
+
+
+def tau_eigs_cosine(col):
+    """Sine-basis eigenvalues of tau(T) by the explicit cosine sum, O(m^2)."""
+    col = np.asarray(col, dtype=float)
+    m = len(col)
+    i = np.arange(1, m + 1)
+    return col[0] + 2.0 * np.cos(np.pi * np.outer(i, np.arange(1, m)) / (m + 1)) @ col[1:]
+
+
 def convolve_direct(a, b):
     L = len(a)
     return np.array([sum(a[k] * b[(j - k) % L] for k in range(L)) for j in range(L)])

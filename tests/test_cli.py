@@ -73,8 +73,10 @@ def test_bad_config_file_rejected(tmp_path):
 def test_invalid_values_rejected():
     with pytest.raises(SystemExit):
         cli.parse_config(["solve", "--n1", "0"])
-    with pytest.raises(SystemExit):
-        cli.parse_config(["solve", "--tol", "-1"])
+    for tol in ("-1", "inf", "nan"):
+        with pytest.raises(SystemExit) as exc:
+            cli.parse_config(["solve", "--tol", tol])
+        assert exc.value.code == 2
     with pytest.raises(SystemExit):
         cli.parse_config(["frobnicate"])
 
@@ -209,7 +211,8 @@ def test_config_file_values_are_checked(tmp_path, capsys):
                 {"n1": 31.7}, {"maxit": 2.9}, {"tol": True}, {"n1": True}, {"seed": "3"},
                 {"jobs": float("inf")}, {"tol": "1e-8"}, {"scheme": ["second"]}, {"out": 5},
                 {"alphas": 5}, {"alphas": ["1.5,1.5", 1.9]}, {"alphas": {"1.5,1.5": 1}},
-                {"n_1": 63}, {"n_1": None}, {"n1": 31.7, "maxit": 2.9, "tol": True, "n_1": 63}):
+                {"n_1": 63}, {"n_1": None}, {"n1": 31.7, "maxit": 2.9, "tol": True, "n_1": 63},
+                {"tol": float("inf")}, {"tol": float("nan")}, {"tol": float("-inf")}):
         cfile.write_text(json.dumps(bad))
         with pytest.raises(SystemExit) as exc:
             cli.parse_config(["solve", "--config", str(cfile)])

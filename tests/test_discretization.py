@@ -5,7 +5,7 @@ import pytest
 
 from taumres.discretization import (FIRST_ORDER, SECOND_ORDER, FractionalParams,
                                     GridSpec, assemble_operator, build_L,
-                                    convergence_bound, epsilon_bound, grunwald_g,
+                                    epsilon_bound, grunwald_g,
                                     omega_bound, symbol_closed, symbol_series,
                                     weights_first, weights_second)
 
@@ -335,14 +335,6 @@ def test_omega_monotone_below_one():
     assert np.all(om >= math.sqrt(0.5))
     with pytest.raises(ValueError):
         omega_bound(-0.1)
-
-
-def test_convergence_bound_bundle():
-    params = FractionalParams((1.5, 1.5), (2.0, 0.3), (0.5, 1.0), FIRST_ORDER)
-    cb = convergence_bound(params)
-    assert cb.epsilon_star == pytest.approx(0.6, abs=1e-13)
-    assert cb.omega == pytest.approx(omega_bound(0.6), abs=1e-16)
-    assert (cb.kappa_lo, cb.kappa_hi) == (0.5, 1.5)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-import math
+import dataclasses
 
 import numpy as np
 import pytest
@@ -47,7 +47,7 @@ def scalar_problem():
         grid=GridSpec((0.0,), (1.0,), (1,)),
         params=FractionalParams((1.5,), (1.0,), (1.0,), SECOND_ORDER),
         T=1.0, M=4,
-        source=lambda x, t: 3.0 + 0.0 * x,
+        source=lambda x, t: 3.0 + t + 0.0 * x,
         u0=lambda x: 2.0 + 0.0 * x,
     )
 
@@ -83,7 +83,8 @@ def test_second_order_scalar_closed_form():
     u1, rep = step_second_order(prob, A, P, u0, 0.0, MinresConfig(tol=1e-13))
     B = 2.0 * (1.0 / (2.0 * 0.5 ** 1.5)) * 0.875
     nu = prob.nu
-    expect = ((nu - B) * 2.0 + 3.0) / (nu + B)
+    # the source 3 + t is sampled at the midpoint tau/2
+    expect = ((nu - B) * 2.0 + 3.0 + 0.5 * prob.tau_step) / (nu + B)
     assert u1[0] == pytest.approx(expect, abs=1e-13)
     assert rep.step == 1
     assert rep.err_inf is None
@@ -116,16 +117,16 @@ def test_first_order_scalar_closed_form():
         grid=GridSpec((0.0,), (1.0,), (1,)),
         params=FractionalParams((1.5,), (1.0,), (1.0,), FIRST_ORDER),
         T=1.0, M=4,
-        source=lambda x, t: 3.0 + 0.0 * x,
+        source=lambda x, t: 3.0 + t + 0.0 * x,
         u0=lambda x: 2.0 + 0.0 * x,
     )
     A = assemble_operator(prob.params, prob.grid, prob.nu)
     u_prev = sample_grid(prob.grid, prob.u0)
     u1, rep = step_first_order(prob, A, None, u_prev, prob.tau_step,
                                MinresConfig(tol=1e-13))
-    # (nu + B) u1 = nu*u0 + f with B = 2 * (1/0.5^1.5) * 1.5 (first-order scaling)
+    # (nu + B) u1 = nu*u0 + f(tau) with B = 2 * (1/0.5^1.5) * 1.5 (first-order scaling)
     B = 2.0 * (1.0 / 0.5 ** 1.5) * 1.5
-    expect = (prob.nu * 2.0 + 3.0) / (prob.nu + B)
+    expect = (prob.nu * 2.0 + 3.0 + prob.tau_step) / (prob.nu + B)
     assert u1[0] == pytest.approx(expect, abs=1e-13)
     assert rep.step == 1
 
@@ -209,24 +210,44 @@ def test_example2_error_ratio_sample():
     assert 3.0 <= errs[0] / errs[1] <= 5.0
 
 
-def test_run_steps_marches_and_tracks_error():
-    prob = example2_problem(7, (1.5, 1.5))
-    u, reports = run_steps(prob, num_steps=3)
-    assert len(reports) == 3
-    assert [r.step for r in reports] == [1, 2, 3]
-    assert all(r.converged for r in reports)
-    # compose manually and compare
+def manual_march(prob, step, t_of_k):
     A = assemble_operator(prob.params, prob.grid, prob.nu)
     P = build_preconditioner(prob.params, prob.grid, prob.nu)
     v = sample_grid(prob.grid, prob.u0)
-    for k in range(3):
-        v, _ = step_second_order(prob, A, P, v, k * prob.tau_step)
-    assert np.max(np.abs(u - v)) <= 1e-12
+    reports = []
+    for k in range(prob.M):
+        v, rep = step(prob, A, P, v, t_of_k(k))
+        reports.append(rep)
+    return v, reports
+
+
+def test_run_steps_marches_and_tracks_error():
+    prob = dataclasses.replace(example2_problem(7, (1.5, 1.5)), M=3)
+    u, reports = run_steps(prob)
+    assert [r.step for r in reports] == [1, 2, 3]
+    assert all(r.converged and r.err_inf > 0 for r in reports)
+    # step by step the same as manual Crank-Nicolson steps from t_k = k tau
+    v, manual = manual_march(prob, step_second_order, lambda k: k * prob.tau_step)
+    assert np.array_equal(u, v)
+    assert reports == manual
 
 
 def test_run_steps_first_order():
-    prob = example1_problem(5, (1.5, 1.9))
-    u, reports = run_steps(prob, num_steps=2)
-    assert len(reports) == 2
-    assert all(r.converged for r in reports)
+    prob = dataclasses.replace(example1_problem(5, (1.5, 1.9)), M=3)
+    u, reports = run_steps(prob)
+    assert [r.step for r in reports] == [1, 2, 3]
+    assert all(r.converged and r.err_inf is None for r in reports)
+    # step by step the same as manual backward Euler steps onto t = (k+1) tau
+    v, manual = manual_march(prob, step_first_order, lambda k: (k + 1) * prob.tau_step)
+    assert np.array_equal(u, v)
+    assert reports == manual
     assert np.max(np.abs(u)) > 0
+
+
+def test_unknown_preconditioner_rejected():
+    prob = example2_problem(3, (1.5, 1.5))
+    for bad in ("Tau", "none", None):
+        with pytest.raises(ValueError):
+            run_steps(prob, preconditioner=bad)
+        with pytest.raises(ValueError):
+            run_example2(3, alphas=((1.5, 1.5),), preconditioners=(bad,))

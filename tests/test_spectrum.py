@@ -3,6 +3,7 @@ import pytest
 
 from taumres.discretization import (FIRST_ORDER, SECOND_ORDER, FractionalParams,
                                     GridSpec, assemble_operator)
+from taumres import spectrum
 from taumres.spectrum import (SpectrumReport, equivalence_spectrum,
                               export_spectrum_csv, ideal_preconditioned_spectrum,
                               preconditioned_spectrum, sym_eig,
@@ -42,11 +43,13 @@ def test_sym_eig_trace_invariance(rng):
     assert np.all(np.diff(ev) >= 0)
 
 
-def test_sym_eig_rejects_nonsymmetric_and_oversized(rng):
+def test_sym_eig_rejects_nonsymmetric_and_oversized(rng, monkeypatch):
     with pytest.raises(ValueError):
         sym_eig(rng.standard_normal((5, 5)))
+    monkeypatch.setattr(spectrum, "SYM_EIG_CAP", 9)
     with pytest.raises(ValueError):
-        sym_eig(np.eye(10), cap=9)
+        sym_eig(np.eye(10))
+    assert np.array_equal(sym_eig(np.eye(9)), np.ones(9))
 
 
 # ---------------------------------------------------------------------------

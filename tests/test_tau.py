@@ -5,12 +5,11 @@ import pytest
 
 from taumres.discretization import (FIRST_ORDER, SECOND_ORDER, FractionalParams,
                                     GridSpec, build_L, level_scales)
-from taumres.tau import (TauPreconditioner, build_preconditioner, tau_dense,
-                         tau_eigs, tau_eigs_direct)
-from taumres.toeplitz import Toeplitz1D
+from taumres.tau import TauPreconditioner, build_preconditioner, tau_eigs
 from taumres.transforms import DENSE_AXIS_MAX, FOLD_MIN, _axis_path
 
-from conftest import kron_chain, rel_err, sine_matrix, sine_oracle, toeplitz_dense
+from conftest import (kron_chain, rel_err, sine_matrix, sine_oracle, tau_dense_oracle,
+                      tau_eigs_cosine, toeplitz_dense)
 
 # the first length past the dense cutoff that runs by FFT
 FFT_M = next(m for m in itertools.count(DENSE_AXIS_MAX + 1) if _axis_path(m) == "fft")
@@ -22,55 +21,40 @@ def symmetric_part_col(alpha, m, scheme):
     return 0.5 * (L.col + L.row)
 
 
-def tau_dense_oracle(col):
-    """Independent construction: T minus the Hankel correction, entrywise."""
-    m = len(col)
-    T = np.array([[col[abs(j - k)] for k in range(m)] for j in range(m)])
-    H = np.zeros((m, m))
-    for j in range(m):
-        for k in range(m):
-            s = j + k
-            if s + 2 <= m - 1:
-                H[j, k] = col[s + 2]
-            elif s >= m + 1:
-                H[j, k] = col[2 * m - s]
-    return T - H
+def tau_from_eigs(col):
+    """Dense S diag(q) S from the library's sine-basis eigenvalues."""
+    S = sine_matrix(len(col))
+    return S @ np.diag(tau_eigs(np.asarray(col, dtype=float)).q) @ S
 
 
 # ---------------------------------------------------------------------------
-# tau_dense
+# tau matrices, through the sine basis and the dense oracle
 
 def test_tridiagonal_is_its_own_tau():
-    T = Toeplitz1D([2.0, -1.0, 0.0, 0.0])
-    assert np.array_equal(tau_dense(T), T.dense())
+    col = [2.0, -1.0, 0.0, 0.0]
+    assert np.array_equal(tau_dense_oracle(col), toeplitz_dense(col))
+    assert rel_err(tau_from_eigs(col), toeplitz_dense(col)) <= 1e-14
 
 
 def test_tau_hand_example_m4():
-    T = Toeplitz1D([4.0, 1.0, 1.0, 1.0])
+    col = [4.0, 1.0, 1.0, 1.0]
     expect = np.array([[3.0, 0.0, 1.0, 1.0],
                        [0.0, 4.0, 1.0, 1.0],
                        [1.0, 1.0, 4.0, 0.0],
                        [1.0, 1.0, 0.0, 3.0]])
-    assert np.array_equal(tau_dense(T), expect)
+    assert np.array_equal(tau_dense_oracle(col), expect)
+    assert rel_err(tau_from_eigs(col), expect) <= 1e-14
 
 
 def test_tau_size_one():
-    assert np.array_equal(tau_dense(Toeplitz1D([4.5])), [[4.5]])
-
-
-def test_tau_requires_symmetry():
-    with pytest.raises(ValueError):
-        tau_dense(Toeplitz1D([1.0, 2.0], [1.0, 3.0]))
+    assert np.array_equal(tau_dense_oracle([4.5]), [[4.5]])
+    assert np.array_equal(tau_from_eigs([4.5]), [[4.5]])
 
 
 @pytest.mark.parametrize("m", (1, 2, 3, 5, 12, 33))
 def test_tau_matches_oracle_and_diagonalization(m, rng):
     col = rng.standard_normal(m)
-    dense = tau_dense(Toeplitz1D(col))
-    assert np.array_equal(dense, tau_dense_oracle(col))
-    S = sine_matrix(m)
-    q = tau_eigs(col).q
-    assert rel_err(S @ np.diag(q) @ S, dense) <= 1e-13
+    assert rel_err(tau_from_eigs(col), tau_dense_oracle(col)) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +75,7 @@ def test_eigs_size_one():
 def test_dst_route_matches_cosine_sum(m, rng):
     col = rng.standard_normal(m)
     q_fast = tau_eigs(col).q
-    q_cos = tau_eigs_direct(col).q
+    q_cos = tau_eigs_cosine(col)
     assert np.max(np.abs(q_fast - q_cos)) <= 1e-12 * max(np.max(np.abs(q_cos)), 1.0)
 
 
@@ -99,7 +83,7 @@ def test_dst_route_matches_cosine_sum(m, rng):
 def test_eigs_match_dense_eigendecomposition(m, rng):
     col = rng.standard_normal(m)
     q = np.sort(tau_eigs(col).q)
-    ev = np.linalg.eigvalsh(tau_dense(Toeplitz1D(col)))
+    ev = np.linalg.eigvalsh(tau_dense_oracle(col))
     assert np.max(np.abs(q - ev)) <= 1e-10 * max(np.max(np.abs(ev)), 1.0)
 
 
@@ -109,12 +93,17 @@ def test_eigs_of_grunwald_symmetric_part_positive():
             col = symmetric_part_col(alpha, 8, scheme)
             q = tau_eigs(col).q
             assert q.min() > 0
-            ev = np.linalg.eigvalsh(tau_dense(Toeplitz1D(col)))
+            ev = np.linalg.eigvalsh(tau_dense_oracle(col))
             assert np.max(np.abs(np.sort(q) - ev)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
 # preconditioner
+
+def dense_of(P):
+    """Dense P, one column P e_j at a time."""
+    return np.column_stack([P.apply(e) for e in np.eye(P.n)])
+
 
 def test_degenerate_preconditioner_is_scaled_identity():
     params = FractionalParams((1.5, 1.9), (0.0, 0.0), (0.0, 0.0))
@@ -135,7 +124,7 @@ def test_preconditioner_dense_identity_1d():
     dense = nu * np.eye(16) + (vp + vm) * tau_dense_oracle(col)
     S = sine_matrix(16)
     assert rel_err(S @ np.diag(P.lam) @ S, dense) <= 1e-11
-    assert rel_err(P.materialize(), dense) <= 1e-11
+    assert rel_err(dense_of(P), dense) <= 1e-11
 
 
 def test_preconditioner_dense_identity_2d():
@@ -149,7 +138,7 @@ def test_preconditioner_dense_identity_2d():
         blocks = [np.eye(3), np.eye(3)]
         blocks[i] = tau_dense_oracle(col)
         dense = dense + (vp + vm) * kron_chain(blocks)
-    assert rel_err(P.materialize(), dense) <= 1e-11
+    assert rel_err(dense_of(P), dense) <= 1e-11
 
 
 def test_apply_inverse_round_trip(rng):
@@ -207,7 +196,7 @@ def test_three_level_preconditioner_round_trip(rng):
     assert P.lam.min() > 0
     x = rng.standard_normal(60)
     assert np.max(np.abs(P.apply(P.apply_inverse(x)) - x)) <= 1e-11 * np.max(np.abs(x))
-    dense = P.materialize()
+    dense = dense_of(P)
     assert np.max(np.abs(dense - dense.T)) <= 1e-12 * np.max(np.abs(dense))
     # Kronecker-sum structure: the spectrum equals the broadcast sum of levels
     qs = []
@@ -281,7 +270,7 @@ def test_lemma_interval_for_tau_of_symmetric_part():
             for m in (8, 16, 32):
                 col = symmetric_part_col(alpha, m, scheme)
                 H = toeplitz_dense(col)
-                C = np.linalg.cholesky(tau_dense(Toeplitz1D(col)))
+                C = np.linalg.cholesky(tau_dense_oracle(col))
                 M = np.linalg.solve(C, np.linalg.solve(C, H.T).T)
                 ev = np.linalg.eigvalsh(0.5 * (M + M.T))
                 assert ev.min() > 0.5 + 1e-10
