@@ -7,10 +7,10 @@ diagonalized multilevel tau preconditioner, and verifies the governing
 eigenvalue-interval bounds densely at desk scale.
 """
 
-from .discretization import (FIRST_ORDER, SECOND_ORDER, CoefficientTable,
-                             FractionalParams, GridSpec, assemble_operator, build_L,
-                             epsilon_bound, grunwald_g, omega_bound, symbol_closed,
-                             symbol_series, weights_first, weights_second)
+from .discretization import (FIRST_ORDER, SECOND_ORDER, FractionalParams, GridSpec,
+                             assemble_operator, build_L, epsilon_bound, grunwald_g,
+                             omega_bound, symbol_closed, symbol_series, weights_first,
+                             weights_second)
 from .krylov import BreakdownError, MinresConfig, MinresResult, bound_curve, pminres
 from .pde import (ALPHA_PAIRS, FractionalProblem, StepReport, example1_problem,
                   example2_problem, run_example1, run_example2, run_steps,
@@ -18,7 +18,7 @@ from .pde import (ALPHA_PAIRS, FractionalProblem, StepReport, example1_problem,
 from .spectrum import (SpectrumReport, equivalence_spectrum, export_spectrum_csv,
                        ideal_preconditioned_spectrum, preconditioned_spectrum,
                        sym_eig, unpreconditioned_spectrum)
-from .tau import Tau1D, TauPreconditioner, build_preconditioner, tau_eigs
+from .tau import TauPreconditioner, build_preconditioner, tau_eigs
 from .toeplitz import MultilevelOperator, Toeplitz1D, flip
 from .transforms import dst1, dst1_multi
 
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FIRST_ORDER", "SECOND_ORDER",
-    "CoefficientTable", "FractionalParams", "GridSpec",
+    "FractionalParams", "GridSpec",
     "assemble_operator", "build_L", "epsilon_bound",
     "grunwald_g", "omega_bound", "symbol_closed", "symbol_series",
     "weights_first", "weights_second",
@@ -37,7 +37,7 @@ __all__ = [
     "SpectrumReport", "equivalence_spectrum", "export_spectrum_csv",
     "ideal_preconditioned_spectrum", "preconditioned_spectrum", "sym_eig",
     "unpreconditioned_spectrum",
-    "Tau1D", "TauPreconditioner", "build_preconditioner", "tau_eigs",
+    "TauPreconditioner", "build_preconditioner", "tau_eigs",
     "MultilevelOperator", "Toeplitz1D", "flip",
     "dst1", "dst1_multi",
 ]

@@ -24,12 +24,11 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .discretization import FIRST_ORDER, SECOND_ORDER, assemble_operator
+from .discretization import FIRST_ORDER, SECOND_ORDER
 from .pde import (ALPHA_PAIRS, PRECONDITIONERS, example1_problem, example2_problem,
-                  run_example1, run_example2)
+                  run_example1, run_example2, setup_operators)
 from .spectrum import (export_spectrum_csv, preconditioned_spectrum,
                        unpreconditioned_spectrum)
-from .tau import build_preconditioner
 from . import selftest as _selftest
 
 __all__ = ["RunConfig", "parse_config", "run", "main"]
@@ -258,12 +257,9 @@ def _spectrum_reports(config):
     reports = []
     for pair in config.alphas:
         problem = problem_of(config.n1, pair)
-        A = assemble_operator(problem.params, problem.grid, problem.nu)
-        if config.preconditioner == "tau":
-            P = build_preconditioner(problem.params, problem.grid, problem.nu)
-            reports.append((pair, preconditioned_spectrum(A, P, problem.params)))
-        else:
-            reports.append((pair, unpreconditioned_spectrum(A)))
+        A, P = setup_operators(problem, config.preconditioner)
+        reports.append((pair, unpreconditioned_spectrum(A) if P is None
+                        else preconditioned_spectrum(A, P, problem.params)))
     return reports
 
 

@@ -16,13 +16,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .toeplitz import MultilevelOperator, Toeplitz1D
+from .transforms import _check_dims
 
 __all__ = [
     "FIRST_ORDER",
     "SECOND_ORDER",
     "FractionalParams",
     "GridSpec",
-    "CoefficientTable",
     "grunwald_g",
     "weights_second",
     "weights_first",
@@ -54,7 +54,7 @@ class FractionalParams:
     """Orders and diffusion coefficients of the model problem.
 
     ``alpha[i]`` must lie strictly in (1, 2); the coefficients are
-    nonnegative.  A direction with ``d_plus + d_minus == 0`` makes the
+    finite and nonnegative.  A direction with ``d_plus + d_minus == 0`` makes the
     spatial operator vanish there (allowed for degenerate identity-like
     operators; ``epsilon_bound`` skips it).
     """
@@ -72,8 +72,8 @@ class FractionalParams:
             raise ValueError("alpha, d_plus, d_minus must have equal length")
         for a in self.alpha:
             _check_alpha(a)
-        if any(v < 0 for v in self.d_plus + self.d_minus):
-            raise ValueError("diffusion coefficients must be nonnegative")
+        if not all(math.isfinite(v) and v >= 0 for v in self.d_plus + self.d_minus):
+            raise ValueError("diffusion coefficients must be finite and nonnegative")
         _check_scheme(self.scheme)
 
     @property
@@ -83,7 +83,7 @@ class FractionalParams:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Tensor grid of interior points on a hyper-rectangle."""
+    """Tensor grid of interior points on a hyper-rectangle: finite ends, whole n_i >= 1."""
 
     a: tuple
     b: tuple
@@ -93,13 +93,13 @@ class GridSpec:
     def __post_init__(self):
         object.__setattr__(self, "a", tuple(float(v) for v in self.a))
         object.__setattr__(self, "b", tuple(float(v) for v in self.b))
-        object.__setattr__(self, "n", tuple(int(v) for v in self.n))
+        object.__setattr__(self, "n", _check_dims(self.n))
         if not (len(self.a) == len(self.b) == len(self.n)):
             raise ValueError("a, b, n must have equal length")
+        if not all(map(math.isfinite, self.a + self.b)):
+            raise ValueError("domain endpoints must be finite")
         if any(bi <= ai for ai, bi in zip(self.a, self.b)):
             raise ValueError("domain endpoints must satisfy b > a")
-        if any(ni < 1 for ni in self.n):
-            raise ValueError("need at least one interior point per direction")
         h = tuple((bi - ai) / (ni + 1) for ai, bi, ni in zip(self.a, self.b, self.n))
         object.__setattr__(self, "h", h)
 
@@ -112,26 +112,11 @@ class GridSpec:
         return self.a[i] + self.h[i] * np.arange(1, self.n[i] + 1)
 
 
-@dataclass(frozen=True)
-class CoefficientTable:
-    """Grünwald coefficients w_k (second order) or g~_k (first order)."""
-
-    alpha: float
-    scheme: str
-    values: np.ndarray
-
-    def __post_init__(self):
-        _check_alpha(self.alpha)
-        _check_scheme(self.scheme)
-        v = np.asarray(self.values, dtype=float)
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-
 def grunwald_g(alpha, K):
     """Coefficients g_0..g_K with g_0 = 1, g_k = (1 - (alpha+1)/k) g_{k-1}.
 
-    Equals the alternating binomial (-1)^k C(alpha, k).
+    Equals the alternating binomial (-1)^k C(alpha, k).  Like every
+    coefficient table here, the result is read-only.
     """
     _check_alpha(alpha)
     if K < 0:
@@ -140,6 +125,7 @@ def grunwald_g(alpha, K):
     g[0] = 1.0
     for k in range(1, K + 1):
         g[k] = (1.0 - (alpha + 1.0) / k) * g[k - 1]
+    g.setflags(write=False)
     return g
 
 
@@ -148,14 +134,14 @@ def weights_second(alpha, K):
     g = grunwald_g(alpha, K)
     w = np.empty(K + 1)
     w[0] = 0.5 * alpha
-    if K >= 1:
-        w[1:] = 0.5 * alpha * g[1:] + 0.5 * (2.0 - alpha) * g[:-1]
-    return CoefficientTable(alpha, SECOND_ORDER, w)
+    w[1:] = 0.5 * alpha * g[1:] + 0.5 * (2.0 - alpha) * g[:-1]
+    w.setflags(write=False)
+    return w
 
 
 def weights_first(alpha, K):
     """First-order coefficients g~_k = (-1)^k C(alpha, k)."""
-    return CoefficientTable(alpha, FIRST_ORDER, grunwald_g(alpha, K))
+    return grunwald_g(alpha, K)
 
 
 def build_L(alpha, m, scheme=SECOND_ORDER):
@@ -167,7 +153,7 @@ def build_L(alpha, m, scheme=SECOND_ORDER):
     _check_scheme(scheme)
     if m < 1:
         raise ValueError(f"matrix size must be positive, got {m}")
-    c = (weights_second if scheme == SECOND_ORDER else weights_first)(alpha, m).values
+    c = (weights_second if scheme == SECOND_ORDER else weights_first)(alpha, m)
     col = -c[1:m + 1]
     row = np.zeros(m)
     row[0] = -c[1]
@@ -197,8 +183,8 @@ def assemble_operator(params, grid, nu):
     return MultilevelOperator(grid.n, nu, levels)
 
 
-def symbol_series(table, theta, K):
-    """Truncated generating-function series -sum_k c_{k+1} e^{i k theta}.
+def symbol_series(c, theta, K):
+    """Truncated generating-function series -sum_k c_{k+1} e^{i k theta} of a table c.
 
     The k = 0 term (-c_1, the diagonal) enters first; the single negative
     index k = -1 joins from K >= 1 onward together with k = 1..K.
@@ -206,7 +192,6 @@ def symbol_series(table, theta, K):
     """
     if K < 0:
         raise ValueError("K must be nonnegative")
-    c = table.values
     if K + 2 > len(c):
         raise ValueError(f"K={K} needs {K + 2} table entries, table has {len(c)}")
     k = np.arange(1, K + 1)

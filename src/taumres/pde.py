@@ -29,7 +29,8 @@ from .toeplitz import flip
 __all__ = ["FractionalProblem", "StepReport", "sample_grid",
            "step_second_order", "step_first_order",
            "example1_problem", "example2_problem",
-           "run_example1", "run_example2", "run_steps", "ALPHA_PAIRS", "PRECONDITIONERS"]
+           "run_example1", "run_example2", "run_steps", "setup_operators",
+           "ALPHA_PAIRS", "PRECONDITIONERS"]
 
 PRECONDITIONERS = ("tau", "identity")
 ALPHA_PAIRS = tuple((a1, a2) for a1 in (1.1, 1.5, 1.9) for a2 in (1.1, 1.5, 1.9))
@@ -40,7 +41,7 @@ class FractionalProblem:
     """Model problem data: grid, coefficients, time grid and samplers.
 
     ``source``/``exact`` are called as f(x1, ..., xd, t) on broadcast
-    coordinate arrays; ``u0`` as u0(x1, ..., xd).
+    coordinate arrays; ``u0`` as u0(x1, ..., xd).  T > 0 is finite, M >= 1 whole.
     """
 
     grid: GridSpec
@@ -52,10 +53,11 @@ class FractionalProblem:
     exact: callable = None
 
     def __post_init__(self):
-        if self.M < 1:
-            raise ValueError(f"need at least one time step, got M={self.M}")
-        if self.T <= 0:
-            raise ValueError(f"final time must be positive, got {self.T}")
+        if not (float(self.M).is_integer() and self.M >= 1):
+            raise ValueError(f"need a whole number of time steps M >= 1, got M={self.M}")
+        if not (math.isfinite(self.T) and self.T > 0):
+            raise ValueError(f"final time must be positive and finite, got {self.T}")
+        object.__setattr__(self, "M", int(self.M))
 
     @property
     def tau_step(self):
@@ -130,20 +132,21 @@ def _step(problem, A, P, u, k, cfg):
     return step_first_order(problem, A, P, u, (k + 1) * tau, cfg)
 
 
-def _setup(problem, preconditioner):
-    """Operator, preconditioner (None for "identity") and sampled u0 of a problem."""
+def setup_operators(problem, preconditioner):
+    """Operator A and preconditioner P (None for "identity") of a problem; the one set-up rule."""
     if preconditioner not in PRECONDITIONERS:
         raise ValueError(f"unknown preconditioner {preconditioner!r}, "
                          f"expected one of {PRECONDITIONERS}")
     A = assemble_operator(problem.params, problem.grid, problem.nu)
     P = build_preconditioner(problem.params, problem.grid, problem.nu) \
         if preconditioner == "tau" else None
-    return A, P, sample_grid(problem.grid, problem.u0)
+    return A, P
 
 
 def run_steps(problem, preconditioner="tau", cfg=None):
     """March the scheme from u0 over all M steps; returns the final iterate and reports."""
-    A, P, u = _setup(problem, preconditioner)
+    A, P = setup_operators(problem, preconditioner)
+    u = sample_grid(problem.grid, problem.u0)
     reports = []
     for k in range(problem.M):
         u, rep = _step(problem, A, P, u, k, cfg)
@@ -211,7 +214,8 @@ def _first_step_rows(problem_of, n1, alphas, preconditioners, tol, maxit):
         problem = problem_of(n1, pair)
         n = problem.grid.size
         for pc in preconditioners:
-            A, P, u0 = _setup(problem, pc)
+            A, P = setup_operators(problem, pc)
+            u0 = sample_grid(problem.grid, problem.u0)
             cfg = MinresConfig(tol=tol, maxit=maxit, x0=np.ones(n) / math.sqrt(n))
             t0 = time.perf_counter()
             _, rep = _step(problem, A, P, u0, 0, cfg)

@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from .discretization import FractionalParams, GridSpec, assemble_operator
-from .pde import ALPHA_PAIRS, example2_problem
+from .pde import ALPHA_PAIRS, example2_problem, setup_operators
 from .spectrum import preconditioned_spectrum
 from .tau import build_preconditioner
 from .toeplitz import DENSE_LEVEL_MAX
@@ -62,8 +62,7 @@ def _check_round_trip(rng):
 def _check_theorem():
     for pair in ALPHA_PAIRS:
         problem = example2_problem(15, pair)
-        A = assemble_operator(problem.params, problem.grid, problem.nu)
-        P = build_preconditioner(problem.params, problem.grid, problem.nu)
+        A, P = setup_operators(problem, "tau")
         rep = preconditioned_spectrum(A, P, problem.params)
         if rep.violations:
             return f"{rep.violations} eigenvalues of P^-1 Y A leave the interval at alphas={pair}"

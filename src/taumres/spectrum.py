@@ -1,10 +1,14 @@
 """Dense spectral verification of the preconditioned-eigenvalue theorems.
 
-All checks go through the symmetric similarity transform: for an SPD
-preconditioner P the eigenvalues of P^{-1} (Y A) equal those of
-P^{-1/2} (Y A) P^{-1/2}, which is symmetric, so a dense symmetric
-eigensolver suffices.  Reports carry the theorem interval and a count of
-eigenvalues outside it beyond tolerance.
+Each theorem is the spectrum of one symmetric matrix.  For an SPD
+preconditioner P, P^{-1} (Y A) has the eigenvalues of P^{-1/2} (Y A) P^{-1/2},
+whose columns come matrix-free from the solver's ``A.apply`` and
+``P.apply_inv_sqrt``.  Without Y they give N = P^{-1/2} A P^{-1/2}, and as
+P^{-1/2} is symmetric, (N + N^T)/2 = P^{-1/2} H(A) P^{-1/2} with
+H(A) = (A + A^T)/2, so P^{-1} H(A) needs no H(A) operator.  The ideal and
+unpreconditioned spectra start from ``A.materialize()``.  Every matrix
+passes the one symmetry gate of ``sym_eig``; reports carry the theorem
+interval and a count of eigenvalues outside it beyond tolerance.
 """
 
 import math
@@ -15,7 +19,7 @@ import numpy as np
 from .discretization import FIRST_ORDER, epsilon_bound
 from .toeplitz import flip
 
-__all__ = ["SpectrumReport", "sym_eig", "preconditioned_spectrum",
+__all__ = ["SpectrumReport", "SymmetryError", "sym_eig", "preconditioned_spectrum",
            "ideal_preconditioned_spectrum", "equivalence_spectrum",
            "unpreconditioned_spectrum", "export_spectrum_csv"]
 
@@ -50,61 +54,60 @@ class SpectrumReport:
         object.__setattr__(self, "eigenvalues", ev)
 
 
+class SymmetryError(ValueError, RuntimeError):
+    """A matrix failed ``sym_eig``'s gate; for a spectrum's own matrix, a broken pipeline."""
+
+
 def sym_eig(M):
-    """Sorted eigenvalues of a dense symmetric matrix; refuses n > SYM_EIG_CAP."""
+    """Sorted eigenvalues of a dense symmetric matrix.
+
+    The one symmetry gate: refuses (``SymmetryError``) a matrix with
+    max|M - M^T| > SYM_TOL * max|M|, then solves on (M + M^T)/2.  Refuses
+    n > SYM_EIG_CAP.
+    """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
     n = M.shape[0]
     if n > SYM_EIG_CAP:
         raise ValueError(f"dense eigensolve capped at n={SYM_EIG_CAP}, got {n}")
-    scale = np.max(np.abs(M))
-    if scale > 0 and np.max(np.abs(M - M.T)) > SYM_TOL * scale:
-        raise ValueError("matrix is not symmetric to tolerance")
-    return np.linalg.eigvalsh(M)
+    defect = np.max(np.abs(M - M.T))
+    if defect > SYM_TOL * np.max(np.abs(M)):
+        raise SymmetryError(f"matrix is not symmetric to tolerance (defect {defect:.2e})")
+    return np.linalg.eigvalsh(0.5 * (M + M.T))
 
 
-def _count_outside(ev, lo, hi, signed, tol):
+def _report(M, eps, lo, hi, tag, tol=INTERVAL_TOL, signed=True):
+    # every spectrum's tail: gate and eigensolve, count outside the band
+    ev = sym_eig(M)
     mag = np.abs(ev) if signed else ev
-    return int(np.count_nonzero((mag < lo - tol) | (mag > hi + tol)))
+    violations = int(np.count_nonzero((mag < lo - tol) | (mag > hi + tol)))
+    return SpectrumReport(M.shape[0], ev, eps, lo, hi, violations, tag, tol)
 
 
-def _dense_from_columns(n, column_fn):
-    M = np.empty((n, n))
-    e = np.zeros(n)
-    for j in range(n):
+def _congruence(A, P, flipped):
+    """Dense P^{-1/2} Y A P^{-1/2} (without Y unless ``flipped``), column by column."""
+    if A.n > SYM_EIG_CAP:
+        raise ValueError(f"dense verification capped at n={SYM_EIG_CAP}, got {A.n}")
+    M = np.empty((A.n, A.n))
+    e = np.zeros(A.n)
+    for j in range(A.n):
         e[j] = 1.0
-        M[:, j] = column_fn(e)
+        y = A.apply(P.apply_inv_sqrt(e))
+        M[:, j] = P.apply_inv_sqrt(flip(A.dims, y) if flipped else y)
         e[j] = 0.0
     return M
-
-
-def _symmetrize_checked(M, defect_tol=1e-9):
-    scale = max(np.max(np.abs(M)), 1.0)
-    defect = np.max(np.abs(M - M.T)) / scale
-    if defect > defect_tol:
-        raise RuntimeError(f"similarity transform lost symmetry (defect {defect:.2e}); "
-                           "operator or preconditioner is inconsistent")
-    return 0.5 * (M + M.T)
 
 
 def preconditioned_spectrum(A, P, params, tol=INTERVAL_TOL):
     """Spectrum of P^{-1} Y A against +-(1/2, (3/2)(1+eps*)).
 
-    Dense columns are assembled matrix-free as
-    P^{-1/2} Y A P^{-1/2} e_j and symmetrized (defect must stay below
-    1e-9, else the operator pipeline is broken).
+    A broken operator pipeline shows as an asymmetric matrix and raises
+    ``SymmetryError``, a RuntimeError.
     """
-    if A.n > SYM_EIG_CAP:
-        raise ValueError(f"dense verification capped at n={SYM_EIG_CAP}, got {A.n}")
     eps = epsilon_bound(params)
-    M = _dense_from_columns(
-        A.n, lambda e: P.apply_inv_sqrt(flip(A.dims, A.apply(P.apply_inv_sqrt(e)))))
-    ev = sym_eig(_symmetrize_checked(M))
-    lo, hi = 0.5, 1.5 * (1.0 + eps)
     tag = "main_first_order" if params.scheme == FIRST_ORDER else "main_second_order"
-    return SpectrumReport(A.n, ev, eps, lo, hi,
-                          _count_outside(ev, lo, hi, signed=True, tol=tol), tag, tol)
+    return _report(_congruence(A, P, flipped=True), eps, 0.5, 1.5 * (1.0 + eps), tag, tol)
 
 
 def ideal_preconditioned_spectrum(A, params, tol=INTERVAL_TOL):
@@ -117,37 +120,23 @@ def ideal_preconditioned_spectrum(A, params, tol=INTERVAL_TOL):
         raise ValueError(f"ideal-preconditioner verification capped at n={IDEAL_CAP}, got {A.n}")
     eps = epsilon_bound(params)
     dense = A.materialize()
-    HA = 0.5 * (dense + dense.T)
     try:
-        C = np.linalg.cholesky(HA)
+        C = np.linalg.cholesky(0.5 * (dense + dense.T))
     except np.linalg.LinAlgError as exc:
         raise RuntimeError("H(A) is not positive definite; discretization is broken") from exc
-    YA = dense[::-1, :]
-    M = np.linalg.solve(C, np.linalg.solve(C, YA.T).T)
-    ev = sym_eig(_symmetrize_checked(M))
-    lo, hi = 1.0, 1.0 + eps
-    return SpectrumReport(A.n, ev, eps, lo, hi,
-                          _count_outside(ev, lo, hi, signed=True, tol=tol), "ideal", tol)
+    M = np.linalg.solve(C, np.linalg.solve(C, dense[::-1, :].T).T)
+    return _report(M, eps, 1.0, 1.0 + eps, "ideal", tol)
 
 
 def equivalence_spectrum(A, P, tol=1e-10):
-    """Spectrum of P^{-1} H(A) against the equivalence interval (1/2, 3/2)."""
-    if A.n > SYM_EIG_CAP:
-        raise ValueError(f"dense verification capped at n={SYM_EIG_CAP}, got {A.n}")
-    M = _dense_from_columns(
-        A.n, lambda e: P.apply_inv_sqrt(A.apply_symmetric_part(P.apply_inv_sqrt(e))))
-    ev = sym_eig(_symmetrize_checked(M))
-    lo, hi = 0.5, 1.5
-    return SpectrumReport(A.n, ev, 0.0, lo, hi,
-                          _count_outside(ev, lo, hi, signed=False, tol=tol),
-                          "equivalence", tol)
+    """Spectrum of P^{-1} H(A), via (N + N^T)/2 with N = P^{-1/2} A P^{-1/2}, against (1/2, 3/2)."""
+    N = _congruence(A, P, flipped=False)
+    return _report(0.5 * (N + N.T), 0.0, 0.5, 1.5, "equivalence", tol, signed=False)
 
 
 def unpreconditioned_spectrum(A):
     """Spectrum of Y A itself; exported for plotting, no theorem interval."""
-    dense = A.materialize()
-    ev = sym_eig(_symmetrize_checked(dense[::-1, :]))
-    return SpectrumReport(A.n, ev, math.nan, math.nan, math.nan, 0, "none")
+    return _report(A.materialize()[::-1, :], math.nan, math.nan, math.nan, "none")
 
 
 def export_spectrum_csv(report, path):

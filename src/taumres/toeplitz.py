@@ -13,18 +13,18 @@ the dense matrix
 
     K_i = v_plus[i] * L_i + v_minus[i] * L_i^T,
 
-and A and H(A) = (A + A^T)/2 use K_i and (K_i + K_i^T)/2, one BLAS
-product per axis.  On a longer axis the circulant embedding of
+one BLAS product per axis.  On a longer axis the circulant embedding of
 L_i^T is the cyclic reversal of L_i's, and the real FFT of a reversed
 real vector is the complex conjugate, so with c_i the rFFT of L_i's
 embedding the level is the single kernel
 
-    k_i = v_plus[i] * c_i + v_minus[i] * conj(c_i),
+    k_i = v_plus[i] * c_i + v_minus[i] * conj(c_i):
 
-and A and H(A) use k_i and Re(k_i): one forward and one inverse FFT per
-axis, run on contiguous blocks of fibres (``transforms._fibre_blocks``)
-and added into the result block by block.  Dense materialization, capped
-at MATERIALIZE_CAP unknowns, serves the dense spectra of ``spectrum``.
+one forward and one inverse FFT per axis, run on contiguous blocks of
+fibres (``transforms._fibre_blocks``) and added into the result block by
+block.  ``apply`` is the only product; the dense spectra of ``spectrum``
+build their matrices from it column by column, or from the dense
+materialization, capped at MATERIALIZE_CAP unknowns.
 """
 
 import functools
@@ -32,7 +32,7 @@ import math
 
 import numpy as np
 
-from .transforms import _axis_matmul, _fibre_blocks
+from .transforms import _axis_matmul, _check_dims, _fibre_blocks
 
 __all__ = ["Toeplitz1D", "MultilevelOperator", "flip"]
 
@@ -46,10 +46,6 @@ MATERIALIZE_CAP = 4096
 # FFT level, apply_symmetrized per call took FFT/dense 1.40 at m = 767,
 # 1.10 at 895 and 0.85 at 1023.
 DENSE_LEVEL_MAX = 895
-
-
-def _next_pow2(n):
-    return 1 << (int(n) - 1).bit_length() if n > 1 else 1
 
 
 class Toeplitz1D:
@@ -79,12 +75,11 @@ class Toeplitz1D:
 
     @functools.cached_property
     def _embedding(self):
-        # (L, rFFT of the circulant kernel) with L a power of two >= 2m-1
-        L = _next_pow2(2 * self.m - 1)
+        # (L, rFFT of the circulant kernel) with L the least power of two >= 2m-1
+        L = 1 << (2 * self.m - 2).bit_length()
         c = np.zeros(L)
         c[:self.m] = self.col
-        if self.m > 1:
-            c[L - self.m + 1:] = self.row[1:][::-1]
+        c[L - self.m + 1:] = self.row[1:][::-1]
         return L, np.fft.rfft(c)
 
     def matvec(self, x):
@@ -108,10 +103,11 @@ def flip(dims, x):
     Under lexicographic ordering the Kronecker product of per-axis
     reversals is the full reversal of the flat vector.
     """
-    n = int(np.prod([int(m) for m in dims]))
+    dims = _check_dims(dims)
+    n = math.prod(dims)
     x = np.asarray(x, dtype=float)
     if x.shape != (n,):
-        raise ValueError(f"expected vector of length {n} for dims {tuple(dims)}, got shape {x.shape}")
+        raise ValueError(f"expected vector of length {n} for dims {dims}, got shape {x.shape}")
     return x[::-1].copy()
 
 
@@ -137,7 +133,7 @@ class MultilevelOperator:
     """
 
     def __init__(self, dims, nu, levels):
-        dims = tuple(int(m) for m in dims)
+        dims = _check_dims(dims)
         levels = list(levels)
         if len(levels) != len(dims):
             raise ValueError(f"{len(dims)} dims but {len(levels)} levels")
@@ -150,7 +146,7 @@ class MultilevelOperator:
         if not math.isfinite(nu) or nu < 0:
             raise ValueError(f"nu must be finite and nonnegative, got {nu}")
         self.dims = dims
-        self.n = int(np.prod(dims))
+        self.n = math.prod(dims)
         self.nu = float(nu)
         self.levels = [(T, float(vp), float(vm)) for T, vp, vm in levels]
 
@@ -173,7 +169,8 @@ class MultilevelOperator:
                 kernels.append((axis, L, vp * chat + vm * np.conj(chat)))
         return kernels
 
-    def _apply(self, x, dense_map, fft_map):
+    def apply(self, x):
+        """A @ x."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise ValueError(f"expected vector of length {self.n}, got shape {x.shape}")
@@ -181,18 +178,10 @@ class MultilevelOperator:
         out = self.nu * X
         for axis, L, kernel in self._kernels:
             if L is None:
-                out += _axis_matmul(X, axis, dense_map(kernel))
+                out += _axis_matmul(X, axis, kernel)
             else:
-                _axis_apply(X, axis, fft_map(kernel), L, out)
+                _axis_apply(X, axis, kernel, L, out)
         return out.reshape(self.n)
-
-    def apply(self, x):
-        """A @ x."""
-        return self._apply(x, lambda K: K, lambda k: k)
-
-    def apply_symmetric_part(self, x):
-        """H(A) @ x with H(A) = (A + A.T)/2 (symmetric or real part of each level kernel)."""
-        return self._apply(x, lambda K: 0.5 * (K + K.T), np.real)
 
     def apply_symmetrized(self, x):
         """(Y A) @ x; the induced dense matrix is symmetric."""
@@ -204,8 +193,7 @@ class MultilevelOperator:
             raise ValueError(f"materialize capped at n={MATERIALIZE_CAP}, operator has n={self.n}")
         A = self.nu * np.eye(self.n)
         for axis, (T, vp, vm) in enumerate(self.levels):
-            left = int(np.prod(self.dims[:axis])) if axis > 0 else 1
-            right = int(np.prod(self.dims[axis + 1:])) if axis + 1 < len(self.dims) else 1
+            left, right = math.prod(self.dims[:axis]), math.prod(self.dims[axis + 1:])
             W = np.kron(np.kron(np.eye(left), T.dense()), np.eye(right))
             if vp != 0.0:
                 A += vp * W

@@ -232,6 +232,14 @@ def _axis_path(m):
     return "fft"
 
 
+def _check_dims(dims):
+    """``dims`` as ints; ValueError unless each is a whole number >= 1 (2.5 is not read as 2)."""
+    dims = tuple(dims)
+    if not dims or not all(float(m).is_integer() and m >= 1 for m in dims):
+        raise ValueError(f"sizes must be one or more positive integers, got {dims}")
+    return tuple(int(m) for m in dims)
+
+
 def dst1_multi(dims, x, out=None):
     """Apply the tensorized DST-I ``S = S_{m1} (x) ... (x) S_{md}``.
 
@@ -241,9 +249,7 @@ def dst1_multi(dims, x, out=None):
     result is a new array, or ``out`` (a C-contiguous float vector of n
     entries; it may be ``x`` itself, which is then transformed in place).
     """
-    dims = tuple(int(m) for m in dims)
-    if not dims or any(m < 1 for m in dims):
-        raise ValueError(f"dims must be one or more positive lengths, got {dims}")
+    dims = _check_dims(dims)
     x = np.asarray(x, dtype=float)
     n = math.prod(dims)
     if x.shape != (n,):

@@ -126,7 +126,7 @@ def test_criterion_04_coefficient_lemma_suite():
     rng = np.random.default_rng(4)
     failures = []
     for alpha in 1.0 + rng.uniform(0.01, 0.99, 50):
-        w = weights_second(alpha, 1000).values
+        w = weights_second(alpha, 1000)
         if abs(w[0] - alpha / 2) > 1e-13:
             failures.append(f"alpha={alpha}: w0 != alpha/2")
         if not w[1] < 0 or abs(w[1] - (2 - alpha - alpha ** 2) / 2) > 1e-13:

@@ -37,13 +37,14 @@ def test_grunwald_matches_binomial_closed_form():
 
 
 def test_weights_second_frozen():
-    w = weights_second(1.5, 3).values
+    w = weights_second(1.5, 3)
     assert w == pytest.approx([0.75, -0.875, -0.09375, 0.140625], abs=1e-15)
+    assert not w.flags.writeable
 
 
 def test_weights_second_closed_forms(rng):
     for alpha in 1.0 + rng.uniform(0.01, 0.99, 20):
-        w = weights_second(alpha, 5).values
+        w = weights_second(alpha, 5)
         assert w[0] == pytest.approx(alpha / 2, abs=1e-15)
         assert w[1] == pytest.approx((2 - alpha - alpha ** 2) / 2, abs=1e-13)
         assert w[1] < 0
@@ -51,7 +52,7 @@ def test_weights_second_closed_forms(rng):
 
 
 def test_weights_second_combination_identity():
-    w = weights_second(1.5, 3).values
+    w = weights_second(1.5, 3)
     lhs = w[0] + w[2] - w[3]
     assert lhs == pytest.approx(0.515625, abs=1e-15)
     assert lhs == pytest.approx(1.5 ** 2 * 0.5 * 5.5 / 12, abs=1e-15)
@@ -59,7 +60,7 @@ def test_weights_second_combination_identity():
 
 def test_weight_invariants_random_alpha(rng):
     for alpha in 1.0 + rng.uniform(0.01, 0.99, 20):
-        w = weights_second(alpha, 200).values
+        w = weights_second(alpha, 200)
         assert 1.0 >= w[0] >= w[3]
         assert np.all(np.diff(w[3:]) <= 1e-16)
         assert np.all(w[3:] >= 0)
@@ -68,8 +69,9 @@ def test_weight_invariants_random_alpha(rng):
 
 
 def test_weights_first_frozen_and_sums():
-    g = weights_first(1.5, 1000).values
+    g = weights_first(1.5, 1000)
     assert g[:4] == pytest.approx([1.0, -1.5, 0.375, 0.0625], abs=1e-15)
+    assert not g.flags.writeable
     assert np.all(g[2:] > 0)
     assert np.all(np.diff(g[2:]) < 0)
     sums = np.cumsum(g)
@@ -352,6 +354,12 @@ def test_gridspec_validation():
         GridSpec((0.0,), (0.0,), (3,))
     with pytest.raises(ValueError):
         GridSpec((0.0,), (1.0,), (0,))
+    # sizes and endpoints are never reinterpreted: no truncation, no NaN h
+    for a, b, n in (((0.0,), (1.0,), (3.5,)), ((np.nan,), (1.0,), (3,)),
+                    ((0.0,), (np.inf,), (3,)), ((-np.inf,), (1.0,), (3,))):
+        with pytest.raises(ValueError):
+            GridSpec(a, b, n)
+    assert GridSpec((0.0,), (1.0,), (3.0,)).n == (3,)
 
 
 def test_params_validation():
@@ -359,6 +367,11 @@ def test_params_validation():
         FractionalParams((2.5,), (1.0,), (1.0,))
     with pytest.raises(ValueError):
         FractionalParams((1.5,), (-1.0,), (1.0,))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            FractionalParams((1.5,), (bad,), (1.0,))
+        with pytest.raises(ValueError):
+            FractionalParams((1.5,), (1.0,), (bad,))
     with pytest.raises(ValueError):
         FractionalParams((1.5,), (1.0,), (1.0,), "third_order")
     with pytest.raises(ValueError):

@@ -57,6 +57,10 @@ def test_problem_invariants():
     assert prob.nu * prob.tau_step == pytest.approx(1.0, abs=1e-14)
     with pytest.raises(ValueError):
         FractionalProblem(prob.grid, prob.params, 1.0, 0, prob.source, prob.u0)
+    for T, M in ((np.nan, 4), (np.inf, 4), (-1.0, 4), (1.0, 2.5), (1.0, np.nan)):
+        with pytest.raises(ValueError):
+            FractionalProblem(prob.grid, prob.params, T, M, prob.source, prob.u0)
+    assert FractionalProblem(prob.grid, prob.params, 1.0, 4.0, prob.source, prob.u0).M == 4
 
 
 def test_second_order_zero_step():

@@ -10,6 +10,8 @@ from taumres.spectrum import (SpectrumReport, equivalence_spectrum,
                               unpreconditioned_spectrum)
 from taumres.tau import TauPreconditioner, build_preconditioner
 
+from conftest import assemble_dense, kron_chain, sine_matrix
+
 EX1 = ((2.0, 0.3), (0.5, 1.0))   # d_plus, d_minus per direction
 EX2 = ((3.0, 2.0), (1.0, 1.0))
 
@@ -119,6 +121,19 @@ def test_equivalence_example2_small(scheme):
     params, A, P = setup((15, 15), (1.5, 1.9), EX2, scheme, nu=16.0, box=2.0)
     rep = equivalence_spectrum(A, P)
     assert rep.which_theorem == "equivalence"
+    assert rep.violations == 0
+
+
+@pytest.mark.parametrize("dpm", (EX2, ((1.0, 0.0), (0.0, 2.0))), ids=("two_sided", "one_sided"))
+def test_equivalence_matches_dense_oracle(dpm):
+    # eigenvalues of P^{-1} H(A) from dense P = S diag(lam) S and H(A) = (A + A^T)/2
+    params, A, P = setup((5, 7), (1.3, 1.8), dpm, SECOND_ORDER, nu=3.0)
+    dense = assemble_dense(A.dims, A.nu, [(T.col, T.row, vp, vm) for T, vp, vm in A.levels])
+    S = kron_chain([sine_matrix(m) for m in A.dims])
+    ev = np.linalg.eigvals(np.linalg.solve(S @ np.diag(P.lam) @ S, 0.5 * (dense + dense.T)))
+    assert np.max(np.abs(ev.imag)) <= 1e-10
+    rep = equivalence_spectrum(A, P)
+    assert np.max(np.abs(rep.eigenvalues - np.sort(ev.real))) <= 1e-10
     assert rep.violations == 0
 
 

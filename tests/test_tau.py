@@ -24,7 +24,7 @@ def symmetric_part_col(alpha, m, scheme):
 def tau_from_eigs(col):
     """Dense S diag(q) S from the library's sine-basis eigenvalues."""
     S = sine_matrix(len(col))
-    return S @ np.diag(tau_eigs(np.asarray(col, dtype=float)).q) @ S
+    return S @ np.diag(tau_eigs(np.asarray(col, dtype=float))) @ S
 
 
 # ---------------------------------------------------------------------------
@@ -61,20 +61,21 @@ def test_tau_matches_oracle_and_diagonalization(m, rng):
 # tau_eigs
 
 def test_laplacian_eigenvalues_frozen():
-    q = tau_eigs(np.array([2.0, -1.0, 0.0])).q
+    q = tau_eigs(np.array([2.0, -1.0, 0.0]))
     expect = [2.0 - 2.0 * np.cos(np.pi / 4), 2.0, 2.0 - 2.0 * np.cos(3 * np.pi / 4)]
     assert q == pytest.approx(expect, abs=1e-14)
     assert q == pytest.approx([0.5857864376269049, 2.0, 3.414213562373095], abs=1e-14)
+    assert not q.flags.writeable
 
 
 def test_eigs_size_one():
-    assert tau_eigs(np.array([3.25])).q == pytest.approx([3.25], abs=0)
+    assert tau_eigs(np.array([3.25])) == pytest.approx([3.25], abs=0)
 
 
 @pytest.mark.parametrize("m", (1, 2, 3, 4, 8, 31, 64, 1023))
 def test_dst_route_matches_cosine_sum(m, rng):
     col = rng.standard_normal(m)
-    q_fast = tau_eigs(col).q
+    q_fast = tau_eigs(col)
     q_cos = tau_eigs_cosine(col)
     assert np.max(np.abs(q_fast - q_cos)) <= 1e-12 * max(np.max(np.abs(q_cos)), 1.0)
 
@@ -82,7 +83,7 @@ def test_dst_route_matches_cosine_sum(m, rng):
 @pytest.mark.parametrize("m", (2, 5, 16, 64))
 def test_eigs_match_dense_eigendecomposition(m, rng):
     col = rng.standard_normal(m)
-    q = np.sort(tau_eigs(col).q)
+    q = np.sort(tau_eigs(col))
     ev = np.linalg.eigvalsh(tau_dense_oracle(col))
     assert np.max(np.abs(q - ev)) <= 1e-10 * max(np.max(np.abs(ev)), 1.0)
 
@@ -91,7 +92,7 @@ def test_eigs_of_grunwald_symmetric_part_positive():
     for scheme in (FIRST_ORDER, SECOND_ORDER):
         for alpha in (1.1, 1.5, 1.9):
             col = symmetric_part_col(alpha, 8, scheme)
-            q = tau_eigs(col).q
+            q = tau_eigs(col)
             assert q.min() > 0
             ev = np.linalg.eigvalsh(tau_dense_oracle(col))
             assert np.max(np.abs(np.sort(q) - ev)) <= 1e-12
@@ -203,7 +204,7 @@ def test_three_level_preconditioner_round_trip(rng):
     for i in range(3):
         col = symmetric_part_col(params.alpha[i], grid.n[i], SECOND_ORDER)
         vp, vm = level_scales(params, grid)[i]
-        qs.append((vp + vm) * tau_eigs(col).q)
+        qs.append((vp + vm) * tau_eigs(col))
     lam = 2.0 + qs[0][:, None, None] + qs[1][None, :, None] + qs[2][None, None, :]
     assert np.max(np.abs(P.lam - lam.reshape(-1))) <= 1e-11 * np.max(np.abs(lam))
 
@@ -261,6 +262,8 @@ def test_dimension_validation(rng):
         build_preconditioner(params, GridSpec((0, 0), (1, 1), (3, 3)), 1.0)
     with pytest.raises(ValueError):
         build_preconditioner(params, grid, -1.0)
+    with pytest.raises(ValueError):
+        TauPreconditioner((2.9,), np.ones(2))
 
 
 def test_lemma_interval_for_tau_of_symmetric_part():

@@ -157,17 +157,18 @@ def test_apply_and_transpose_match_dense(dims, rng):
     dense = assemble_dense(sizes, nu, [(T.col, T.row, vp, vm) for T, vp, vm in levels])
     x = rng.standard_normal(A.n)
     assert rel_err(A.apply(x), dense @ x) <= 1e-12
-    assert rel_err(A.apply_symmetric_part(x), 0.5 * (dense + dense.T) @ x) <= 1e-12
     assert rel_err(A.apply_symmetrized(x), dense[::-1, :] @ x) <= 1e-12
 
 
 def test_symmetric_part_halves_sum(rng):
+    # H(A) = (A + A^T)/2 is the Kronecker sum of the symmetric levels
+    # (v+_i + v-_i) H(L_i), with H(L_i) the symmetric Toeplitz matrix of first
+    # column (col + row)/2: the sum the tau preconditioner approximates
     A = random_operator(rng, (3, 5))
-    x = rng.standard_normal(15)
     dense = A.materialize()
-    ref = 0.5 * (dense + dense.T) @ x
-    assert np.max(np.abs(A.apply_symmetric_part(x) - ref)) <= 1e-13 * max(np.max(np.abs(ref)), 1.0)
-    assert np.array_equal(A.apply_symmetric_part(np.zeros(15)), np.zeros(15))
+    halves = [(0.5 * (T.col + T.row), None, vp + vm, 0.0) for T, vp, vm in A.levels]
+    ref = assemble_dense(A.dims, A.nu, halves)
+    assert np.max(np.abs(0.5 * (dense + dense.T) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_symmetric_part_equals_apply_for_symmetric_operator(rng):
@@ -175,20 +176,19 @@ def test_symmetric_part_equals_apply_for_symmetric_operator(rng):
     T = Toeplitz1D(col)
     A = MultilevelOperator((4,), 1.0, [(T, 0.8, 0.8)])
     x = rng.standard_normal(4)
-    assert rel_err(A.apply_symmetric_part(x), A.apply(x)) <= 1e-14
     dense = A.materialize()
     assert np.array_equal(dense, dense.T)
+    assert rel_err(A.apply(x), dense.T @ x) <= 1e-14
 
 
-def test_symmetric_part_grunwald_block(rng):
+def test_symmetric_part_grunwald_block():
     from taumres.discretization import SECOND_ORDER, build_L
 
+    # the symmetric part of a one-sided Grünwald level is the symmetric
+    # Toeplitz matrix the tau preconditioner is built from
     L = build_L(1.5, 3, SECOND_ORDER)
-    A = MultilevelOperator((3,), 0.0, [(L, 1.0, 0.0)])
-    x = rng.standard_normal(3)
-    dense = toeplitz_dense(L.col, L.row)
-    ref = 0.5 * (dense + dense.T) @ x
-    assert rel_err(A.apply_symmetric_part(x), ref) <= 1e-14
+    dense = MultilevelOperator((3,), 0.0, [(L, 1.0, 0.0)]).materialize()
+    assert rel_err(0.5 * (dense + dense.T), toeplitz_dense(0.5 * (L.col + L.row))) <= 1e-15
 
 
 def test_symmetrized_grunwald_block_dense(rng):
@@ -258,6 +258,11 @@ def test_dimension_validation(rng):
         MultilevelOperator((3,), 1.0, [(random_toeplitz(rng, 4), 1.0, 1.0)])
     with pytest.raises(ValueError):
         MultilevelOperator((3,), -1.0, [(random_toeplitz(rng, 3), 1.0, 1.0)])
+    # a non-integral size is refused, not truncated to 3
+    with pytest.raises(ValueError):
+        MultilevelOperator((3.9,), 1.0, [(random_toeplitz(rng, 3), 1.0, 1.0)])
+    with pytest.raises(ValueError):
+        flip((3.5,), np.zeros(3))
 
 
 def test_non_finite_coefficients_rejected(rng):

@@ -124,6 +124,9 @@ def test_multi_rejects_bad_length():
     for dims in ((), (3, 0)):
         with pytest.raises(ValueError):
             dst1_multi(dims, np.zeros(1))
+    # a non-integral size is refused, not truncated to (2,)
+    with pytest.raises(ValueError):
+        dst1_multi((2.5,), np.zeros(2))
 
 
 # TauPreconditioner scales the first DST's result and transforms it again
