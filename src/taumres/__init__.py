@@ -9,8 +9,7 @@ eigenvalue-interval bounds densely at desk scale.
 
 from .discretization import (FIRST_ORDER, SECOND_ORDER, FractionalParams, GridSpec,
                              assemble_operator, build_L, epsilon_bound, grunwald_g,
-                             omega_bound, symbol_closed, symbol_series, weights_first,
-                             weights_second)
+                             omega_bound, symbol_closed, symbol_series, weights_second)
 from .krylov import BreakdownError, MinresConfig, MinresResult, bound_curve, pminres
 from .pde import (ALPHA_PAIRS, FractionalProblem, StepReport, example1_problem,
                   example2_problem, run_example1, run_example2, run_steps,
@@ -20,7 +19,7 @@ from .spectrum import (SpectrumReport, equivalence_spectrum, export_spectrum_csv
                        sym_eig, unpreconditioned_spectrum)
 from .tau import TauPreconditioner, build_preconditioner, tau_eigs
 from .toeplitz import MultilevelOperator, Toeplitz1D, flip
-from .transforms import dst1, dst1_multi
+from .transforms import dst1_multi
 
 __version__ = "0.1.0"
 
@@ -29,7 +28,7 @@ __all__ = [
     "FractionalParams", "GridSpec",
     "assemble_operator", "build_L", "epsilon_bound",
     "grunwald_g", "omega_bound", "symbol_closed", "symbol_series",
-    "weights_first", "weights_second",
+    "weights_second",
     "BreakdownError", "MinresConfig", "MinresResult", "bound_curve", "pminres",
     "ALPHA_PAIRS", "FractionalProblem", "StepReport", "example1_problem",
     "example2_problem", "run_example1", "run_example2", "run_steps",
@@ -39,5 +38,5 @@ __all__ = [
     "unpreconditioned_spectrum",
     "TauPreconditioner", "build_preconditioner", "tau_eigs",
     "MultilevelOperator", "Toeplitz1D", "flip",
-    "dst1", "dst1_multi",
+    "dst1_multi",
 ]

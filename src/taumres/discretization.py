@@ -25,7 +25,6 @@ __all__ = [
     "GridSpec",
     "grunwald_g",
     "weights_second",
-    "weights_first",
     "build_L",
     "assemble_operator",
     "symbol_series",
@@ -115,8 +114,9 @@ class GridSpec:
 def grunwald_g(alpha, K):
     """Coefficients g_0..g_K with g_0 = 1, g_k = (1 - (alpha+1)/k) g_{k-1}.
 
-    Equals the alternating binomial (-1)^k C(alpha, k).  Like every
-    coefficient table here, the result is read-only.
+    Equals the alternating binomial (-1)^k C(alpha, k); it is the
+    first-order scheme's table.  Like every coefficient table here, the
+    result is read-only.
     """
     _check_alpha(alpha)
     if K < 0:
@@ -139,11 +139,6 @@ def weights_second(alpha, K):
     return w
 
 
-def weights_first(alpha, K):
-    """First-order coefficients g~_k = (-1)^k C(alpha, k)."""
-    return grunwald_g(alpha, K)
-
-
 def build_L(alpha, m, scheme=SECOND_ORDER):
     """Lower-Hessenberg Grünwald Toeplitz block of size m.
 
@@ -153,7 +148,7 @@ def build_L(alpha, m, scheme=SECOND_ORDER):
     _check_scheme(scheme)
     if m < 1:
         raise ValueError(f"matrix size must be positive, got {m}")
-    c = (weights_second if scheme == SECOND_ORDER else weights_first)(alpha, m)
+    c = (weights_second if scheme == SECOND_ORDER else grunwald_g)(alpha, m)
     col = -c[1:m + 1]
     row = np.zeros(m)
     row[0] = -c[1]

@@ -49,6 +49,8 @@ def pminres(apply_a, apply_pinv, b, cfg=None):
     vectors; ``apply_pinv=None`` gives plain MINRES.  The iteration stops
     once the estimated preconditioned-norm relative residual drops below
     ``cfg.tol``; ``relres_history`` is nonincreasing by construction.
+    ``true_relres`` is the recomputed ||b - A x|| / ||b||, or for b = 0
+    the absolute residual ||A x||, which a nonzero ``cfg.x0`` can leave.
     A non-finite ``b`` or ``cfg.x0`` raises ``ValueError``; non-finite
     operator or preconditioner output raises ``BreakdownError`` in the
     iteration where it first shows.
@@ -62,7 +64,8 @@ def pminres(apply_a, apply_pinv, b, cfg=None):
         raise ValueError("right-hand side has non-finite entries")
     n = b.shape[0]
 
-    bnorm = float(np.linalg.norm(b))
+    # the true residual is relative to ||b||, or absolute for b = 0
+    scale = float(np.linalg.norm(b)) or 1.0
     if cfg.x0 is None:
         x = np.zeros(n)
         r = b.copy()
@@ -86,8 +89,7 @@ def pminres(apply_a, apply_pinv, b, cfg=None):
             raise BreakdownError("<r, P^-1 r> = 0 for a nonzero residual: "
                                  "preconditioner is singular")
         # x0 already solves the system
-        true_rel = 0.0 if bnorm == 0.0 else float(np.linalg.norm(b - apply_a(x))) / bnorm
-        return MinresResult(x, [0.0], true_rel, 0, True)
+        return MinresResult(x, [0.0], float(np.linalg.norm(b - apply_a(x))) / scale, 0, True)
 
     eta0 = gamma
     eta = gamma
@@ -154,8 +156,7 @@ def pminres(apply_a, apply_pinv, b, cfg=None):
         gamma_old, gamma = gamma, gamma_new
         w_old, w = w, w_new
 
-    true_rel = float(np.linalg.norm(b - apply_a(x))) / bnorm if bnorm > 0 else 0.0
-    return MinresResult(x, history, true_rel, it, converged)
+    return MinresResult(x, history, float(np.linalg.norm(b - apply_a(x))) / scale, it, converged)
 
 
 def bound_curve(epsilon, k_max):

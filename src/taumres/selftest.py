@@ -92,8 +92,8 @@ def _scaling_report():
     return lines
 
 
-def run_selftest(seed=0, verbose=True):
-    """Run every check; returns True when all pass."""
+def run_selftest(seed=0):
+    """Run and print every check, then the apply_inverse timings; returns True when all pass."""
     rng = np.random.default_rng(seed)
     checks = [
         ("multilevel sine transform", lambda: _check_dst(rng)),
@@ -105,11 +105,9 @@ def run_selftest(seed=0, verbose=True):
     for name, fn in checks:
         failure = fn()
         ok = ok and failure is None
-        if verbose:
-            status = "PASS" if failure is None else f"FAIL ({failure})"
-            print(f"[selftest] {name}: {status}")
-    if verbose:
-        for n1, n, secs, path in _scaling_report():
-            print(f"[selftest] apply_inverse n1={n1} n={n}: {secs * 1e3:.2f} ms "
-                  f"(two DSTs, per axis: {path})")
+        status = "PASS" if failure is None else f"FAIL ({failure})"
+        print(f"[selftest] {name}: {status}")
+    for n1, n, secs, path in _scaling_report():
+        print(f"[selftest] apply_inverse n1={n1} n={n}: {secs * 1e3:.2f} ms "
+              f"(two DSTs, per axis: {path})")
     return ok

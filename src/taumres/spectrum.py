@@ -5,10 +5,12 @@ preconditioner P, P^{-1} (Y A) has the eigenvalues of P^{-1/2} (Y A) P^{-1/2},
 whose columns come matrix-free from the solver's ``A.apply`` and
 ``P.apply_inv_sqrt``.  Without Y they give N = P^{-1/2} A P^{-1/2}, and as
 P^{-1/2} is symmetric, (N + N^T)/2 = P^{-1/2} H(A) P^{-1/2} with
-H(A) = (A + A^T)/2, so P^{-1} H(A) needs no H(A) operator.  The ideal and
-unpreconditioned spectra start from ``A.materialize()``.  Every matrix
-passes the one symmetry gate of ``sym_eig``; reports carry the theorem
-interval and a count of eigenvalues outside it beyond tolerance.
+H(A) = (A + A^T)/2, so P^{-1} H(A) needs no H(A) operator; P must act on
+A's dims, not a permutation of them.  The ideal and unpreconditioned
+spectra start from ``A.materialize()``.  Every matrix passes the one
+symmetry gate of ``sym_eig``; reports carry the theorem interval and a
+count of eigenvalues outside it beyond INTERVAL_TOL (EQUIVALENCE_TOL for
+the equivalence band, which has no eps*).
 """
 
 import math
@@ -27,6 +29,7 @@ SYM_EIG_CAP = 4096
 SYM_TOL = 1e-10
 IDEAL_CAP = 1024
 INTERVAL_TOL = 1e-8
+EQUIVALENCE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -87,6 +90,8 @@ def _report(M, eps, lo, hi, tag, tol=INTERVAL_TOL, signed=True):
 
 def _congruence(A, P, flipped):
     """Dense P^{-1/2} Y A P^{-1/2} (without Y unless ``flipped``), column by column."""
+    if P.dims != A.dims:
+        raise ValueError(f"preconditioner dims {P.dims} do not match operator dims {A.dims}")
     if A.n > SYM_EIG_CAP:
         raise ValueError(f"dense verification capped at n={SYM_EIG_CAP}, got {A.n}")
     M = np.empty((A.n, A.n))
@@ -99,7 +104,7 @@ def _congruence(A, P, flipped):
     return M
 
 
-def preconditioned_spectrum(A, P, params, tol=INTERVAL_TOL):
+def preconditioned_spectrum(A, P, params):
     """Spectrum of P^{-1} Y A against +-(1/2, (3/2)(1+eps*)).
 
     A broken operator pipeline shows as an asymmetric matrix and raises
@@ -107,10 +112,10 @@ def preconditioned_spectrum(A, P, params, tol=INTERVAL_TOL):
     """
     eps = epsilon_bound(params)
     tag = "main_first_order" if params.scheme == FIRST_ORDER else "main_second_order"
-    return _report(_congruence(A, P, flipped=True), eps, 0.5, 1.5 * (1.0 + eps), tag, tol)
+    return _report(_congruence(A, P, flipped=True), eps, 0.5, 1.5 * (1.0 + eps), tag)
 
 
-def ideal_preconditioned_spectrum(A, params, tol=INTERVAL_TOL):
+def ideal_preconditioned_spectrum(A, params):
     """Spectrum of H(A)^{-1} Y A against +-[1, 1+eps*].
 
     H(A) is factored densely (Cholesky); the symmetric congruence
@@ -125,13 +130,14 @@ def ideal_preconditioned_spectrum(A, params, tol=INTERVAL_TOL):
     except np.linalg.LinAlgError as exc:
         raise RuntimeError("H(A) is not positive definite; discretization is broken") from exc
     M = np.linalg.solve(C, np.linalg.solve(C, dense[::-1, :].T).T)
-    return _report(M, eps, 1.0, 1.0 + eps, "ideal", tol)
+    return _report(M, eps, 1.0, 1.0 + eps, "ideal")
 
 
-def equivalence_spectrum(A, P, tol=1e-10):
+def equivalence_spectrum(A, P):
     """Spectrum of P^{-1} H(A), via (N + N^T)/2 with N = P^{-1/2} A P^{-1/2}, against (1/2, 3/2)."""
     N = _congruence(A, P, flipped=False)
-    return _report(0.5 * (N + N.T), 0.0, 0.5, 1.5, "equivalence", tol, signed=False)
+    return _report(0.5 * (N + N.T), 0.0, 0.5, 1.5, "equivalence", EQUIVALENCE_TOL,
+                   signed=False)
 
 
 def unpreconditioned_spectrum(A):

@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from .discretization import build_L, level_scales
-from .transforms import _check_dims, dst1, dst1_multi
+from .transforms import _check_dims, _dst1_fft_axis, dst1_multi
 
 __all__ = ["TauPreconditioner", "tau_eigs", "build_preconditioner"]
 
@@ -38,14 +38,14 @@ def tau_eigs(col):
     t_j - t_{j+2}, and (S e_1)_k = sqrt(2/(m+1)) * sin(pi*k/(m+1)).
     """
     col = np.asarray(col, dtype=float)
+    if col.ndim != 1 or col.size < 1:
+        raise ValueError(f"expected a nonempty first column, got shape {col.shape}")
     m = col.shape[0]
-    if m < 1:
-        raise ValueError("empty eigenvalue problem")
     u = col.copy()
     if m > 2:
         u[:m - 2] -= col[2:]
     s_e1 = np.sqrt(2.0 / (m + 1)) * np.sin(np.pi * np.arange(1, m + 1) / (m + 1))
-    q = dst1(u) / s_e1
+    q = _dst1_fft_axis(u, 0) / s_e1
     q.setflags(write=False)
     return q
 

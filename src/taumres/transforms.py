@@ -33,9 +33,9 @@ m < FOLD_MIN is one full dense BLAS product with the m x m sine matrix
 axis goes by FFT (O(n log m)), unless 2(m+1) has a prime factor above 7,
 for which numpy's FFT is slow: such an axis stays folded up to
 AWKWARD_AXIS_MAX.  ``_axis_matmul`` is the one full per-axis product,
-shared with ``toeplitz.MultilevelOperator``.  ``dst1``, the 1-D
-transform the tau preconditioner is built with, always takes the FFT
-path.
+shared with ``toeplitz.MultilevelOperator``.  ``dst1_multi`` is the one
+public entry, for a single vector too (dims ``(m,)``); ``tau.tau_eigs``
+builds the preconditioner by the FFT path ``_dst1_fft_axis`` directly.
 """
 
 import functools
@@ -43,7 +43,7 @@ import math
 
 import numpy as np
 
-__all__ = ["FOLD_MIN", "DENSE_AXIS_MAX", "AWKWARD_AXIS_MAX", "dst1", "dst1_multi"]
+__all__ = ["FOLD_MIN", "DENSE_AXIS_MAX", "AWKWARD_AXIS_MAX", "dst1_multi"]
 
 # The per-axis rule, measured inside MINRES: example2 first-step solves at
 # n1 = m, alpha = (1.5, 1.5), time per iteration with the axis forced onto
@@ -200,20 +200,6 @@ def _dst1_fft_axis(X, axis, out=None):
         U = np.fft.rfft(u[:k], n=2 * (m + 1), axis=-1)
         np.multiply(U.imag[:, 1:m + 1], scale, out=ys)
     return out
-
-
-def dst1(x):
-    """Apply the orthonormal DST-I to a vector by one real FFT of length 2(m+1).
-
-    S is an involution, so applying it twice returns ``x``.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError(f"expected a vector, got shape {x.shape}")
-    m = x.shape[0]
-    if m < 1:
-        raise ValueError(f"transform length must be positive, got {m}")
-    return _dst1_fft_axis(x, 0)
 
 
 def _smooth(n):

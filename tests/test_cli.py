@@ -212,7 +212,8 @@ def test_config_file_values_are_checked(tmp_path, capsys):
                 {"jobs": float("inf")}, {"tol": "1e-8"}, {"scheme": ["second"]}, {"out": 5},
                 {"alphas": 5}, {"alphas": ["1.5,1.5", 1.9]}, {"alphas": {"1.5,1.5": 1}},
                 {"n_1": 63}, {"n_1": None}, {"n1": 31.7, "maxit": 2.9, "tol": True, "n_1": 63},
-                {"tol": float("inf")}, {"tol": float("nan")}, {"tol": float("-inf")}):
+                {"tol": float("inf")}, {"tol": float("nan")}, {"tol": float("-inf")},
+                {"config": "other.json"}, {"command": "example1"}):
         cfile.write_text(json.dumps(bad))
         with pytest.raises(SystemExit) as exc:
             cli.parse_config(["solve", "--config", str(cfile)])

@@ -7,7 +7,7 @@ from taumres.discretization import (FIRST_ORDER, SECOND_ORDER, FractionalParams,
                                     GridSpec, assemble_operator, build_L,
                                     epsilon_bound, grunwald_g,
                                     omega_bound, symbol_closed, symbol_series,
-                                    weights_first, weights_second)
+                                    weights_second)
 
 from conftest import assemble_dense, rel_err, toeplitz_dense
 
@@ -69,7 +69,7 @@ def test_weight_invariants_random_alpha(rng):
 
 
 def test_weights_first_frozen_and_sums():
-    g = weights_first(1.5, 1000)
+    g = grunwald_g(1.5, 1000)
     assert g[:4] == pytest.approx([1.0, -1.5, 0.375, 0.0625], abs=1e-15)
     assert not g.flags.writeable
     assert np.all(g[2:] > 0)
@@ -206,7 +206,7 @@ def test_series_partial_sums_vanish_at_origin():
 
 @pytest.mark.parametrize("scheme", (FIRST_ORDER, SECOND_ORDER))
 def test_series_converges_to_closed_form(scheme):
-    table_of = weights_first if scheme == FIRST_ORDER else weights_second
+    table_of = grunwald_g if scheme == FIRST_ORDER else weights_second
     for alpha in ALPHAS:
         tab = table_of(alpha, 10 ** 4 + 2)
         for theta in (np.pi / 4, -np.pi / 2, 3 * np.pi / 4):

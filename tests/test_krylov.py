@@ -102,6 +102,12 @@ def test_zero_rhs_returns_immediately():
     assert res.converged
     assert res.iters == 0
     assert np.array_equal(res.x, np.zeros(3))
+    assert res.true_relres == 0.0
+    # with b = 0 an x0 can leave a residual: true_relres is then absolute
+    A = np.diag([1.0, 2.0, 3.0])
+    res = pminres(dense_op(A), None, np.zeros(3), MinresConfig(maxit=1, x0=np.ones(3)))
+    assert not res.converged
+    assert res.true_relres == np.linalg.norm(A @ res.x) > 0.5
 
 
 def test_nonzero_initial_guess(rng):

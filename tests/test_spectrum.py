@@ -165,6 +165,16 @@ def test_symmetry_defect_raises():
         preconditioned_spectrum(Broken(), P, params)
 
 
+def test_preconditioner_on_other_dims_rejected():
+    # P on (5, 3) has A's size but not its axes; its spectrum would read as a theorem failure
+    params, A, _ = setup((3, 5), (1.5, 1.9), EX2, SECOND_ORDER)
+    _, _, P = setup((5, 3), (1.9, 1.5), EX2, SECOND_ORDER)
+    with pytest.raises(ValueError, match="dims"):
+        preconditioned_spectrum(A, P, params)
+    with pytest.raises(ValueError, match="dims"):
+        equivalence_spectrum(A, P)
+
+
 def test_unpreconditioned_spectrum_has_no_interval():
     params, A, _ = setup((5, 5), (1.5, 1.5), EX1, FIRST_ORDER, nu=6.0)
     rep = unpreconditioned_spectrum(A)

@@ -70,6 +70,10 @@ def test_laplacian_eigenvalues_frozen():
 
 def test_eigs_size_one():
     assert tau_eigs(np.array([3.25])) == pytest.approx([3.25], abs=0)
+    # the first column must be a nonempty vector
+    for bad in (np.zeros(0), np.zeros((2, 2))):
+        with pytest.raises(ValueError):
+            tau_eigs(bad)
 
 
 @pytest.mark.parametrize("m", (1, 2, 3, 4, 8, 31, 64, 1023))

@@ -5,7 +5,7 @@ import pytest
 
 from taumres import transforms
 from taumres.transforms import (AWKWARD_AXIS_MAX, DENSE_AXIS_MAX, FOLD_MIN, _axis_path,
-                                dst1, dst1_multi)
+                                _dst1_fft_axis, dst1_multi)
 
 from conftest import kron_chain, rel_err, sine_matrix, sine_oracle
 
@@ -18,30 +18,32 @@ AWKWARD_M = 513
 
 
 def test_length_one_is_identity():
-    assert dst1([5.0]) == pytest.approx([5.0], abs=0)
+    assert dst1_multi((1,), [5.0]) == pytest.approx([5.0], abs=0)
 
 
 def test_unit_vector_m3_frozen():
     # sqrt(1/2) * sin(pi*j/4), j = 1..3
-    out = dst1([1.0, 0.0, 0.0])
+    out = dst1_multi((3,), [1.0, 0.0, 0.0])
     assert out == pytest.approx([0.5, 0.7071067811865476, 0.5], abs=1e-15)
 
 
+# SIZES reach the full product, the fold (255) and the FFT (511)
 @pytest.mark.parametrize("m", SIZES)
 def test_involution_and_parseval(m, rng):
     for _ in range(5):
         x = rng.standard_normal(m)
-        y = dst1(x)
-        assert np.max(np.abs(dst1(y) - x)) <= 1e-12 * max(np.max(np.abs(x)), 1.0)
+        y = dst1_multi((m,), x)
+        assert np.max(np.abs(dst1_multi((m,), y) - x)) <= 1e-12 * max(np.max(np.abs(x)), 1.0)
         assert abs(np.linalg.norm(y) - np.linalg.norm(x)) <= 1e-12 * np.linalg.norm(x)
 
 
-# every m up to 33 (both parities of m and of m+1) and long axes; 513 has the
-# awkward FFT length 2*514 = 4*257
+# the FFT path, which tau_eigs takes at every length, at every m up to 33
+# (both parities of m and of m+1) and on long axes; 513 has the awkward FFT
+# length 2*514 = 4*257
 @pytest.mark.parametrize("m", tuple(range(1, 34)) + (63, 100, 127, 128, 255, 511, 513, 1023))
 def test_fft_matches_direct_and_dense(m, rng):
     x = rng.standard_normal(m)
-    assert rel_err(dst1(x), sine_matrix(m) @ x) <= 1e-13
+    assert rel_err(_dst1_fft_axis(x, 0), sine_matrix(m) @ x) <= 1e-13
 
 
 # the FFT axis first, in the middle and last of a 3-D array; the last three
@@ -91,13 +93,6 @@ def test_mixed_paths_match_tensordot_oracle(dims, rng):
     assert rel_err(y, sine_oracle(dims, x)) <= 1e-13
     assert np.max(np.abs(dst1_multi(dims, y) - x)) <= 1e-13 * np.max(np.abs(x))
     assert np.array_equal(x, xc)
-
-
-def test_dst1_validates():
-    with pytest.raises(ValueError):
-        dst1(np.zeros(0))
-    with pytest.raises(ValueError):
-        dst1(np.zeros((2, 2)))
 
 
 def test_multi_trivial_cases(rng):
