@@ -9,11 +9,11 @@ eigenvalue-interval bounds densely at desk scale.
 
 from .discretization import (FIRST_ORDER, SECOND_ORDER, FractionalParams, GridSpec,
                              assemble_operator, build_L, epsilon_bound, grunwald_g,
-                             omega_bound, symbol_closed, symbol_series, weights_second)
+                             weights_second)
 from .krylov import BreakdownError, MinresConfig, MinresResult, bound_curve, pminres
 from .pde import (ALPHA_PAIRS, FractionalProblem, StepReport, example1_problem,
-                  example2_problem, run_example1, run_example2, run_steps,
-                  sample_grid, step_first_order, step_second_order)
+                  example2_problem, first_step_row, run_steps, sample_grid,
+                  step_first_order, step_second_order)
 from .spectrum import (SpectrumReport, equivalence_spectrum, export_spectrum_csv,
                        ideal_preconditioned_spectrum, preconditioned_spectrum,
                        sym_eig, unpreconditioned_spectrum)
@@ -27,11 +27,10 @@ __all__ = [
     "FIRST_ORDER", "SECOND_ORDER",
     "FractionalParams", "GridSpec",
     "assemble_operator", "build_L", "epsilon_bound",
-    "grunwald_g", "omega_bound", "symbol_closed", "symbol_series",
-    "weights_second",
+    "grunwald_g", "weights_second",
     "BreakdownError", "MinresConfig", "MinresResult", "bound_curve", "pminres",
     "ALPHA_PAIRS", "FractionalProblem", "StepReport", "example1_problem",
-    "example2_problem", "run_example1", "run_example2", "run_steps",
+    "example2_problem", "first_step_row", "run_steps",
     "sample_grid", "step_first_order", "step_second_order",
     "SpectrumReport", "equivalence_spectrum", "export_spectrum_csv",
     "ideal_preconditioned_spectrum", "preconditioned_spectrum", "sym_eig",

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .discretization import FIRST_ORDER, SECOND_ORDER
 from .krylov import MinresConfig
 from .pde import (ALPHA_PAIRS, PRECONDITIONERS, example1_problem, example2_problem,
-                  run_example1, run_example2, setup_operators)
+                  first_step_row, setup_operators)
 from .spectrum import (export_spectrum_csv, preconditioned_spectrum,
                        unpreconditioned_spectrum)
 from . import selftest as _selftest
@@ -41,8 +41,7 @@ CSV_COLUMNS = ("alpha1", "alpha2", "n", "preconditioner", "iters", "converged",
 # other commands default to second order
 _SCHEMES = {"first": FIRST_ORDER, "second": SECOND_ORDER}
 _COMMAND_SCHEME = {"example1": FIRST_ORDER, "example2": SECOND_ORDER}
-_EXAMPLES = {FIRST_ORDER: (example1_problem, run_example1),
-             SECOND_ORDER: (example2_problem, run_example2)}
+_EXAMPLES = {FIRST_ORDER: example1_problem, SECOND_ORDER: example2_problem}
 
 
 # the JSON kind a config-file value must have (json gives exact types, so
@@ -204,15 +203,14 @@ def _print_rows(rows):
 
 
 def _experiment_rows(config):
-    runner = _EXAMPLES[config.scheme][1]
+    problem_of = _EXAMPLES[config.scheme]
     # example1 compares every preconditioner
     preconds = PRECONDITIONERS if config.command == "example1" else (config.precond,)
     cells = [(pair, pc) for pair in config.alphas for pc in preconds]
 
     def one(cell):
         pair, pc = cell
-        return runner(config.n1, alphas=(pair,), preconditioners=(pc,),
-                      tol=config.tol, maxit=config.maxit)[0]
+        return first_step_row(problem_of(config.n1, pair), pc, config.tol, config.maxit)
 
     if config.jobs == 1:
         return [one(c) for c in cells]
@@ -221,7 +219,7 @@ def _experiment_rows(config):
 
 
 def _spectrum_reports(config):
-    problem_of = _EXAMPLES[config.scheme][0]
+    problem_of = _EXAMPLES[config.scheme]
     for pair in config.alphas:
         problem = problem_of(config.n1, pair)
         A, P = setup_operators(problem, config.precond)

@@ -5,9 +5,9 @@ Grünwald coefficient tables, assembles the time-stepping operators
 
     A = nu*I + sum_i ( v+_i W_i + v-_i W_i^T ),
 
-evaluates the generating functions of the per-direction Toeplitz blocks,
-and provides the closed-form bounds governing preconditioned MINRES
-convergence.
+and provides the closed-form bound epsilon* of the preconditioned
+spectrum.  The generating functions and the contraction factor omega of
+the lemmas are test oracles (``tests/conftest.py``).
 """
 
 import math
@@ -27,10 +27,7 @@ __all__ = [
     "weights_second",
     "build_L",
     "assemble_operator",
-    "symbol_series",
-    "symbol_closed",
     "epsilon_bound",
-    "omega_bound",
 ]
 
 FIRST_ORDER = "first_order"
@@ -178,43 +175,6 @@ def assemble_operator(params, grid, nu):
     return MultilevelOperator(grid.n, nu, levels)
 
 
-def symbol_series(c, theta, K):
-    """Truncated generating-function series -sum_k c_{k+1} e^{i k theta} of a table c.
-
-    The k = 0 term (-c_1, the diagonal) enters first; the single negative
-    index k = -1 joins from K >= 1 onward together with k = 1..K.
-    Requires table entries up to c_{K+1}.
-    """
-    if K < 0:
-        raise ValueError("K must be nonnegative")
-    if K + 2 > len(c):
-        raise ValueError(f"K={K} needs {K + 2} table entries, table has {len(c)}")
-    k = np.arange(1, K + 1)
-    s = c[1] + np.sum(c[k + 1] * np.exp(1j * k * theta))
-    if K >= 1:
-        s += c[0] * np.exp(-1j * theta)
-    return -s
-
-
-def symbol_closed(alpha, theta, scheme=SECOND_ORDER):
-    """Closed-form generating function of the Grünwald block.
-
-    First order:  -e^{-i theta} (1 - e^{i theta})^alpha.
-    Second order: -[(alpha/2) e^{-i theta} + (2-alpha)/2] (1 - e^{i theta})^alpha.
-    Principal branch; the value at theta = 0 is 0 by continuity.  The
-    formula is evaluated for any positive order (boundary sanity checks
-    use alpha = 2); the (1, 2) restriction applies to the tables.
-    """
-    _check_scheme(scheme)
-    if theta == 0.0:
-        return 0.0 + 0.0j
-    z = 1.0 - np.exp(1j * theta)
-    zp = z ** alpha
-    if scheme == FIRST_ORDER:
-        return -np.exp(-1j * theta) * zp
-    return -(0.5 * alpha * np.exp(-1j * theta) + 0.5 * (2.0 - alpha)) * zp
-
-
 def epsilon_bound(params):
     """Closed-form essup bound max_i |d+_i - d-_i|/(d+_i + d-_i) |tan(alpha_i pi/2)|.
 
@@ -227,10 +187,3 @@ def epsilon_bound(params):
             continue
         eps = max(eps, abs(dp - dm) / (dp + dm) * abs(math.tan(0.5 * a * math.pi)))
     return eps
-
-
-def omega_bound(epsilon):
-    """Contraction factor sqrt((2 + 3 eps) / (4 + 3 eps)) in (sqrt(1/2), 1)."""
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
-    return math.sqrt((2.0 + 3.0 * epsilon) / (4.0 + 3.0 * epsilon))

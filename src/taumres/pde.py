@@ -6,12 +6,13 @@ Euler + shifted Grünwald) problem with a smooth source on the unit
 square, and a second-order (Crank-Nicolson + weighted-shifted Grünwald)
 problem on (0,2)^2 with a known exact solution.  Each scheme only
 builds its right-hand side (``step_first_order``, ``step_second_order``);
-one helper solves and reports, and both ``run_steps`` and the first-step
-rows of ``run_example1``/``run_example2`` step through the two.
+one helper solves and reports, and both ``run_steps`` and
+``first_step_row`` (one result row of the experiments' tables) step
+through the two.
 
-Starting vector: first-step rows start MINRES from the constant vector
-x0 = 1/sqrt(n), the experiments' protocol; every step of ``run_steps``
-starts from ``cfg.x0``, which is 0 unless a config sets it.
+Starting vector: ``first_step_row`` starts MINRES from the constant
+vector x0 = 1/sqrt(n), the experiments' protocol; every step of
+``run_steps`` starts from ``cfg.x0``, which is 0 unless a config sets it.
 """
 
 import math
@@ -29,7 +30,7 @@ from .toeplitz import flip
 __all__ = ["FractionalProblem", "StepReport", "sample_grid",
            "step_second_order", "step_first_order",
            "example1_problem", "example2_problem",
-           "run_example1", "run_example2", "run_steps", "setup_operators",
+           "first_step_row", "run_steps", "setup_operators",
            "ALPHA_PAIRS", "PRECONDITIONERS"]
 
 PRECONDITIONERS = ("tau", "identity")
@@ -208,45 +209,30 @@ def example2_problem(n1, alphas):
                              lambda x1, x2: example2_exact(x1, x2, 0.0), example2_exact)
 
 
-def _first_step_rows(problem_of, n1, alphas, preconditioners, tol, maxit):
-    rows = []
-    for pair in alphas:
-        problem = problem_of(n1, pair)
-        n = problem.grid.size
-        for pc in preconditioners:
-            A, P = setup_operators(problem, pc)
-            u0 = sample_grid(problem.grid, problem.u0)
-            cfg = MinresConfig(tol=tol, maxit=maxit, x0=np.ones(n) / math.sqrt(n))
-            t0 = time.perf_counter()
-            _, rep = _step(problem, A, P, u0, 0, cfg)
-            wall = time.perf_counter() - t0
-            rows.append({
-                "alpha1": problem.params.alpha[0],
-                "alpha2": problem.params.alpha[1],
-                "n": n,
-                "preconditioner": pc,
-                "iters": rep.iters,
-                "converged": rep.converged,
-                "relres": rep.relres,
-                "err_inf": rep.err_inf,
-                "wall_seconds": wall,
-            })
-    return rows
+def first_step_row(problem, preconditioner, tol, maxit):
+    """The result row of the problem's first step, MINRES started from x0 = 1/sqrt(n).
 
-
-def run_example1(n1, alphas=ALPHA_PAIRS, preconditioners=("tau", "identity"),
-                 tol=1e-8, maxit=100):
-    """First-step benchmark rows for the first-order problem."""
-    return _first_step_rows(example1_problem, n1, alphas, preconditioners, tol, maxit)
-
-
-def run_example2(n1, alphas=ALPHA_PAIRS, preconditioners=("tau",),
-                 tol=1e-8, maxit=100):
-    """First-step benchmark rows (iterations and error) for the second-order problem.
-
-    ``err_inf`` is the max-norm error after the first Crank-Nicolson step
-    only: a local error of size tau (tau^2 + h^2), whose ratios under
-    refinement tend to 8.  It is not a convergence-order quantity; the
-    order shows in the error at T of a full march by ``run_steps``.
+    ``err_inf`` is the max-norm error after the first step (None without
+    an exact solution).  For example2 that is a local error of size
+    tau (tau^2 + h^2), whose ratios under refinement tend to 8.  It is not
+    a convergence-order quantity; the order shows in the error at T of a
+    full march by ``run_steps``.
     """
-    return _first_step_rows(example2_problem, n1, alphas, preconditioners, tol, maxit)
+    n = problem.grid.size
+    A, P = setup_operators(problem, preconditioner)
+    u0 = sample_grid(problem.grid, problem.u0)
+    cfg = MinresConfig(tol=tol, maxit=maxit, x0=np.ones(n) / math.sqrt(n))
+    t0 = time.perf_counter()
+    _, rep = _step(problem, A, P, u0, 0, cfg)
+    wall = time.perf_counter() - t0
+    return {
+        "alpha1": problem.params.alpha[0],
+        "alpha2": problem.params.alpha[1],
+        "n": n,
+        "preconditioner": preconditioner,
+        "iters": rep.iters,
+        "converged": rep.converged,
+        "relres": rep.relres,
+        "err_inf": rep.err_inf,
+        "wall_seconds": wall,
+    }

@@ -20,9 +20,10 @@ from .transforms import DENSE_AXIS_MAX, FOLD_MIN, _axis_path, _sine_matrix, dst1
 
 __all__ = ["run_selftest"]
 
-# one axis on each path of dst1_multi: full product, fold and FFT
+# one axis on each path of dst1_multi: full product, fold (an odd m on a
+# middle axis, so its middle entry) and FFT
 _FFT_M = next(m for m in itertools.count(DENSE_AXIS_MAX + 1) if _axis_path(m) == "fft")
-_DST_DIMS = (3, FOLD_MIN, _FFT_M)
+_DST_DIMS = (3, FOLD_MIN + 1, _FFT_M)
 
 
 def _rel(got, ref):

@@ -18,9 +18,9 @@ x_j +- x_{m+1-j} (one add each, no running sum) the odd coefficients
 k = 1, 3, ... are one product with a ceil(m/2)-square block of S and the
 even ones one product with an (m/2)-square block: half the flops of the
 full product, and no rounding error is amplified (the folded transform
-matched the dense oracle to 2e-15 relative).  The two products write
-their outputs straight to the odd and even positions, so the result is
-in natural order.
+matched the dense oracle to 2e-15 relative).  The sums and differences
+fill one work buffer as two contiguous blocks on every axis, and the
+products write straight to the odd and even positions (natural order).
 
 FFTs along an axis run _FIBRE_BLOCK fibres at a time: each block is
 gathered into a contiguous buffer (for a non-last axis, a transposed
@@ -97,11 +97,9 @@ def _sine_halves(m):
     # product with a transposed view as its right factor ran about 25%
     # slower at m = 127
     j = np.arange(1, m + 1)
-    odd, even = _sine_block(m, j[0::2], j[:m - m // 2]), _sine_block(m, j[1::2], j[:m // 2])
-    odd_t, even_t = np.ascontiguousarray(odd.T), np.ascontiguousarray(even.T)
-    odd_t.setflags(write=False)
-    even_t.setflags(write=False)
-    return odd, even, odd_t, even_t
+    odd, even, half, low = j[0::2], j[1::2], j[:m - m // 2], j[:m // 2]
+    return (_sine_block(m, odd, half), _sine_block(m, even, low),
+            _sine_block(m, half, odd), _sine_block(m, low, even))
 
 
 def _axis_matmul(X, axis, K):
@@ -113,59 +111,30 @@ def _axis_matmul(X, axis, K):
     return np.matmul(K, X.reshape(left, m, -1)).reshape(X.shape)
 
 
-def _fibres(buf, dims, axis):
-    """``buf`` (n floats) as (left, m) fibres along the last axis, else as (left, m, right)."""
-    shape = (math.prod(dims[:axis]), dims[axis])
-    return buf.reshape(shape if axis == len(dims) - 1 else shape + (-1,))
+def _fold(X, axis, work, out):
+    """S along ``axis`` >= 0 by the even/odd fold (module docstring); ``out`` may be X.
 
-
-def _halves(buf, dims, axis):
-    """The two folded halves of ``buf`` (n floats) along ``axis``, ceil(m/2) then m/2 long.
-
-    On the last axis they are two contiguous blocks, (left, ceil(m/2)) then
-    (left, m/2), so the products read whole blocks; on another axis they
-    are the two slices along the axis.
+    ``work`` (n floats) holds P (left, ceil(m/2), right), then Q (left, m/2,
+    right).  The products write to the strided odd and even positions of
+    ``out``: that cost no more than a contiguous output plus an interleaving copy.
     """
-    m = dims[axis]
-    o = m - m // 2
-    if axis == len(dims) - 1:
-        flat = buf.reshape(-1)
-        left = flat.size // m
-        return flat[:left * o].reshape(left, o), flat[left * o:].reshape(left, m - o)
-    b3 = _fibres(buf, dims, axis)
-    return b3[:, :o], b3[:, o:]
-
-
-def _half_product(K, K_t, V, out):
-    # K along axis 1 of V: one (left, k) @ K_t product for a last-axis block, else batched K @ V
-    if V.ndim == 2:
-        np.matmul(V, K_t, out=out)
-    else:
-        np.matmul(K, V, out=out)
-
-
-def _fold(X, dims, axis, work, out):
-    """S along ``axis`` by the even/odd fold; ``out`` may be X.
-
-    With h = m // 2 pairs, S[m+1-j, k] = (-1)^(k+1) S[j, k] makes the odd
-    coefficients S_odd (x_j + x_{m+1-j}; middle entry) and the even ones
-    S_even (x_j - x_{m+1-j}), j <= h: one add per input pair, then two
-    products of half size, written straight to the odd and even positions
-    of ``out`` (a strided output cost no more than a contiguous one plus
-    an interleaving copy).  ``work`` (n floats) holds the folded input.
-    """
-    m = dims[axis]
+    X3 = X.reshape(math.prod(X.shape[:axis]), X.shape[axis], -1)
+    left, m, right = X3.shape
     h, o = m // 2, m - m // 2
-    Xn = _fibres(X, dims, axis)
-    top, bot = Xn[:, :h], Xn[:, m - h:][:, ::-1]
-    P, Q = _halves(work, dims, axis)
+    P = work.reshape(-1)[:left * o * right].reshape(left, o, right)
+    Q = work.reshape(-1)[left * o * right:].reshape(left, h, right)
+    top, bot = X3[:, :h], X3[:, m - h:][:, ::-1]
     np.add(top, bot, out=P[:, :h])
-    P[:, h:] = Xn[:, h:o]
+    P[:, h:] = X3[:, h:o]
     np.subtract(top, bot, out=Q)
     S_odd, S_even, S_odd_t, S_even_t = _sine_halves(m)
-    Yn = _fibres(out, dims, axis)
-    _half_product(S_odd, S_odd_t, P, Yn[:, 0::2])
-    _half_product(S_even, S_even_t, Q, Yn[:, 1::2])
+    Y3 = out.reshape(X3.shape)
+    if right == 1:
+        np.matmul(P[:, :, 0], S_odd_t, out=Y3[:, 0::2, 0])
+        np.matmul(Q[:, :, 0], S_even_t, out=Y3[:, 1::2, 0])
+    else:
+        np.matmul(S_odd, P, out=Y3[:, 0::2])
+        np.matmul(S_even, Q, out=Y3[:, 1::2])
     return out
 
 
@@ -260,7 +229,7 @@ def dst1_multi(dims, x, out=None):
         if path == "fft":
             a = _dst1_fft_axis(a, axis, out=target)
         else:
-            a = _fold(a, dims, axis, work, target)
+            a = _fold(a, axis, work, target)
     if own is not None and a is not own:
         own[...] = a
     return a.reshape(-1) if own is None else out

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -85,3 +87,52 @@ def rel_err(got, ref):
     if scale == 0.0:
         return np.max(np.abs(got))
     return np.max(np.abs(got - ref)) / scale
+
+
+# ---------------------------------------------------------------------------
+# Lemma oracles: generating functions of the Grünwald blocks and the
+# contraction factor of the preconditioned MINRES bound
+
+def symbol_series(c, theta, K):
+    """Truncated generating-function series -sum_k c_{k+1} e^{i k theta} of a table c.
+
+    The k = 0 term (-c_1, the diagonal) enters first; the single negative
+    index k = -1 joins from K >= 1 onward together with k = 1..K.
+    Requires table entries up to c_{K+1}.
+    """
+    if K < 0:
+        raise ValueError("K must be nonnegative")
+    if K + 2 > len(c):
+        raise ValueError(f"K={K} needs {K + 2} table entries, table has {len(c)}")
+    k = np.arange(1, K + 1)
+    s = c[1] + np.sum(c[k + 1] * np.exp(1j * k * theta))
+    if K >= 1:
+        s += c[0] * np.exp(-1j * theta)
+    return -s
+
+
+def symbol_closed(alpha, theta, scheme="second_order"):
+    """Closed-form generating function of the Grünwald block.
+
+    First order:  -e^{-i theta} (1 - e^{i theta})^alpha.
+    Second order: -[(alpha/2) e^{-i theta} + (2-alpha)/2] (1 - e^{i theta})^alpha.
+    Principal branch; the value at theta = 0 is 0 by continuity.  The
+    formula is evaluated for any positive order (boundary sanity checks
+    use alpha = 2); the (1, 2) restriction applies to the tables.
+    ``scheme`` is the value of ``FIRST_ORDER`` or ``SECOND_ORDER``.
+    """
+    if scheme not in ("first_order", "second_order"):
+        raise ValueError(f"unknown scheme {scheme!r}")
+    if theta == 0.0:
+        return 0.0 + 0.0j
+    zp = (1.0 - np.exp(1j * theta)) ** alpha
+    if scheme == "first_order":
+        return -np.exp(-1j * theta) * zp
+    return -(0.5 * alpha * np.exp(-1j * theta) + 0.5 * (2.0 - alpha)) * zp
+
+
+def omega_bound(epsilon):
+    """Contraction factor sqrt((2 + 3 eps) / (4 + 3 eps)) in (sqrt(1/2), 1)."""
+    if epsilon < 0:
+        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
+    return math.sqrt((2.0 + 3.0 * epsilon) / (4.0 + 3.0 * epsilon))

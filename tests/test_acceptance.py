@@ -17,18 +17,18 @@ import pytest
 
 from taumres.discretization import (FIRST_ORDER, SECOND_ORDER, FractionalParams,
                                     GridSpec, assemble_operator, build_L,
-                                    epsilon_bound, grunwald_g, symbol_closed,
-                                    symbol_series, weights_second)
+                                    epsilon_bound, grunwald_g, weights_second)
 from taumres.krylov import MinresConfig, bound_curve, pminres
-from taumres.pde import (example1_problem, example2_problem, run_example1,
-                         run_example2, run_steps, sample_grid)
+from taumres.pde import (example1_problem, example2_problem, first_step_row, run_steps,
+                         sample_grid)
 from taumres.spectrum import (equivalence_spectrum, ideal_preconditioned_spectrum,
                               preconditioned_spectrum)
 from taumres.tau import build_preconditioner
 from taumres.toeplitz import MultilevelOperator, Toeplitz1D
 from taumres.transforms import dst1_multi
 
-from conftest import rel_err, sine_matrix, tau_dense_oracle, toeplitz_dense
+from conftest import (rel_err, sine_matrix, symbol_closed, symbol_series, tau_dense_oracle,
+                      toeplitz_dense)
 
 ALPHA_VALUES = (1.1, 1.5, 1.9)
 ALPHA_PAIRS = tuple((a, b) for a in ALPHA_VALUES for b in ALPHA_VALUES)
@@ -226,11 +226,9 @@ def example1_counts():
     for alphas in ALPHA_PAIRS:
         tau_counts, id_counts = [], []
         for n1 in SIZES_EX1:
-            rows = run_example1(n1, alphas=(alphas,), preconditioners=("tau",))
-            tau_counts.append(rows[0]["iters"])
-            rows = run_example1(n1, alphas=(alphas,), preconditioners=("identity",),
-                                maxit=IDENTITY_MAXIT)
-            id_counts.append(rows[0]["iters"])
+            problem = example1_problem(n1, alphas)
+            tau_counts.append(first_step_row(problem, "tau", 1e-8, 100)["iters"])
+            id_counts.append(first_step_row(problem, "identity", 1e-8, IDENTITY_MAXIT)["iters"])
         counts[alphas] = (tau_counts, id_counts)
     return counts
 
@@ -272,8 +270,8 @@ def test_criterion_09_mesh_independence(example1_counts):
 
 
 # The order of accuracy is read from the error at T of a full march.  The
-# err_inf of run_example2 is the error after one step, a local error of size
-# tau (tau^2 + h^2) whose ratios tend to 8.  The iteration window was
+# err_inf of an example2 first_step_row is the error after one step, a
+# local error of size tau (tau^2 + h^2) whose ratios tend to 8.  The iteration window was
 # calibrated on large grids; on desk grids the (1.1, 1.1) counts are still
 # falling (15, 14, 13, 12 at n1 = 15..127).
 SIZES_EX2_ERROR = (15, 31, 63, 127)
@@ -285,7 +283,8 @@ def example2_runs():
     out = {}
     for alphas in ((1.1, 1.1), (1.9, 1.9)):
         marches = [run_steps(example2_problem(n1, alphas))[1] for n1 in SIZES_EX2_ERROR]
-        rows = [run_example2(n1, alphas=(alphas,))[0] for n1 in SIZES_EX2_ITERS]
+        rows = [first_step_row(example2_problem(n1, alphas), "tau", 1e-8, 100)
+                for n1 in SIZES_EX2_ITERS]
         out[alphas] = (marches, rows)
     return out
 

@@ -5,11 +5,10 @@ import pytest
 
 from taumres.discretization import (FIRST_ORDER, SECOND_ORDER, FractionalParams,
                                     GridSpec, assemble_operator, build_L,
-                                    epsilon_bound, grunwald_g,
-                                    omega_bound, symbol_closed, symbol_series,
-                                    weights_second)
+                                    epsilon_bound, grunwald_g, weights_second)
 
-from conftest import assemble_dense, rel_err, toeplitz_dense
+from conftest import (assemble_dense, omega_bound, rel_err, symbol_closed, symbol_series,
+                      toeplitz_dense)
 
 ALPHAS = (1.1, 1.5, 1.9)
 

@@ -7,8 +7,8 @@ from taumres.discretization import (FIRST_ORDER, SECOND_ORDER, FractionalParams,
                                     GridSpec, assemble_operator)
 from taumres.krylov import MinresConfig, pminres
 from taumres.pde import (FractionalProblem, example1_problem, example2_problem,
-                         run_example1, run_example2, run_steps, sample_grid,
-                         step_first_order, step_second_order)
+                         first_step_row, run_steps, sample_grid, step_first_order,
+                         step_second_order)
 from taumres.tau import build_preconditioner
 
 
@@ -174,10 +174,11 @@ def test_symmetric_degeneracy_matches_direct_solve(rng):
 
 
 # ---------------------------------------------------------------------------
-# experiment runners
+# first-step rows
 
-def test_run_example1_row_shape():
-    rows = run_example1(9, alphas=((1.5, 1.5),))
+def test_example1_first_step_row_shape():
+    prob = example1_problem(9, (1.5, 1.5))
+    rows = [first_step_row(prob, pc, 1e-8, 100) for pc in ("tau", "identity")]
     assert [r["preconditioner"] for r in rows] == ["tau", "identity"]
     for r in rows:
         assert r["n"] == 81
@@ -187,9 +188,8 @@ def test_run_example1_row_shape():
     assert rows[0]["iters"] < rows[1]["iters"]
 
 
-def test_run_example2_row_shape():
-    rows = run_example2(9, alphas=((1.9, 1.9),))
-    (row,) = rows
+def test_example2_first_step_row_shape():
+    row = first_step_row(example2_problem(9, (1.9, 1.9)), "tau", 1e-8, 100)
     assert row["preconditioner"] == "tau"
     assert row["converged"] is True
     assert row["err_inf"] > 0
@@ -199,7 +199,7 @@ def test_run_example2_row_shape():
 def test_example1_mesh_independence_sample():
     its = []
     for n1 in (31, 63):
-        (row,) = run_example1(n1, alphas=((1.5, 1.5),), preconditioners=("tau",))
+        row = first_step_row(example1_problem(n1, (1.5, 1.5)), "tau", 1e-8, 100)
         assert row["converged"]
         its.append(row["iters"])
     assert abs(its[0] - its[1]) <= 2
@@ -209,7 +209,7 @@ def test_example1_mesh_independence_sample():
 def test_example2_error_ratio_sample():
     errs = []
     for n1 in (63, 127):
-        (row,) = run_example2(n1, alphas=((1.5, 1.5),))
+        row = first_step_row(example2_problem(n1, (1.5, 1.5)), "tau", 1e-8, 100)
         errs.append(row["err_inf"])
     assert 3.0 <= errs[0] / errs[1] <= 5.0
 
@@ -254,4 +254,4 @@ def test_unknown_preconditioner_rejected():
         with pytest.raises(ValueError):
             run_steps(prob, preconditioner=bad)
         with pytest.raises(ValueError):
-            run_example2(3, alphas=((1.5, 1.5),), preconditioners=(bad,))
+            first_step_row(prob, bad, 1e-8, 100)

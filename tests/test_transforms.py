@@ -67,7 +67,7 @@ def test_axis_path_rule():
 
 
 # every m folds here: odd and even m, with and without a middle row, on the
-# last axis (two contiguous halves) and on a leading or middle axis (slices)
+# last axis (one product per half) and on a leading or middle axis (batched)
 @pytest.mark.parametrize("m", (1, 2, 3, 4, 5, 62, 63, 64, 127, 128))
 def test_fold_matches_sine_oracle(m, rng, monkeypatch):
     monkeypatch.setattr(transforms, "FOLD_MIN", 1)
@@ -125,9 +125,11 @@ def test_multi_rejects_bad_length():
 
 
 # TauPreconditioner scales the first DST's result and transforms it again
-# in place; every path, and a full axis after a folded or FFT one
+# in place; every path, a full axis after a folded or FFT one, and the fold
+# of an odd m (its middle entry) on the last and on a middle axis
 @pytest.mark.parametrize("dims", ((1,), (1, 1), (3, 4), (FOLD_MIN, 2), (FFT_M,), (2, FFT_M),
-                                  (FOLD_MIN, 3, FFT_M)))
+                                  (FOLD_MIN, 3, FFT_M), (2, FOLD_MIN + 1),
+                                  (2, FOLD_MIN + 1, 3)))
 def test_multi_new_array_or_out(dims, rng):
     x = rng.standard_normal(int(np.prod(dims)))
     expected = sine_oracle(dims, x)
