@@ -218,6 +218,8 @@ def first_step_row(problem, preconditioner, tol, maxit):
     a convergence-order quantity; the order shows in the error at T of a
     full march by ``run_steps``.
     """
+    if len(problem.grid.n) != 2:
+        raise ValueError(f"first_step_row needs a 2-D problem, got {len(problem.grid.n)}-D")
     n = problem.grid.size
     A, P = setup_operators(problem, preconditioner)
     u0 = sample_grid(problem.grid, problem.u0)

@@ -11,6 +11,11 @@ spectra start from ``A.materialize()``.  Every matrix passes the one
 symmetry gate of ``sym_eig``; reports carry the theorem interval and a
 count of eigenvalues outside it beyond INTERVAL_TOL (EQUIVALENCE_TOL for
 the equivalence band, which has no eps*).
+
+Memory: a spectrum holds two n x n matrices at its peak, the one it
+builds and LAPACK's own copy inside ``eigvalsh``.  ``sym_eig`` gates and
+symmetrizes tile by tile and overwrites its argument by its symmetric
+part; the ideal spectrum's dense factorization (n <= IDEAL_CAP) holds more.
 """
 
 import math
@@ -30,6 +35,7 @@ SYM_TOL = 1e-10
 IDEAL_CAP = 1024
 INTERVAL_TOL = 1e-8
 EQUIVALENCE_TOL = 1e-10
+_TILE = 128           # tile edge of sym_eig's gate and symmetrization
 
 
 @dataclass(frozen=True)
@@ -61,12 +67,30 @@ class SymmetryError(ValueError, RuntimeError):
     """A matrix failed ``sym_eig``'s gate; for a spectrum's own matrix, a broken pipeline."""
 
 
-def sym_eig(M):
-    """Sorted eigenvalues of a dense symmetric matrix.
+def _tile_pairs(n):
+    # the tile pairs (I, J), I >= J, that cover the lower triangle of an n x n matrix
+    for i in range(0, n, _TILE):
+        I = slice(i, min(i + _TILE, n))
+        for j in range(0, i + 1, _TILE):
+            yield I, slice(j, min(j + _TILE, n))
 
-    The one symmetry gate: refuses (``SymmetryError``) a matrix with
-    max|M - M^T| > SYM_TOL * max|M|, then solves on (M + M^T)/2.  Refuses
-    n > SYM_EIG_CAP.
+
+def _symmetrize(M):
+    """Overwrite M by (M + M^T)/2, tile pair by tile pair; returns M."""
+    for I, J in _tile_pairs(M.shape[0]):
+        S = 0.5 * (M[I, J] + M[J, I].T)
+        M[I, J] = S
+        M[J, I] = S.T
+    return M
+
+
+def sym_eig(M):
+    """Sorted eigenvalues of a dense symmetric matrix; overwrites M by its symmetric part.
+
+    The one symmetry gate: refuses (``SymmetryError``) a matrix with a
+    non-finite entry or with max|M - M^T| > SYM_TOL * max|M|, then solves
+    on (M + M^T)/2, written into M (a read-only M is copied first).
+    Refuses n > SYM_EIG_CAP.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -74,10 +98,19 @@ def sym_eig(M):
     n = M.shape[0]
     if n > SYM_EIG_CAP:
         raise ValueError(f"dense eigensolve capped at n={SYM_EIG_CAP}, got {n}")
-    defect = np.max(np.abs(M - M.T))
-    if defect > SYM_TOL * np.max(np.abs(M)):
+    if not M.flags.writeable:
+        M = M.copy()
+    defects, scales = [], []
+    with np.errstate(invalid="ignore"):   # inf - inf; refused below
+        for I, J in _tile_pairs(n):
+            defects.append(np.max(np.abs(M[I, J] - M[J, I].T)))
+            scales += [np.max(np.abs(M[I, J])), np.max(np.abs(M[J, I]))]
+    defect, scale = np.max(defects), np.max(scales)   # np.max keeps a NaN
+    if not np.isfinite(scale):
+        raise SymmetryError("matrix has non-finite entries")
+    if defect > SYM_TOL * scale:
         raise SymmetryError(f"matrix is not symmetric to tolerance (defect {defect:.2e})")
-    return np.linalg.eigvalsh(0.5 * (M + M.T))
+    return np.linalg.eigvalsh(_symmetrize(M))
 
 
 def _report(M, eps, lo, hi, tag, tol=INTERVAL_TOL, signed=True):
@@ -89,7 +122,11 @@ def _report(M, eps, lo, hi, tag, tol=INTERVAL_TOL, signed=True):
 
 
 def _congruence(A, P, flipped):
-    """Dense P^{-1/2} Y A P^{-1/2} (without Y unless ``flipped``), column by column."""
+    """Dense (P^{-1/2} Y A P^{-1/2})^T (without Y unless ``flipped``), column j into row j.
+
+    Every consumer takes the symmetric part, which the transpose shares
+    bit for bit, and rows are contiguous stores.
+    """
     if P.dims != A.dims:
         raise ValueError(f"preconditioner dims {P.dims} do not match operator dims {A.dims}")
     if A.n > SYM_EIG_CAP:
@@ -99,7 +136,7 @@ def _congruence(A, P, flipped):
     for j in range(A.n):
         e[j] = 1.0
         y = A.apply(P.apply_inv_sqrt(e))
-        M[:, j] = P.apply_inv_sqrt(flip(A.dims, y) if flipped else y)
+        M[j] = P.apply_inv_sqrt(flip(A.dims, y) if flipped else y)
         e[j] = 0.0
     return M
 
@@ -136,7 +173,7 @@ def ideal_preconditioned_spectrum(A, params):
 def equivalence_spectrum(A, P):
     """Spectrum of P^{-1} H(A), via (N + N^T)/2 with N = P^{-1/2} A P^{-1/2}, against (1/2, 3/2)."""
     N = _congruence(A, P, flipped=False)
-    return _report(0.5 * (N + N.T), 0.0, 0.5, 1.5, "equivalence", EQUIVALENCE_TOL,
+    return _report(_symmetrize(N), 0.0, 0.5, 1.5, "equivalence", EQUIVALENCE_TOL,
                    signed=False)
 
 

@@ -24,7 +24,11 @@ one forward and one inverse FFT per axis, run on contiguous blocks of
 fibres (``transforms._fibre_blocks``) and added into the result block by
 block.  ``apply`` is the only product; the dense spectra of ``spectrum``
 build their matrices from it column by column, or from the dense
-materialization, capped at MATERIALIZE_CAP unknowns.
+materialization, capped at MATERIALIZE_CAP unknowns.  ``materialize``
+holds one n x n array: nu*I, into whose (l, r) diagonal blocks, viewed
+as ``(left, m_i, right, left, m_i, right)``, each level adds
+v_plus[i] * L_i and then v_minus[i] * L_i^T, the nonzero blocks of W_i
+and W_i^T.
 """
 
 import functools
@@ -188,15 +192,19 @@ class MultilevelOperator:
         return self.apply(x)[::-1].copy()
 
     def materialize(self):
-        """Dense n x n assembly; refuses n > MATERIALIZE_CAP."""
+        """Dense n x n assembly, built in place; refuses n > MATERIALIZE_CAP."""
         if self.n > MATERIALIZE_CAP:
             raise ValueError(f"materialize capped at n={MATERIALIZE_CAP}, operator has n={self.n}")
-        A = self.nu * np.eye(self.n)
+        A = np.eye(self.n)
+        A *= self.nu
         for axis, (T, vp, vm) in enumerate(self.levels):
+            m = self.dims[axis]
             left, right = math.prod(self.dims[:axis]), math.prod(self.dims[axis + 1:])
-            W = np.kron(np.kron(np.eye(left), T.dense()), np.eye(right))
-            if vp != 0.0:
-                A += vp * W
-            if vm != 0.0:
-                A += vm * W.T
+            blocks = A.reshape(left, m, right, left, m, right)
+            D = T.dense()
+            terms = [v * K for v, K in ((vp, D), (vm, D.T)) if v != 0.0]
+            for l in range(left):
+                for r in range(right):
+                    for K in terms:
+                        blocks[l, :, r, l, :, r] += K
         return A

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -79,6 +80,21 @@ def tau_eigs_cosine(col):
 def convolve_direct(a, b):
     L = len(a)
     return np.array([sum(a[k] * b[(j - k) % L] for k in range(L)) for j in range(L)])
+
+
+def traced_peak(f, *args):
+    """Peak bytes numpy and Python allocate while f(*args) runs (not LAPACK's own work arrays)."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        f(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 def rel_err(got, ref):

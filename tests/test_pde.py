@@ -5,6 +5,7 @@ import pytest
 
 from taumres.discretization import (FIRST_ORDER, SECOND_ORDER, FractionalParams,
                                     GridSpec, assemble_operator)
+from taumres import pde
 from taumres.krylov import MinresConfig, pminres
 from taumres.pde import (FractionalProblem, example1_problem, example2_problem,
                          first_step_row, run_steps, sample_grid, step_first_order,
@@ -246,6 +247,25 @@ def test_run_steps_first_order():
     assert np.array_equal(u, v)
     assert reports == manual
     assert np.max(np.abs(u)) > 0
+
+
+def test_first_step_row_needs_a_2d_problem(monkeypatch):
+    def one_d(x, t=0.0):
+        return 0.0 * x
+
+    def three_d(x1, x2, x3, t=0.0):
+        return 0.0 * x1 * x2 * x3
+
+    flat = FractionalProblem(GridSpec((0.0,), (1.0,), (7,)),
+                             FractionalParams((1.5,), (1.0,), (1.0,)), 1.0, 8, one_d, one_d)
+    cube = FractionalProblem(GridSpec((0.0,) * 3, (1.0,) * 3, (5, 5, 5)),
+                             FractionalParams((1.5,) * 3, (1.0,) * 3, (1.0,) * 3),
+                             1.0, 6, three_d, three_d)
+    # refused before any set-up
+    monkeypatch.setattr(pde, "setup_operators", None)
+    for prob, d in ((flat, 1), (cube, 3)):
+        with pytest.raises(ValueError, match=f"{d}-D"):
+            first_step_row(prob, "tau", 1e-8, 100)
 
 
 def test_unknown_preconditioner_rejected():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from taumres.spectrum import (SpectrumReport, equivalence_spectrum,
                               unpreconditioned_spectrum)
 from taumres.tau import TauPreconditioner, build_preconditioner
 
-from conftest import assemble_dense, kron_chain, sine_matrix
+from conftest import assemble_dense, kron_chain, sine_matrix, traced_peak
 
 EX1 = ((2.0, 0.3), (0.5, 1.0))   # d_plus, d_minus per direction
 EX2 = ((3.0, 2.0), (1.0, 1.0))
@@ -52,6 +54,62 @@ def test_sym_eig_rejects_nonsymmetric_and_oversized(rng, monkeypatch):
     with pytest.raises(ValueError):
         sym_eig(np.eye(10))
     assert np.array_equal(sym_eig(np.eye(9)), np.ones(9))
+
+
+def test_sym_eig_refuses_non_finite_entries():
+    # max|M - M^T| is NaN for these, and NaN > tol is false: the gate must not let them by
+    M = np.eye(4)
+    M[1, 2] = M[2, 1] = np.inf
+    with pytest.raises(spectrum.SymmetryError, match="non-finite"):
+        sym_eig(M)
+    M = np.eye(4)
+    M[1, 2] = np.nan
+    with pytest.raises(spectrum.SymmetryError, match="non-finite"):
+        sym_eig(M)
+    # an entry above the diagonal in another tile than its mirror
+    M = np.eye(spectrum._TILE + 1)
+    M[0, spectrum._TILE] = np.nan
+    with pytest.raises(spectrum.SymmetryError, match="non-finite"):
+        sym_eig(M)
+
+
+def test_sym_eig_solves_the_symmetric_part_in_place(rng):
+    # several tiles, a ragged last one; M is overwritten by exactly (M + M^T)/2
+    n = 2 * spectrum._TILE + 37
+    M = rng.standard_normal((n, n))
+    M = M + M.T
+    M[n - 1, 3] += 1e-13
+    H = 0.5 * (M + M.T)
+    ev = sym_eig(M)
+    assert np.array_equal(M, H)
+    assert np.array_equal(ev, np.linalg.eigvalsh(H))
+    # a read-only input is copied, not written
+    R = rng.standard_normal((n, n))
+    R = R + R.T
+    R[5, n - 2] += 1e-13
+    R.setflags(write=False)
+    before = R.copy()
+    assert np.array_equal(sym_eig(R), np.linalg.eigvalsh(0.5 * (before + before.T)))
+    assert np.array_equal(R, before)
+
+
+def test_sym_eig_gate_reports_the_whole_matrix_defect(rng):
+    n = 2 * spectrum._TILE + 5
+    M = rng.standard_normal((n, n))
+    M = M + M.T
+    M[n - 1, 1] += 1e-6
+    defect = np.max(np.abs(M - M.T))
+    before = M.copy()
+    with pytest.raises(spectrum.SymmetryError, match=re.escape(f"defect {defect:.2e}")):
+        sym_eig(M)
+    assert np.array_equal(M, before)   # a refused matrix is left as it was
+
+
+def test_sym_eig_holds_no_n_by_n_temporary(rng):
+    n = 1024
+    M = rng.standard_normal((n, n))
+    M = M + M.T
+    assert traced_peak(sym_eig, M) < 0.25 * M.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +243,16 @@ def test_unpreconditioned_spectrum_has_no_interval():
     dense = A.materialize()[::-1, :]
     assert rep.eigenvalues == pytest.approx(np.linalg.eigvalsh(0.5 * (dense + dense.T)),
                                             abs=1e-10)
+
+
+@pytest.mark.parametrize("which", ("preconditioned", "equivalence", "unpreconditioned"))
+def test_spectrum_holds_one_matrix(which):
+    # the spectrum's own matrix; LAPACK's copy inside eigvalsh is not traced
+    params, A, P = setup((31, 31), (1.5, 1.9), EX2, SECOND_ORDER, nu=32.0, box=2.0)
+    run = {"preconditioned": lambda: preconditioned_spectrum(A, P, params),
+           "equivalence": lambda: equivalence_spectrum(A, P),
+           "unpreconditioned": lambda: unpreconditioned_spectrum(A)}[which]
+    assert traced_peak(run) <= 1.25 * 8 * A.n ** 2
 
 
 # ---------------------------------------------------------------------------

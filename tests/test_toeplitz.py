@@ -4,7 +4,8 @@ import pytest
 from taumres import toeplitz
 from taumres.toeplitz import DENSE_LEVEL_MAX, MultilevelOperator, Toeplitz1D, flip
 
-from conftest import assemble_dense, convolve_direct, rel_err, toeplitz_dense
+from conftest import (assemble_dense, convolve_direct, kron_chain, rel_err,
+                      toeplitz_dense, traced_peak)
 
 
 def random_toeplitz(rng, m):
@@ -234,6 +235,26 @@ def test_materialize_columns_equal_apply(rng):
         e = np.zeros(A.n)
         e[j] = 1.0
         assert rel_err(dense[:, j], A.apply(e)) <= 1e-13
+
+
+def test_materialize_is_the_kronecker_sum_bit_for_bit(rng):
+    # nu*I, then per level vp*W_i and vm*W_i^T added in that order
+    A = random_operator(rng, (3, 4, 5))
+    ref = A.nu * np.eye(A.n)
+    for axis, (T, vp, vm) in enumerate(A.levels):
+        blocks = [np.eye(m) for m in A.dims]
+        blocks[axis] = T.dense()
+        W = kron_chain(blocks)
+        ref += vp * W
+        ref += vm * W.T
+    assert np.array_equal(A.materialize(), ref)
+
+
+def test_materialize_holds_one_matrix():
+    from taumres.pde import example2_problem, setup_operators
+
+    A, _ = setup_operators(example2_problem(31, (1.5, 1.9)), "identity")
+    assert traced_peak(A.materialize) <= 1.25 * 8 * A.n ** 2
 
 
 def test_materialize_cap(monkeypatch):
