@@ -5,6 +5,13 @@ preconditioner inverse.  The recurrence tracks the preconditioned-norm
 residual, which is what the convergence theory bounds; the true 2-norm
 residual is recomputed at exit.  The operator's symmetry is not sampled:
 Y A is symmetric by construction, which the tests check densely.
+
+Memory: the solver keeps eight n-vectors, x, b and the six buffers
+v_old, v, w_old, w, zhat and t of the recurrences, which run in place.
+An operator or preconditioner output is only read and is dropped at its
+last use: P^{-1} v once it is scaled into zhat, A zhat when the next
+product replaces it.  The recurrences run in a helper, so their buffers
+are gone before the closing b - A x.
 """
 
 import math
@@ -68,35 +75,42 @@ def pminres(apply_a, apply_pinv, b, cfg=None):
     scale = float(np.linalg.norm(b)) or 1.0
     if cfg.x0 is None:
         x = np.zeros(n)
-        r = b.copy()
     else:
         x = np.array(cfg.x0, dtype=float)
         if x.shape != (n,):
             raise ValueError(f"x0 shape {x.shape} does not match rhs length {n}")
         if not np.all(np.isfinite(x)):
             raise ValueError("x0 has non-finite entries")
-        r = b - apply_a(x)
+    # the recurrences' buffers are freed before the closing product runs
+    history, it, converged = _iterate(apply_a, apply_pinv, b, x, cfg)
+    return MinresResult(x, history, float(np.linalg.norm(b - apply_a(x))) / scale, it, converged)
 
-    z = apply_pinv(r)
-    g2 = float(z @ r)
+
+def _iterate(apply_a, apply_pinv, b, x, cfg):
+    """The MINRES recurrences from x (updated in place); (history, iterations, converged)."""
+    n = b.shape[0]
+    v = b.copy() if cfg.x0 is None else b - apply_a(x)
+    z = apply_pinv(v)
+    g2 = float(z @ v)
     if not math.isfinite(g2):
         raise BreakdownError(f"<r, P^-1 r> = {g2}: non-finite operator or preconditioner output")
     if g2 < 0.0:
         raise BreakdownError(f"<r, P^-1 r> = {g2} < 0: preconditioner is not SPD")
     gamma = math.sqrt(g2)
     if gamma == 0.0:
-        if float(np.linalg.norm(r)) != 0.0:
+        if float(np.linalg.norm(v)) != 0.0:
             raise BreakdownError("<r, P^-1 r> = 0 for a nonzero residual: "
                                  "preconditioner is singular")
         # x0 already solves the system
-        return MinresResult(x, [0.0], float(np.linalg.norm(b - apply_a(x))) / scale, 0, True)
+        return [0.0], 0, True
 
     eta0 = gamma
     eta = gamma
-    # solver-owned buffers, updated in place: v_new is written over v_old
-    # and w_new over w_old; arrays from apply_a and apply_pinv are only read
+    # solver-owned buffers, updated in place: the next v is written over
+    # v_old and the next w over w_old.  With x and b they are all the
+    # n-vectors a solve keeps; z is dropped once it is scaled into zhat, and
+    # q when the next q replaces it
     v_old = np.zeros(n)
-    v = r
     w = np.zeros(n)
     w_old = np.zeros(n)
     zhat = np.empty(n)
@@ -110,14 +124,15 @@ def pminres(apply_a, apply_pinv, b, cfg=None):
     while it < cfg.maxit:
         it += 1
         np.divide(z, gamma, out=zhat)
+        del z
         q = apply_a(zhat)
         delta = float(q @ zhat)
         np.multiply(v, delta / gamma, out=t)
         np.subtract(q, t, out=t)
         np.multiply(v_old, gamma / gamma_old, out=v_old)
         v_new = np.subtract(t, v_old, out=v_old)
-        z_new = apply_pinv(v_new)
-        g2 = float(z_new @ v_new)
+        z = apply_pinv(v_new)
+        g2 = float(z @ v_new)
         if not (math.isfinite(delta) and math.isfinite(g2)):
             raise BreakdownError(f"<A z, z> = {delta}, <v, P^-1 v> = {g2} in iteration {it}: "
                                  "non-finite operator or preconditioner output")
@@ -152,11 +167,10 @@ def pminres(apply_a, apply_pinv, b, cfg=None):
             # Krylov space exhausted: residual cannot decrease further
             break
         v_old, v = v, v_new
-        z = z_new
         gamma_old, gamma = gamma, gamma_new
         w_old, w = w, w_new
 
-    return MinresResult(x, history, float(np.linalg.norm(b - apply_a(x))) / scale, it, converged)
+    return history, it, converged
 
 
 def bound_curve(epsilon, k_max):

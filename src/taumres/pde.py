@@ -5,7 +5,8 @@ MINRES.  Two benchmark setups are provided: a first-order (backward
 Euler + shifted Grünwald) problem with a smooth source on the unit
 square, and a second-order (Crank-Nicolson + weighted-shifted Grünwald)
 problem on (0,2)^2 with a known exact solution.  Each scheme only
-builds its right-hand side (``step_first_order``, ``step_second_order``);
+builds its right-hand side and hands it on already flipped, so only Y b
+is alive while MINRES runs (``step_first_order``, ``step_second_order``);
 one helper solves and reports, and both ``run_steps`` and
 ``first_step_row`` (one result row of the experiments' tables) step
 through the two.
@@ -90,10 +91,10 @@ def sample_grid(grid, fn, t=None):
     return np.broadcast_to(np.asarray(vals, dtype=float), grid.n).reshape(grid.size).copy()
 
 
-def _solve_step(problem, A, P, b, t, cfg):
-    """Solve A u = b for the iterate at time t through Y A u = Y b; (u, report)."""
+def _solve_step(problem, A, P, yb, t, cfg):
+    """Solve Y A u = yb, the flipped right-hand side Y b, for the iterate at time t; (u, report)."""
     pinv = P.apply_inverse if P is not None else None
-    res = pminres(A.apply_symmetrized, pinv, flip(A.dims, b), cfg)
+    res = pminres(A.apply_symmetrized, pinv, yb, cfg)
     err = None if problem.exact is None else \
         float(np.max(np.abs(res.x - sample_grid(problem.grid, problem.exact, t))))
     report = StepReport(int(round(t / problem.tau_step)), res.iters, res.converged,
@@ -113,16 +114,18 @@ def step_second_order(problem, A, P, u_k, t_k, cfg=None):
         raise ValueError("step_second_order requires second-order params")
     nu = problem.nu
     tau = problem.tau_step
-    b = 2.0 * nu * u_k - A.apply(u_k) + sample_grid(problem.grid, problem.source, t_k + 0.5 * tau)
-    return _solve_step(problem, A, P, b, t_k + tau, cfg)
+    # only the flipped right-hand side outlives this line
+    yb = flip(A.dims, 2.0 * nu * u_k - A.apply(u_k)
+              + sample_grid(problem.grid, problem.source, t_k + 0.5 * tau))
+    return _solve_step(problem, A, P, yb, t_k + tau, cfg)
 
 
 def step_first_order(problem, A, P, u_prev, t_k, cfg=None):
     """One backward Euler step onto t_k: A u^k = nu u^{k-1} + f^k."""
     if problem.params.scheme != FIRST_ORDER:
         raise ValueError("step_first_order requires first-order params")
-    b = problem.nu * u_prev + sample_grid(problem.grid, problem.source, t_k)
-    return _solve_step(problem, A, P, b, t_k, cfg)
+    yb = flip(A.dims, problem.nu * u_prev + sample_grid(problem.grid, problem.source, t_k))
+    return _solve_step(problem, A, P, yb, t_k, cfg)
 
 
 def _step(problem, A, P, u, k, cfg):

@@ -15,7 +15,8 @@ the equivalence band, which has no eps*).
 Memory: a spectrum holds two n x n matrices at its peak, the one it
 builds and LAPACK's own copy inside ``eigvalsh``.  ``sym_eig`` gates and
 symmetrizes tile by tile and overwrites its argument by its symmetric
-part; the ideal spectrum's dense factorization (n <= IDEAL_CAP) holds more.
+part.  The ideal spectrum's dense factorization (n <= IDEAL_CAP) holds
+three, each dropped at its last use.
 """
 
 import math
@@ -161,12 +162,20 @@ def ideal_preconditioned_spectrum(A, params):
     if A.n > IDEAL_CAP:
         raise ValueError(f"ideal-preconditioner verification capped at n={IDEAL_CAP}, got {A.n}")
     eps = epsilon_bound(params)
+    # at most three matrices are alive: A, H(A) and C, then A, C and X, then
+    # C, X and M.  H(A) is formed in place, the bits of 0.5 * (dense + dense.T)
     dense = A.materialize()
+    H = dense.T + dense
+    H *= 0.5
     try:
-        C = np.linalg.cholesky(0.5 * (dense + dense.T))
+        C = np.linalg.cholesky(H)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError("H(A) is not positive definite; discretization is broken") from exc
-    M = np.linalg.solve(C, np.linalg.solve(C, dense[::-1, :].T).T)
+    del H
+    X = np.linalg.solve(C, dense[::-1, :].T)
+    del dense
+    M = np.linalg.solve(C, X.T)
+    del C, X
     return _report(M, eps, 1.0, 1.0 + eps, "ideal")
 
 

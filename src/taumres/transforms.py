@@ -22,10 +22,15 @@ matched the dense oracle to 2e-15 relative).  The sums and differences
 fill one work buffer as two contiguous blocks on every axis, and the
 products write straight to the odd and even positions (natural order).
 
-FFTs along an axis run _FIBRE_BLOCK fibres at a time: each block is
-gathered into a contiguous buffer (for a non-last axis, a transposed
-copy), so every FFT reads contiguous rows and a block's temporaries stay
-in cache.  ``_fibre_blocks`` is shared with ``toeplitz``.
+FFTs along an axis run _FIBRE_BLOCK fibres at a time, so a block's
+buffers stay in cache.  The DST copies each block into one padded buffer
+allocated per call; off the last axis that buffer and the FFT's output
+are (m, k) slabs of rows of k contiguous entries, like the block itself,
+so no transposed copy is gathered or scattered (per call at (1023, 1023)
+on 2 vCPUs the axis-0 DST took about 0.89x the time of transposed copies).
+``_fibre_blocks`` is shared with ``toeplitz``, whose circulant product
+still gathers each block into a contiguous (k, m) copy: the slab layout
+gave it no gain there.
 
 Per-axis rule of ``dst1_multi`` (``_axis_path``): an axis with
 m < FOLD_MIN is one full dense BLAS product with the m x m sine matrix
@@ -162,12 +167,18 @@ def _dst1_fft_axis(X, axis, out=None):
     m = X.shape[axis]
     scale = -_sine_factor(m)
     out = np.empty(X.shape) if out is None else out
-    u = np.zeros((min(_FIBRE_BLOCK, X.size // m), m + 1))
+    # one padded input and one transform per call, laid out like the
+    # blocks: off the last axis, transposed (m, k) slabs of contiguous rows
+    k_max = min(_FIBRE_BLOCK, X.size // m)
+    if axis == X.ndim - 1:
+        u, U = np.zeros((k_max, m + 1)), np.empty((k_max, m + 2), dtype=complex)
+    else:
+        u, U = np.zeros((m + 1, k_max)).T, np.empty((m + 2, k_max), dtype=complex).T
     for xs, ys in zip(_fibre_blocks(X, axis), _fibre_blocks(out, axis)):
         k = xs.shape[0]
         u[:k, 1:] = xs
-        U = np.fft.rfft(u[:k], n=2 * (m + 1), axis=-1)
-        np.multiply(U.imag[:, 1:m + 1], scale, out=ys)
+        np.fft.rfft(u[:k], n=2 * (m + 1), axis=-1, out=U[:k])
+        np.multiply(U.imag[:k, 1:m + 1], scale, out=ys)
     return out
 
 

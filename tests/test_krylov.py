@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -240,3 +242,28 @@ def test_bound_curve_shape_and_monotone():
     curve = bound_curve(0.25, 9)
     assert curve.shape == (10,)
     assert np.all(np.diff(curve) <= 0)
+
+
+def test_preconditioner_output_dies_before_the_next_product(rng):
+    # z is scaled into the solver's own buffer and dropped, so no earlier
+    # P^-1 output is alive while A runs, the closing A x included
+    n = 30
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    A = Q @ np.diag(rng.uniform(-4.0, 6.0, n)) @ Q.T
+    M = Q @ np.diag(rng.uniform(0.5, 2.0, n)) @ Q.T
+    outputs, alive = [], []
+
+    def apply_a(v):
+        alive.append(sum(ref() is not None for ref in outputs))
+        return A @ v
+
+    def apply_pinv(v):
+        z = M @ v
+        outputs.append(weakref.ref(z))
+        return z
+
+    res = pminres(apply_a, apply_pinv, rng.standard_normal(n),
+                  MinresConfig(tol=1e-12, maxit=60, x0=rng.standard_normal(n)))
+    assert res.iters > 5
+    assert len(alive) == res.iters + 2 and len(outputs) == res.iters + 1
+    assert alive == [0] * len(alive)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -8,9 +9,12 @@ from taumres.discretization import (FIRST_ORDER, SECOND_ORDER, FractionalParams,
 from taumres import pde
 from taumres.krylov import MinresConfig, pminres
 from taumres.pde import (FractionalProblem, example1_problem, example2_problem,
-                         first_step_row, run_steps, sample_grid, step_first_order,
-                         step_second_order)
+                         first_step_row, run_steps, sample_grid, setup_operators,
+                         step_first_order, step_second_order)
 from taumres.tau import build_preconditioner
+from taumres.toeplitz import flip
+
+from conftest import traced_peak
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +176,50 @@ def test_symmetric_degeneracy_matches_direct_solve(rng):
     direct = pminres(A.apply, None, b, MinresConfig(tol=1e-12, maxit=300))
     assert via_flip.converged and direct.converged
     assert np.max(np.abs(via_flip.x - direct.x)) <= 1e-9 * max(np.max(np.abs(direct.x)), 1.0)
+
+
+def first_step_setup(example, n1, preconditioner):
+    # operators, initial data and the paper's x0 = 1/sqrt(n): the caller's arrays
+    prob = example(n1, (1.5, 1.5))
+    A, P = setup_operators(prob, preconditioner)
+    n = prob.grid.size
+    cfg = MinresConfig(tol=1e-8, maxit=1000, x0=np.full(n, 1.0 / math.sqrt(n)))
+    u0 = sample_grid(prob.grid, prob.u0)
+    if example is example2_problem:
+        return lambda: step_second_order(prob, A, P, u0, 0.0, cfg)
+    return lambda: step_first_order(prob, A, P, u0, prob.tau_step, cfg)
+
+
+@pytest.mark.parametrize("example, preconditioner, bound", [
+    (example2_problem, "tau", 12.75),
+    (example1_problem, "identity", 11.25),
+])
+def test_first_step_working_set(example, preconditioner, bound):
+    # beyond the caller's arrays a solve holds x, b, the six MINRES buffers
+    # and one operator's output and temporaries; no right-hand side in the
+    # steppers and no workspace at the closing A x
+    step = first_step_setup(example, 127, preconditioner)
+    step()   # the operators' cached kernels and sine blocks are built once
+    assert traced_peak(step) <= bound * 8 * 127 ** 2
+
+
+def test_steps_solve_the_flipped_right_hand_side():
+    # the documented right-hand sides, flipped, give the steppers' iterates byte for byte
+    prob = example2_problem(15, (1.5, 1.9))
+    A, P = setup_operators(prob, "tau")
+    u0 = sample_grid(prob.grid, prob.u0)
+    n, tau = prob.grid.size, prob.tau_step
+    cfg = MinresConfig(tol=1e-10, maxit=100, x0=np.full(n, 1.0 / math.sqrt(n)))
+    b = 2.0 * prob.nu * u0 - A.apply(u0) + sample_grid(prob.grid, prob.source, 0.5 * tau)
+    x, _ = step_second_order(prob, A, P, u0, 0.0, cfg)
+    ref = pminres(A.apply_symmetrized, P.apply_inverse, flip(A.dims, b), cfg).x
+    assert x.tobytes() == ref.tobytes()
+
+    prob = example1_problem(15, (1.9, 1.1))
+    A, _ = setup_operators(prob, "identity")
+    b = prob.nu * x + sample_grid(prob.grid, prob.source, prob.tau_step)
+    y, _ = step_first_order(prob, A, None, x, prob.tau_step, cfg)
+    assert y.tobytes() == pminres(A.apply_symmetrized, None, flip(A.dims, b), cfg).x.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -255,6 +255,17 @@ def test_spectrum_holds_one_matrix(which):
     assert traced_peak(run) <= 1.25 * 8 * A.n ** 2
 
 
+def test_ideal_spectrum_holds_three_matrices():
+    # A, H(A) and its factor, then A, the factor and one solve: never four
+    # matrices, and the eigenvalues of the all-at-once formula bit for bit
+    params, A, _ = setup((31, 31), (1.5, 1.9), EX2, SECOND_ORDER, nu=32.0, box=2.0)
+    assert traced_peak(ideal_preconditioned_spectrum, A, params) <= 3.01 * 8 * A.n ** 2
+    dense = A.materialize()
+    C = np.linalg.cholesky(0.5 * (dense + dense.T))
+    M = np.linalg.solve(C, np.linalg.solve(C, dense[::-1, :].T).T)
+    assert np.array_equal(ideal_preconditioned_spectrum(A, params).eigenvalues, sym_eig(M))
+
+
 # ---------------------------------------------------------------------------
 # CSV export
 
