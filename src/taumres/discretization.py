@@ -118,10 +118,11 @@ def grunwald_g(alpha, K):
     _check_alpha(alpha)
     if K < 0:
         raise ValueError("K must be nonnegative")
-    g = np.empty(K + 1)
-    g[0] = 1.0
-    for k in range(1, K + 1):
-        g[k] = (1.0 - (alpha + 1.0) / k) * g[k - 1]
+    # the recurrence's factors, multiplied up left to right: the same
+    # roundings as a loop over k
+    g = np.ones(K + 1)
+    g[1:] -= (alpha + 1.0) / np.arange(1, K + 1)
+    g = np.cumprod(g)
     g.setflags(write=False)
     return g
 
@@ -165,13 +166,17 @@ def level_scales(params, grid):
 
 
 def assemble_operator(params, grid, nu):
-    """Assemble nu*I + sum_i (v+_i W_i + v-_i W_i^T) for the given scheme."""
+    """Assemble nu*I + sum_i (v+_i W_i + v-_i W_i^T) for the given scheme.
+
+    Level i is the one Toeplitz matrix K_i = v+_i L_i + v-_i L_i^T; L_i^T
+    has first column L_i.row and first row L_i.col.
+    """
     if len(grid.n) != params.d:
         raise ValueError(f"grid has {len(grid.n)} directions, params has {params.d}")
     levels = []
     for i, (vp, vm) in enumerate(level_scales(params, grid)):
         L = build_L(params.alpha[i], grid.n[i], params.scheme)
-        levels.append((L, vp, vm))
+        levels.append(Toeplitz1D(vp * L.col + vm * L.row, vp * L.row + vm * L.col))
     return MultilevelOperator(grid.n, nu, levels)
 
 

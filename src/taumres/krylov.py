@@ -58,15 +58,17 @@ def pminres(apply_a, apply_pinv, b, cfg=None):
     ``cfg.tol``; ``relres_history`` is nonincreasing by construction.
     ``true_relres`` is the recomputed ||b - A x|| / ||b||, or for b = 0
     the absolute residual ||A x||, which a nonzero ``cfg.x0`` can leave.
-    A non-finite ``b`` or ``cfg.x0`` raises ``ValueError``; non-finite
-    operator or preconditioner output raises ``BreakdownError`` in the
-    iteration where it first shows.
+    A ``b`` that is not a 1-D vector, or a non-finite ``b`` or ``cfg.x0``,
+    raises ``ValueError``; non-finite operator or preconditioner output
+    raises ``BreakdownError`` in the iteration where it first shows.
     """
     if cfg is None:
         cfg = MinresConfig()
     if apply_pinv is None:
         apply_pinv = lambda r: r
     b = np.asarray(b, dtype=float)
+    if b.ndim != 1:
+        raise ValueError(f"right-hand side must be a 1-D vector, got shape {b.shape}")
     if not np.all(np.isfinite(b)):
         raise ValueError("right-hand side has non-finite entries")
     n = b.shape[0]

@@ -1,34 +1,28 @@
 """Uni-level and multilevel Toeplitz operators.
 
-A ``Toeplitz1D`` stores first column and first row; its matvec uses a
-circulant embedding padded to a power of two.  ``MultilevelOperator``
-represents the Kronecker-sum form
+A ``Toeplitz1D`` stores first column and first row and owns the one
+product of a level: ``_axis_apply`` adds T applied to every fibre along
+one axis of an array.  On an axis with m <= DENSE_LEVEL_MAX its kernel is
+the dense matrix, one BLAS product per axis.  On a longer axis it is the
+rFFT of the circulant embedding padded to a power of two: one forward and
+one inverse FFT per axis, run on contiguous blocks of fibres
+(``transforms._fibre_blocks``) and added into the result block by block.
+``matvec`` runs the product along the last axis.
 
-    nu*I + sum_i ( v_plus[i] * W_i + v_minus[i] * W_i^T ),
-    W_i = I (x) L_i (x) I,
+``MultilevelOperator`` represents the Kronecker-sum form
 
-applied axis by axis on the lexicographically ordered vector, each
-level as one kernel.  A level on an axis with m_i <= DENSE_LEVEL_MAX is
-the dense matrix
+    nu*I + sum_i I (x) K_i (x) I,
 
-    K_i = v_plus[i] * L_i + v_minus[i] * L_i^T,
-
-one BLAS product per axis.  On a longer axis the circulant embedding of
-L_i^T is the cyclic reversal of L_i's, and the real FFT of a reversed
-real vector is the complex conjugate, so with c_i the rFFT of L_i's
-embedding the level is the single kernel
-
-    k_i = v_plus[i] * c_i + v_minus[i] * conj(c_i):
-
-one forward and one inverse FFT per axis, run on contiguous blocks of
-fibres (``transforms._fibre_blocks``) and added into the result block by
-block.  ``apply`` is the only product; the dense spectra of ``spectrum``
-build their matrices from it column by column, or from the dense
-materialization, capped at MATERIALIZE_CAP unknowns.  ``materialize``
-holds one n x n array: nu*I, into whose (l, r) diagonal blocks, viewed
-as ``(left, m_i, right, left, m_i, right)``, each level adds
-v_plus[i] * L_i and then v_minus[i] * L_i^T, the nonzero blocks of W_i
-and W_i^T.
+with one nonsymmetric Toeplitz level K_i per axis, applied axis by axis
+on the lexicographically ordered vector; for the Grünwald operators
+``discretization.assemble_operator`` builds K_i = v_plus[i] * L_i +
+v_minus[i] * L_i^T.  A level whose entries all vanish costs no product.
+``apply`` is the only product of the operator; the dense spectra of
+``spectrum`` build their matrices from it column by column, or from the
+dense materialization, capped at MATERIALIZE_CAP unknowns.
+``materialize`` holds one n x n array: nu*I, into whose (l, r) diagonal
+blocks, viewed as ``(left, m_i, right, left, m_i, right)``, each level
+adds K_i.
 """
 
 import functools
@@ -56,7 +50,7 @@ class Toeplitz1D:
     """Toeplitz matrix stored by first column and first row.
 
     Entry (j, k) is ``col[j-k]`` for j >= k and ``row[k-j]`` otherwise.
-    ``row`` defaults to ``col`` (symmetric matrix).
+    ``row`` defaults to ``col`` (symmetric matrix).  Entries must be finite.
     """
 
     def __init__(self, col, row=None):
@@ -66,6 +60,8 @@ class Toeplitz1D:
             raise ValueError("col and row must be equal-length vectors")
         if col.shape[0] < 1:
             raise ValueError("empty Toeplitz matrix")
+        if not (np.isfinite(col).all() and np.isfinite(row).all()):
+            raise ValueError("col and row entries must be finite")
         if col[0] != row[0]:
             raise ValueError(f"col[0]={col[0]} and row[0]={row[0]} must agree")
         col.setflags(write=False)
@@ -78,22 +74,41 @@ class Toeplitz1D:
         return f"Toeplitz1D(m={self.m})"
 
     @functools.cached_property
-    def _embedding(self):
-        # (L, rFFT of the circulant kernel) with L the least power of two >= 2m-1
+    def _kernel(self):
+        # built on first use, so assembly costs no product.  The dense matrix,
+        # or the rFFT of the circulant embedding of length L, the least power
+        # of two >= 2m-1
+        if self.m <= DENSE_LEVEL_MAX:
+            return self.dense()
         L = 1 << (2 * self.m - 2).bit_length()
         c = np.zeros(L)
         c[:self.m] = self.col
         c[L - self.m + 1:] = self.row[1:][::-1]
-        return L, np.fft.rfft(c)
+        return np.fft.rfft(c)
+
+    def _axis_apply(self, X, axis, out):
+        """Add T applied to every fibre of X along ``axis`` >= 0 to ``out``.
+
+        Dense: one BLAS product.  FFT: per block of fibres, contiguous copy,
+        rfft to length L, multiply, irfft, keep the first m entries.
+        """
+        kernel = self._kernel
+        if kernel.ndim == 2:
+            out += _axis_matmul(X, axis, kernel)
+            return
+        L = 2 * (kernel.shape[0] - 1)
+        for xs, os in zip(_fibre_blocks(X, axis), _fibre_blocks(out, axis)):
+            Y = np.fft.rfft(np.ascontiguousarray(xs), n=L, axis=-1)
+            Y *= kernel
+            os += np.fft.irfft(Y, n=L, axis=-1)[:, :self.m]
 
     def matvec(self, x):
-        """T @ x in O(m log m) via the circulant embedding."""
+        """T @ x along the last axis of x."""
         x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.m:
+        if x.ndim < 1 or x.shape[-1] != self.m:
             raise ValueError(f"expected trailing dimension {self.m}, got shape {x.shape}")
-        L, chat = self._embedding
         out = np.zeros(x.shape)
-        _axis_apply(x, x.ndim - 1, chat, L, out)
+        self._axis_apply(x, x.ndim - 1, out)
         return out
 
     def dense(self):
@@ -115,63 +130,32 @@ def flip(dims, x):
     return x[::-1].copy()
 
 
-def _axis_apply(X, axis, kernel, L, out):
-    """Add the circulant product along ``axis`` >= 0 to ``out``.
-
-    Per block of fibres: contiguous copy, rfft to length L, multiply,
-    irfft, keep the first m entries.
-    """
-    m = X.shape[axis]
-    for xs, os in zip(_fibre_blocks(X, axis), _fibre_blocks(out, axis)):
-        Y = np.fft.rfft(np.ascontiguousarray(xs), n=L, axis=-1)
-        Y *= kernel
-        os += np.fft.irfft(Y, n=L, axis=-1)[:, :m]
-
-
 class MultilevelOperator:
-    """Kronecker-sum operator ``nu*I + sum_i (v+_i W_i + v-_i W_i^T)``.
+    """Kronecker-sum operator ``nu*I + sum_i I (x) K_i (x) I``.
 
-    ``levels`` is a sequence of ``(Toeplitz1D, v_plus, v_minus)`` with one
-    entry per dimension; level i acts along axis i of the reshaped
-    vector.  Immutable after construction; ``apply`` is pure.
+    ``levels`` holds one ``Toeplitz1D`` K_i per dimension; level i acts
+    along axis i of the reshaped vector.  Immutable after construction;
+    ``apply`` is pure.
     """
 
     def __init__(self, dims, nu, levels):
         dims = _check_dims(dims)
-        levels = list(levels)
+        levels = tuple(levels)
         if len(levels) != len(dims):
             raise ValueError(f"{len(dims)} dims but {len(levels)} levels")
-        for m, (T, vp, vm) in zip(dims, levels):
-            if T.m != m:
-                raise ValueError(f"level size {T.m} does not match dim {m}")
-            if not (math.isfinite(vp) and math.isfinite(vm)) or vp < 0 or vm < 0:
-                raise ValueError(f"level coefficients must be finite and nonnegative, "
-                                 f"got {vp} and {vm}")
+        for m, K in zip(dims, levels):
+            if not isinstance(K, Toeplitz1D) or K.m != m:
+                raise ValueError(f"level {K!r} is not a Toeplitz1D of size {m}")
         if not math.isfinite(nu) or nu < 0:
             raise ValueError(f"nu must be finite and nonnegative, got {nu}")
         self.dims = dims
         self.n = math.prod(dims)
         self.nu = float(nu)
-        self.levels = [(T, float(vp), float(vm)) for T, vp, vm in levels]
+        self.levels = levels
+        self._active = [(axis, K) for axis, K in enumerate(levels) if K.col.any() or K.row.any()]
 
     def __repr__(self):
         return f"MultilevelOperator(dims={self.dims}, nu={self.nu})"
-
-    @functools.cached_property
-    def _kernels(self):
-        # built on first use, so assembly costs no product; vanishing levels
-        # are skipped.  One (axis, L, kernel) per level, L = None on a dense one
-        kernels = []
-        for axis, (T, vp, vm) in enumerate(self.levels):
-            if vp + vm == 0.0:
-                continue
-            if T.m <= DENSE_LEVEL_MAX:
-                D = T.dense()
-                kernels.append((axis, None, vp * D + vm * D.T))
-            else:
-                L, chat = T._embedding
-                kernels.append((axis, L, vp * chat + vm * np.conj(chat)))
-        return kernels
 
     def apply(self, x):
         """A @ x."""
@@ -180,11 +164,8 @@ class MultilevelOperator:
             raise ValueError(f"expected vector of length {self.n}, got shape {x.shape}")
         X = x.reshape(self.dims)
         out = self.nu * X
-        for axis, L, kernel in self._kernels:
-            if L is None:
-                out += _axis_matmul(X, axis, kernel)
-            else:
-                _axis_apply(X, axis, kernel, L, out)
+        for axis, K in self._active:
+            K._axis_apply(X, axis, out)
         return out.reshape(self.n)
 
     def apply_symmetrized(self, x):
@@ -197,14 +178,12 @@ class MultilevelOperator:
             raise ValueError(f"materialize capped at n={MATERIALIZE_CAP}, operator has n={self.n}")
         A = np.eye(self.n)
         A *= self.nu
-        for axis, (T, vp, vm) in enumerate(self.levels):
+        for axis, K in enumerate(self.levels):
             m = self.dims[axis]
             left, right = math.prod(self.dims[:axis]), math.prod(self.dims[axis + 1:])
             blocks = A.reshape(left, m, right, left, m, right)
-            D = T.dense()
-            terms = [v * K for v, K in ((vp, D), (vm, D.T)) if v != 0.0]
+            D = K.dense()
             for l in range(left):
                 for r in range(right):
-                    for K in terms:
-                        blocks[l, :, r, l, :, r] += K
+                    blocks[l, :, r, l, :, r] += D
         return A

@@ -28,9 +28,9 @@ allocated per call; off the last axis that buffer and the FFT's output
 are (m, k) slabs of rows of k contiguous entries, like the block itself,
 so no transposed copy is gathered or scattered (per call at (1023, 1023)
 on 2 vCPUs the axis-0 DST took about 0.89x the time of transposed copies).
-``_fibre_blocks`` is shared with ``toeplitz``, whose circulant product
-still gathers each block into a contiguous (k, m) copy: the slab layout
-gave it no gain there.
+``_fibre_blocks`` is shared with the FFT product of a ``toeplitz.Toeplitz1D``
+level, which still gathers each block into a contiguous (k, m) copy: the
+slab layout gave it no gain there.
 
 Per-axis rule of ``dst1_multi`` (``_axis_path``): an axis with
 m < FOLD_MIN is one full dense BLAS product with the m x m sine matrix
@@ -38,9 +38,10 @@ m < FOLD_MIN is one full dense BLAS product with the m x m sine matrix
 axis goes by FFT (O(n log m)), unless 2(m+1) has a prime factor above 7,
 for which numpy's FFT is slow: such an axis stays folded up to
 AWKWARD_AXIS_MAX.  ``_axis_matmul`` is the one full per-axis product,
-shared with ``toeplitz.MultilevelOperator``.  ``dst1_multi`` is the one
-public entry, for a single vector too (dims ``(m,)``); ``tau.tau_eigs``
-builds the preconditioner by the FFT path ``_dst1_fft_axis`` directly.
+shared with the dense product of a ``toeplitz.Toeplitz1D`` level.
+``dst1_multi`` is the one public entry, for a single vector too (dims
+``(m,)``); ``tau.tau_eigs`` builds the preconditioner by the FFT path
+``_dst1_fft_axis`` directly.
 """
 
 import functools

@@ -4,6 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from taumres.toeplitz import Toeplitz1D
+
 
 @pytest.fixture
 def rng():
@@ -54,6 +56,11 @@ def assemble_dense(dims, nu, level_data):
     return A
 
 
+def two_sided(T, vp, vm):
+    """The one Toeplitz1D vp * T + vm * T^T; T^T has first column T.row and first row T.col."""
+    return Toeplitz1D(vp * T.col + vm * T.row, vp * T.row + vm * T.col)
+
+
 def tau_dense_oracle(col):
     """Dense tau(T) of the symmetric Toeplitz T with first column col: T minus the Hankel correction."""
     m = len(col)
@@ -78,8 +85,10 @@ def tau_eigs_cosine(col):
 
 
 def convolve_direct(a, b):
+    """Circular convolution by its defining sum, one output entry at a time."""
     L = len(a)
-    return np.array([sum(a[k] * b[(j - k) % L] for k in range(L)) for j in range(L)])
+    k = np.arange(L)
+    return np.array([a @ b[(j - k) % L] for j in range(L)])
 
 
 def traced_peak(f, *args):

@@ -28,7 +28,7 @@ from taumres.toeplitz import MultilevelOperator, Toeplitz1D
 from taumres.transforms import dst1_multi
 
 from conftest import (rel_err, sine_matrix, symbol_closed, symbol_series, tau_dense_oracle,
-                      toeplitz_dense)
+                      toeplitz_dense, two_sided)
 
 ALPHA_VALUES = (1.1, 1.5, 1.9)
 ALPHA_PAIRS = tuple((a, b) for a in ALPHA_VALUES for b in ALPHA_VALUES)
@@ -97,7 +97,7 @@ def test_criterion_02_operator_oracle_equivalence():
         for m in dims:
             col = rng.standard_normal(m)
             row = np.concatenate((col[:1], rng.standard_normal(m - 1))) if m > 1 else col
-            levels.append((Toeplitz1D(col, row), rng.uniform(0, 3), rng.uniform(0, 3)))
+            levels.append(two_sided(Toeplitz1D(col, row), rng.uniform(0, 3), rng.uniform(0, 3)))
         A = MultilevelOperator(dims, rng.uniform(0, 5), levels)
         dense = A.materialize()
         x = rng.standard_normal(A.n)

@@ -5,7 +5,7 @@ import pytest
 
 from taumres.discretization import (FIRST_ORDER, SECOND_ORDER, FractionalParams,
                                     GridSpec, assemble_operator, build_L,
-                                    epsilon_bound, grunwald_g, weights_second)
+                                    epsilon_bound, grunwald_g, level_scales, weights_second)
 
 from conftest import (assemble_dense, omega_bound, rel_err, symbol_closed, symbol_series,
                       toeplitz_dense)
@@ -24,6 +24,18 @@ def test_grunwald_frozen():
 def test_grunwald_starts_at_one(rng):
     for alpha in 1.0 + rng.uniform(0.01, 0.99, 10):
         assert grunwald_g(alpha, 0)[0] == 1.0
+
+
+def test_grunwald_is_the_recurrence_bit_for_bit(rng):
+    # the table is the recurrence g_k = (1 - (alpha+1)/k) g_{k-1}, evaluated
+    # with the loop's roundings, so every operator built from it keeps its bits
+    for alpha in (1.1, 1.5, 1.9, *(1.0 + rng.uniform(0.01, 0.99, 5))):
+        for K in (0, 1, 2, 63, 1024):
+            ref = np.empty(K + 1)
+            ref[0] = 1.0
+            for k in range(1, K + 1):
+                ref[k] = (1.0 - (alpha + 1.0) / k) * ref[k - 1]
+            assert grunwald_g(alpha, K).tobytes() == ref.tobytes()
 
 
 def test_grunwald_matches_binomial_closed_form():
@@ -142,6 +154,19 @@ def test_assemble_matches_kron_oracle(scheme):
         level_data.append((L.col, L.row, 3.0 * s if i == 0 else 2.0 * s, 1.0 * s))
     dense = assemble_dense((3, 3), nu, level_data)
     assert rel_err(A.materialize(), dense) <= 1e-14
+
+
+@pytest.mark.parametrize("scheme", (FIRST_ORDER, SECOND_ORDER))
+@pytest.mark.parametrize("d_minus", ((1.0, 0.5), (1.0, 0.0)), ids=("two_sided", "one_sided"))
+def test_assembled_level_is_the_two_sided_block_bit_for_bit(scheme, d_minus):
+    # K_i = v+_i L_i + v-_i L_i^T byte for byte as the dense sum: a dense
+    # level's product, and with it every desk-scale CSV, is exactly that sum's
+    params = FractionalParams((1.5, 1.9), (3.0, 2.0), d_minus, scheme)
+    grid = GridSpec((0, 0), (2, 1), (7, 5))
+    A = assemble_operator(params, grid, 1.0)
+    for i, ((vp, vm), K) in enumerate(zip(level_scales(params, grid), A.levels)):
+        D = build_L(params.alpha[i], grid.n[i], scheme).dense()
+        assert K.dense().tobytes() == (vp * D + vm * D.T).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,17 @@ def test_non_finite_input_rejected(rng):
         pminres(dense_op(np.eye(5)), None, np.ones(5), MinresConfig(x0=x0))
 
 
+@pytest.mark.parametrize("b", (np.float64(1.0), np.ones((3, 3))), ids=("0-d", "3x3"))
+def test_rhs_that_is_not_a_vector_rejected(b):
+    # refused before the first product, not by an IndexError or TypeError
+    # from inside the recurrence
+    def never(x):
+        raise AssertionError("no product may run")
+
+    with pytest.raises(ValueError, match="1-D vector"):
+        pminres(never, never, b)
+
+
 def test_non_finite_operator_output_breaks_down(rng):
     # a diagonal operator that returns a NaN from its 4th call on; without the
     # check the iteration would run to maxit and return NaN residuals

@@ -186,7 +186,7 @@ def test_equivalence_example2_small(scheme):
 def test_equivalence_matches_dense_oracle(dpm):
     # eigenvalues of P^{-1} H(A) from dense P = S diag(lam) S and H(A) = (A + A^T)/2
     params, A, P = setup((5, 7), (1.3, 1.8), dpm, SECOND_ORDER, nu=3.0)
-    dense = assemble_dense(A.dims, A.nu, [(T.col, T.row, vp, vm) for T, vp, vm in A.levels])
+    dense = assemble_dense(A.dims, A.nu, [(K.col, K.row, 1.0, 0.0) for K in A.levels])
     S = kron_chain([sine_matrix(m) for m in A.dims])
     ev = np.linalg.eigvals(np.linalg.solve(S @ np.diag(P.lam) @ S, 0.5 * (dense + dense.T)))
     assert np.max(np.abs(ev.imag)) <= 1e-10

@@ -5,7 +5,7 @@ from taumres import toeplitz
 from taumres.toeplitz import DENSE_LEVEL_MAX, MultilevelOperator, Toeplitz1D, flip
 
 from conftest import (assemble_dense, convolve_direct, kron_chain, rel_err,
-                      toeplitz_dense, traced_peak)
+                      toeplitz_dense, traced_peak, two_sided)
 
 
 def random_toeplitz(rng, m):
@@ -15,7 +15,7 @@ def random_toeplitz(rng, m):
 
 
 def random_operator(rng, dims):
-    levels = [(random_toeplitz(rng, m), rng.uniform(0, 2), rng.uniform(0, 2))
+    levels = [two_sided(random_toeplitz(rng, m), rng.uniform(0, 2), rng.uniform(0, 2))
               for m in dims]
     return MultilevelOperator(dims, rng.uniform(0, 3), levels)
 
@@ -33,28 +33,39 @@ def test_tridiagonal_frozen():
     assert T.matvec([1.0, 1.0, 1.0]) == pytest.approx([1.0, 0.0, 1.0], abs=1e-13)
 
 
-@pytest.mark.parametrize("m", (1, 2, 3, 13, 64))
+# the last size takes the FFT product, the others the dense one
+@pytest.mark.parametrize("m", (1, 2, 3, 13, 64, DENSE_LEVEL_MAX + 1))
 def test_matvec_matches_dense(m, rng):
     T = random_toeplitz(rng, m)
     x = rng.standard_normal(m)
-    assert rel_err(T.matvec(x), toeplitz_dense(T.col, T.row) @ x) <= 1e-12
-    # the transpose runs on the conjugated kernel of the same embedding
-    AT = MultilevelOperator((m,), 0.0, [(T, 0.0, 1.0)])
-    assert rel_err(AT.apply(x), toeplitz_dense(T.col, T.row).T @ x) <= 1e-12
+    dense = toeplitz_dense(T.col, T.row)
+    assert rel_err(T.matvec(x), dense @ x) <= 1e-12
+    # the transpose is the Toeplitz matrix with column and row swapped
+    AT = MultilevelOperator((m,), 0.0, [Toeplitz1D(T.row, T.col)])
+    assert rel_err(AT.apply(x), dense.T @ x) <= 1e-12
+
+
+@pytest.mark.parametrize("m", (5, DENSE_LEVEL_MAX + 1))
+def test_matvec_is_the_operator_product(m, rng):
+    # one product per level: matvec and a one-level operator run the same code
+    T = random_toeplitz(rng, m)
+    x = rng.standard_normal(m)
+    assert np.array_equal(T.matvec(x), MultilevelOperator((m,), 0.0, [T]).apply(x))
 
 
 def test_matvec_is_circulant_embedding(rng):
     # the matvec result equals an explicit circular convolution with the
-    # embedded kernel, tying the two public operations together
-    m = 6
-    T = random_toeplitz(rng, m)
-    x = rng.standard_normal(m)
-    L = 16
-    kernel = np.zeros(L)
-    kernel[:m] = T.col
-    kernel[L - m + 1:] = T.row[1:][::-1]
-    padded = np.concatenate((x, np.zeros(L - m)))
-    assert rel_err(T.matvec(x), convolve_direct(kernel, padded)[:m]) <= 1e-13
+    # embedded kernel, of length the least power of two >= 2m - 1; the
+    # second size takes the FFT product, which runs on that embedding
+    for m in (6, DENSE_LEVEL_MAX + 1):
+        T = random_toeplitz(rng, m)
+        x = rng.standard_normal(m)
+        L = 1 << (2 * m - 2).bit_length()
+        kernel = np.zeros(L)
+        kernel[:m] = T.col
+        kernel[L - m + 1:] = T.row[1:][::-1]
+        padded = np.concatenate((x, np.zeros(L - m)))
+        assert rel_err(T.matvec(x), convolve_direct(kernel, padded)[:m]) <= 1e-13
 
 
 def test_dense_entry_layout():
@@ -66,6 +77,7 @@ def test_dense_entry_layout():
 def test_corner_mismatch_rejected():
     with pytest.raises(ValueError):
         Toeplitz1D([1.0, 2.0], [3.0, 4.0])
+
 
 
 def test_symmetric_part():
@@ -97,17 +109,19 @@ def test_flip_rejects_bad_length():
 # ---------------------------------------------------------------------------
 # MultilevelOperator
 
-def test_apply_identity_when_no_levels_active(rng):
+def test_apply_identity_when_no_levels_active(rng, monkeypatch):
     dims = (3, 4)
-    levels = [(random_toeplitz(rng, m), 0.0, 0.0) for m in dims]
+    levels = [two_sided(random_toeplitz(rng, m), 0.0, 0.0) for m in dims]
     A = MultilevelOperator(dims, 1.0, levels)
     x = rng.standard_normal(12)
+    # a level whose entries all vanish costs no product
+    monkeypatch.setattr(Toeplitz1D, "_axis_apply", None)
     assert np.array_equal(A.apply(x), x)
 
 
 def test_apply_reduces_to_toeplitz_in_1d(rng):
     T = random_toeplitz(rng, 9)
-    A = MultilevelOperator((9,), 0.5, [(T, 1.25, 0.75)])
+    A = MultilevelOperator((9,), 0.5, [two_sided(T, 1.25, 0.75)])
     x = rng.standard_normal(9)
     ref = 0.5 * x + 1.25 * T.matvec(x) + 0.75 * toeplitz_dense(T.col, T.row).T @ x
     assert rel_err(A.apply(x), ref) <= 1e-14
@@ -118,7 +132,7 @@ def test_apply_matches_explicit_2x2_kron(rng):
     T1 = random_toeplitz(rng, 2)
     T2 = random_toeplitz(rng, 2)
     nu, v1p, v1m, v2p, v2m = 0.7, 1.1, 0.3, 0.9, 1.7
-    A = MultilevelOperator(dims, nu, [(T1, v1p, v1m), (T2, v2p, v2m)])
+    A = MultilevelOperator(dims, nu, [two_sided(T1, v1p, v1m), two_sided(T2, v2p, v2m)])
     dense = assemble_dense(dims, nu, [(T1.col, T1.row, v1p, v1m),
                                       (T2.col, T2.row, v2p, v2m)])
     x = rng.standard_normal(4)
@@ -150,24 +164,24 @@ ORACLE_DIMS = (
 @pytest.mark.parametrize("dims", ORACLE_DIMS)
 def test_apply_and_transpose_match_dense(dims, rng):
     sizes = tuple(m for m, _ in dims)
-    levels = [(random_toeplitz(rng, m),
-               rng.uniform(0, 2) if "+" in sides else 0.0,
-               rng.uniform(0, 2) if "-" in sides else 0.0) for m, sides in dims]
+    triples = [(random_toeplitz(rng, m),
+                rng.uniform(0, 2) if "+" in sides else 0.0,
+                rng.uniform(0, 2) if "-" in sides else 0.0) for m, sides in dims]
     nu = rng.uniform(0, 3)
-    A = MultilevelOperator(sizes, nu, levels)
-    dense = assemble_dense(sizes, nu, [(T.col, T.row, vp, vm) for T, vp, vm in levels])
+    A = MultilevelOperator(sizes, nu, [two_sided(*t) for t in triples])
+    dense = assemble_dense(sizes, nu, [(T.col, T.row, vp, vm) for T, vp, vm in triples])
     x = rng.standard_normal(A.n)
     assert rel_err(A.apply(x), dense @ x) <= 1e-12
     assert rel_err(A.apply_symmetrized(x), dense[::-1, :] @ x) <= 1e-12
 
 
 def test_symmetric_part_halves_sum(rng):
-    # H(A) = (A + A^T)/2 is the Kronecker sum of the symmetric levels
-    # (v+_i + v-_i) H(L_i), with H(L_i) the symmetric Toeplitz matrix of first
+    # H(A) = (A + A^T)/2 is the Kronecker sum of the symmetric levels H(K_i),
+    # with H(K_i) = (v+_i + v-_i) H(L_i) the symmetric Toeplitz matrix of first
     # column (col + row)/2: the sum the tau preconditioner approximates
     A = random_operator(rng, (3, 5))
     dense = A.materialize()
-    halves = [(0.5 * (T.col + T.row), None, vp + vm, 0.0) for T, vp, vm in A.levels]
+    halves = [(0.5 * (K.col + K.row), None, 1.0, 0.0) for K in A.levels]
     ref = assemble_dense(A.dims, A.nu, halves)
     assert np.max(np.abs(0.5 * (dense + dense.T) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -175,7 +189,7 @@ def test_symmetric_part_halves_sum(rng):
 def test_symmetric_part_equals_apply_for_symmetric_operator(rng):
     col = rng.standard_normal(4)
     T = Toeplitz1D(col)
-    A = MultilevelOperator((4,), 1.0, [(T, 0.8, 0.8)])
+    A = MultilevelOperator((4,), 1.0, [two_sided(T, 0.8, 0.8)])
     x = rng.standard_normal(4)
     dense = A.materialize()
     assert np.array_equal(dense, dense.T)
@@ -188,7 +202,7 @@ def test_symmetric_part_grunwald_block():
     # the symmetric part of a one-sided Grünwald level is the symmetric
     # Toeplitz matrix the tau preconditioner is built from
     L = build_L(1.5, 3, SECOND_ORDER)
-    dense = MultilevelOperator((3,), 0.0, [(L, 1.0, 0.0)]).materialize()
+    dense = MultilevelOperator((3,), 0.0, [two_sided(L, 1.0, 0.0)]).materialize()
     assert rel_err(0.5 * (dense + dense.T), toeplitz_dense(0.5 * (L.col + L.row))) <= 1e-15
 
 
@@ -196,7 +210,7 @@ def test_symmetrized_grunwald_block_dense(rng):
     from taumres.discretization import SECOND_ORDER, build_L
 
     L = build_L(1.5, 3, SECOND_ORDER)
-    A = MultilevelOperator((3,), 2.0, [(L, 1.5, 0.5)])
+    A = MultilevelOperator((3,), 2.0, [two_sided(L, 1.5, 0.5)])
     x = rng.standard_normal(3)
     dense = 2.0 * np.eye(3) + 1.5 * toeplitz_dense(L.col, L.row) \
         + 0.5 * toeplitz_dense(L.col, L.row).T
@@ -208,8 +222,8 @@ def test_symmetrized_is_flip_of_apply(rng):
     A = random_operator(rng, (3, 4))
     x = rng.standard_normal(12)
     assert np.array_equal(A.apply_symmetrized(x), A.apply(x)[::-1])
-    ident = MultilevelOperator((3, 4), 1.0, [(random_toeplitz(rng, 3), 0, 0),
-                                             (random_toeplitz(rng, 4), 0, 0)])
+    ident = MultilevelOperator((3, 4), 1.0, [two_sided(random_toeplitz(rng, 3), 0, 0),
+                                             two_sided(random_toeplitz(rng, 4), 0, 0)])
     assert np.array_equal(ident.apply_symmetrized(x), flip((3, 4), x))
 
 
@@ -221,10 +235,10 @@ def test_symmetrized_dense_is_symmetric(rng):
 
 
 def test_materialize_identity_and_1d(rng):
-    A = MultilevelOperator((4,), 2.0, [(random_toeplitz(rng, 4), 0.0, 0.0)])
+    A = MultilevelOperator((4,), 2.0, [two_sided(random_toeplitz(rng, 4), 0.0, 0.0)])
     assert np.array_equal(A.materialize(), 2.0 * np.eye(4))
     T = random_toeplitz(rng, 5)
-    A = MultilevelOperator((5,), 0.0, [(T, 1.0, 0.0)])
+    A = MultilevelOperator((5,), 0.0, [two_sided(T, 1.0, 0.0)])
     assert np.allclose(A.materialize(), toeplitz_dense(T.col, T.row), atol=1e-15)
 
 
@@ -238,15 +252,13 @@ def test_materialize_columns_equal_apply(rng):
 
 
 def test_materialize_is_the_kronecker_sum_bit_for_bit(rng):
-    # nu*I, then per level vp*W_i and vm*W_i^T added in that order
+    # nu*I, then I (x) K_i (x) I added level by level
     A = random_operator(rng, (3, 4, 5))
     ref = A.nu * np.eye(A.n)
-    for axis, (T, vp, vm) in enumerate(A.levels):
+    for axis, K in enumerate(A.levels):
         blocks = [np.eye(m) for m in A.dims]
-        blocks[axis] = T.dense()
-        W = kron_chain(blocks)
-        ref += vp * W
-        ref += vm * W.T
+        blocks[axis] = K.dense()
+        ref += kron_chain(blocks)
     assert np.array_equal(A.materialize(), ref)
 
 
@@ -260,10 +272,10 @@ def test_materialize_holds_one_matrix():
 def test_materialize_cap(monkeypatch):
     T = Toeplitz1D(np.zeros(65))
     with pytest.raises(ValueError):
-        MultilevelOperator((65, 65), 1.0, [(T, 1.0, 1.0), (T, 1.0, 1.0)]).materialize()
+        MultilevelOperator((65, 65), 1.0, [T, T]).materialize()
     # the cap is read at call time
     T = Toeplitz1D(np.zeros(5))
-    A = MultilevelOperator((5, 5), 1.0, [(T, 1.0, 1.0), (T, 1.0, 1.0)])
+    A = MultilevelOperator((5, 5), 1.0, [T, T])
     monkeypatch.setattr(toeplitz, "MATERIALIZE_CAP", 24)
     with pytest.raises(ValueError):
         A.materialize()
@@ -276,19 +288,27 @@ def test_dimension_validation(rng):
     with pytest.raises(ValueError):
         A.apply(np.zeros(13))
     with pytest.raises(ValueError):
-        MultilevelOperator((3,), 1.0, [(random_toeplitz(rng, 4), 1.0, 1.0)])
+        MultilevelOperator((3,), 1.0, [random_toeplitz(rng, 4)])
     with pytest.raises(ValueError):
-        MultilevelOperator((3,), -1.0, [(random_toeplitz(rng, 3), 1.0, 1.0)])
+        MultilevelOperator((3,), -1.0, [random_toeplitz(rng, 3)])
+    # a level is one Toeplitz1D, not a (T, v+, v-) triple
+    with pytest.raises(ValueError):
+        MultilevelOperator((3,), 1.0, [(random_toeplitz(rng, 3), 1.0, 1.0)])
     # a non-integral size is refused, not truncated to 3
     with pytest.raises(ValueError):
-        MultilevelOperator((3.9,), 1.0, [(random_toeplitz(rng, 3), 1.0, 1.0)])
+        MultilevelOperator((3.9,), 1.0, [random_toeplitz(rng, 3)])
     with pytest.raises(ValueError):
         flip((3.5,), np.zeros(3))
 
 
 def test_non_finite_coefficients_rejected(rng):
     T = random_toeplitz(rng, 3)
-    for nu, vp, vm in ((np.nan, 1.0, 1.0), (np.inf, 1.0, 1.0),
-                       (1.0, np.nan, 1.0), (1.0, 1.0, np.nan), (1.0, np.inf, 0.0)):
+    for nu in (np.nan, np.inf):
         with pytest.raises(ValueError):
-            MultilevelOperator((3,), nu, [(T, vp, vm)])
+            MultilevelOperator((3,), nu, [T])
+    # a non-finite level entry is refused as such when the level is built: not
+    # left to make the product nan, nor taken for a corner mismatch
+    for col, row in (([1.0, 1.0], [1.0, np.inf]), ([np.nan, 1.0], [np.nan, 2.0]),
+                     ([1.0, -np.inf, 0.0], None), (T.col, [T.col[0], 1.0, np.nan])):
+        with pytest.raises(ValueError, match="finite"):
+            MultilevelOperator((len(col),), 1.0, [Toeplitz1D(col, row)])
