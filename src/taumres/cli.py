@@ -23,12 +23,13 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .discretization import FIRST_ORDER, SECOND_ORDER
+from .discretization import FIRST_ORDER, SECOND_ORDER, _check_alpha
 from .krylov import MinresConfig
 from .pde import (ALPHA_PAIRS, PRECONDITIONERS, example1_problem, example2_problem,
                   first_step_row, setup_operators)
-from .spectrum import (export_spectrum_csv, preconditioned_spectrum,
+from .spectrum import (SYM_EIG_CAP, export_spectrum_csv, preconditioned_spectrum,
                        unpreconditioned_spectrum)
+from .transforms import _count, _is_whole
 from . import selftest as _selftest
 
 __all__ = ["RunConfig", "parse_config", "run", "main"]
@@ -47,7 +48,7 @@ _EXAMPLES = {FIRST_ORDER: example1_problem, SECOND_ORDER: example2_problem}
 # the JSON kind a config-file value must have (json gives exact types, so
 # a bool is no number); integers and numbers are also the flags' argparse types
 _KINDS = {
-    "an integer": lambda v: type(v) is int or (type(v) is float and v.is_integer()),
+    "an integer": _is_whole,
     "a number": lambda v: type(v) in (int, float),
     "a string": lambda v: isinstance(v, str),
     "a string or a list of strings": lambda v: isinstance(v, str) or (
@@ -89,11 +90,11 @@ class RunConfig:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
-        if self.n1 < 1:
-            raise ValueError(f"n1 must be at least 1, got {self.n1}")
+        object.__setattr__(self, "n1", _count(self.n1, "n1"))
+        object.__setattr__(self, "jobs", _count(self.jobs, "jobs"))
         MinresConfig(self.tol, self.maxit)
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
+        if self.command == "spectrum" and self.n1 ** 2 > SYM_EIG_CAP:
+            raise ValueError(f"a dense spectrum needs n1**2 <= {SYM_EIG_CAP}, got n1 = {self.n1}")
         fixed = _COMMAND_SCHEME.get(self.command)
         if self.scheme is not None and fixed not in (None, self.scheme):
             raise ValueError(f"{self.command} runs the {fixed} scheme; "
@@ -110,10 +111,7 @@ def _parse_alpha_pairs(raw):
         nums = chunk.split(",")
         if len(nums) != 2:
             raise ValueError(f"alpha pair {chunk!r} must be 'a1,a2'")
-        pair = (float(nums[0]), float(nums[1]))
-        if not all(1.0 < a < 2.0 for a in pair):
-            raise ValueError(f"fractional orders in {chunk!r} must lie in (1, 2)")
-        pairs.append(pair)
+        pairs.append(tuple(_check_alpha(float(a)) for a in nums))
     if not pairs:
         raise ValueError("no alpha pairs given")
     return tuple(pairs)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .toeplitz import MultilevelOperator, Toeplitz1D
-from .transforms import _check_dims
+from .transforms import _as_real, _check_dims, _count
 
 __all__ = [
     "FIRST_ORDER",
@@ -36,8 +36,10 @@ _SCHEMES = (FIRST_ORDER, SECOND_ORDER)
 
 
 def _check_alpha(alpha):
+    alpha = _as_real(alpha, "fractional order", shape=())
     if not 1.0 < alpha < 2.0:
         raise ValueError(f"fractional order must lie in (1, 2), got {alpha}")
+    return alpha
 
 
 def _check_scheme(scheme):
@@ -61,15 +63,13 @@ class FractionalParams:
     scheme: str = SECOND_ORDER
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
-        object.__setattr__(self, "d_plus", tuple(float(v) for v in self.d_plus))
-        object.__setattr__(self, "d_minus", tuple(float(v) for v in self.d_minus))
-        if not (len(self.alpha) == len(self.d_plus) == len(self.d_minus)):
-            raise ValueError("alpha, d_plus, d_minus must have equal length")
-        for a in self.alpha:
-            _check_alpha(a)
-        if not all(math.isfinite(v) and v >= 0 for v in self.d_plus + self.d_minus):
-            raise ValueError("diffusion coefficients must be finite and nonnegative")
+        alpha, d_plus, d_minus = _as_real((self.alpha, self.d_plus, self.d_minus),
+                                          "FractionalParams", shape=(3, None), finite=True).tolist()
+        if any(c < 0 for c in d_plus + d_minus):
+            raise ValueError("diffusion coefficients must be nonnegative")
+        object.__setattr__(self, "alpha", tuple(map(_check_alpha, alpha)))
+        object.__setattr__(self, "d_plus", tuple(d_plus))
+        object.__setattr__(self, "d_minus", tuple(d_minus))
         _check_scheme(self.scheme)
 
     @property
@@ -87,15 +87,12 @@ class GridSpec:
     h: tuple = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "a", tuple(float(v) for v in self.a))
-        object.__setattr__(self, "b", tuple(float(v) for v in self.b))
         object.__setattr__(self, "n", _check_dims(self.n))
-        if not (len(self.a) == len(self.b) == len(self.n)):
-            raise ValueError("a, b, n must have equal length")
-        if not all(map(math.isfinite, self.a + self.b)):
-            raise ValueError("domain endpoints must be finite")
-        if any(bi <= ai for ai, bi in zip(self.a, self.b)):
+        ends = _as_real((self.a, self.b), "ends a, b", shape=(2, len(self.n)), finite=True).tolist()
+        if any(bi <= ai for ai, bi in zip(*ends)):
             raise ValueError("domain endpoints must satisfy b > a")
+        object.__setattr__(self, "a", tuple(ends[0]))
+        object.__setattr__(self, "b", tuple(ends[1]))
         h = tuple((bi - ai) / (ni + 1) for ai, bi, ni in zip(self.a, self.b, self.n))
         object.__setattr__(self, "h", h)
 
@@ -115,9 +112,8 @@ def grunwald_g(alpha, K):
     first-order scheme's table.  Like every coefficient table here, the
     result is read-only.
     """
-    _check_alpha(alpha)
-    if K < 0:
-        raise ValueError("K must be nonnegative")
+    alpha = _check_alpha(alpha)
+    K = _count(K, "K", low=0)
     # the recurrence's factors, multiplied up left to right: the same
     # roundings as a loop over k
     g = np.ones(K + 1)
@@ -130,7 +126,7 @@ def grunwald_g(alpha, K):
 def weights_second(alpha, K):
     """Second-order weights w_0 = alpha/2, w_k = (alpha/2) g_k + ((2-alpha)/2) g_{k-1}."""
     g = grunwald_g(alpha, K)
-    w = np.empty(K + 1)
+    w = np.empty(g.shape)
     w[0] = 0.5 * alpha
     w[1:] = 0.5 * alpha * g[1:] + 0.5 * (2.0 - alpha) * g[:-1]
     w.setflags(write=False)
@@ -144,8 +140,7 @@ def build_L(alpha, m, scheme=SECOND_ORDER):
     the scheme's coefficient table; the diagonal -c_1 is positive.
     """
     _check_scheme(scheme)
-    if m < 1:
-        raise ValueError(f"matrix size must be positive, got {m}")
+    m = _count(m, "matrix size")
     c = (weights_second if scheme == SECOND_ORDER else grunwald_g)(alpha, m)
     col = -c[1:m + 1]
     row = np.zeros(m)

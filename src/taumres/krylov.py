@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .transforms import _as_real, _count
+
 __all__ = ["MinresConfig", "MinresResult", "BreakdownError", "pminres", "bound_curve"]
 
 
@@ -34,10 +36,10 @@ class MinresConfig:
     x0: np.ndarray = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ValueError(f"tol must be positive and finite, got {self.tol}")
-        if not float(self.maxit).is_integer() or self.maxit < 1:
-            raise ValueError(f"maxit must be an integer of at least 1, got {self.maxit}")
+        object.__setattr__(self, "tol", _as_real(self.tol, "tol", shape=(), finite=True))
+        if not self.tol > 0:
+            raise ValueError(f"tol must be positive, got {self.tol}")
+        object.__setattr__(self, "maxit", _count(self.maxit, "maxit"))
 
 
 @dataclass
@@ -66,11 +68,7 @@ def pminres(apply_a, apply_pinv, b, cfg=None):
         cfg = MinresConfig()
     if apply_pinv is None:
         apply_pinv = lambda r: r
-    b = np.asarray(b, dtype=float)
-    if b.ndim != 1:
-        raise ValueError(f"right-hand side must be a 1-D vector, got shape {b.shape}")
-    if not np.all(np.isfinite(b)):
-        raise ValueError("right-hand side has non-finite entries")
+    b = _as_real(b, "right-hand side", shape=(None,), finite=True)
     n = b.shape[0]
 
     # the true residual is relative to ||b||, or absolute for b = 0
@@ -78,11 +76,7 @@ def pminres(apply_a, apply_pinv, b, cfg=None):
     if cfg.x0 is None:
         x = np.zeros(n)
     else:
-        x = np.array(cfg.x0, dtype=float)
-        if x.shape != (n,):
-            raise ValueError(f"x0 shape {x.shape} does not match rhs length {n}")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("x0 has non-finite entries")
+        x = _as_real(cfg.x0, "x0", shape=(n,), finite=True, copy=True)
     # the recurrences' buffers are freed before the closing product runs
     history, it, converged = _iterate(apply_a, apply_pinv, b, x, cfg)
     return MinresResult(x, history, float(np.linalg.norm(b - apply_a(x))) / scale, it, converged)
@@ -182,9 +176,10 @@ def bound_curve(epsilon, k_max):
     eigenvalues fill +-(1/2, (3/2)(1+eps)) obeys this curve; entry k of
     the returned vector is the bound after k iterations, k = 0..k_max.
     """
+    epsilon = _as_real(epsilon, "epsilon", shape=(), finite=True)
     if epsilon < 0:
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
     kappa = 3.0 * (1.0 + epsilon)
     rho = (kappa - 1.0) / (kappa + 1.0)
-    k = np.arange(k_max + 1)
+    k = np.arange(_count(k_max, "k_max", low=0) + 1)
     return 2.0 * rho ** (k // 2)

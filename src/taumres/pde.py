@@ -27,6 +27,7 @@ from .discretization import (FIRST_ORDER, SECOND_ORDER, FractionalParams, GridSp
 from .krylov import MinresConfig, pminres
 from .tau import build_preconditioner
 from .toeplitz import flip
+from .transforms import _as_real, _count
 
 __all__ = ["FractionalProblem", "StepReport", "sample_grid",
            "step_second_order", "step_first_order",
@@ -55,11 +56,10 @@ class FractionalProblem:
     exact: callable = None
 
     def __post_init__(self):
-        if not (float(self.M).is_integer() and self.M >= 1):
-            raise ValueError(f"need a whole number of time steps M >= 1, got M={self.M}")
-        if not (math.isfinite(self.T) and self.T > 0):
-            raise ValueError(f"final time must be positive and finite, got {self.T}")
-        object.__setattr__(self, "M", int(self.M))
+        object.__setattr__(self, "M", _count(self.M, "the number of time steps M"))
+        object.__setattr__(self, "T", _as_real(self.T, "final time T", shape=(), finite=True))
+        if not self.T > 0:
+            raise ValueError(f"final time must be positive, got {self.T}")
 
     @property
     def tau_step(self):
@@ -88,7 +88,7 @@ def sample_grid(grid, fn, t=None):
     coords = np.meshgrid(*(grid.axis_points(i) for i in range(len(grid.n))),
                          indexing="ij", sparse=True)
     vals = fn(*coords) if t is None else fn(*coords, t)
-    return np.broadcast_to(np.asarray(vals, dtype=float), grid.n).reshape(grid.size).copy()
+    return np.broadcast_to(_as_real(vals, "sampled values"), grid.n).reshape(grid.size).copy()
 
 
 def _solve_step(problem, A, P, yb, t, cfg):

@@ -1,9 +1,9 @@
 """Built-in battery for `taumres selftest`: the fast paths on this machine.
 
 On sizes that reach every per-axis path: ``dst1_multi`` against the dense
-sine product per axis, ``A.apply`` against ``A.materialize()``, P P^{-1} x
-against x, and the paper's theorem (example2's preconditioned spectrum at
-n1 = 15 inside its interval).  The pytest suite goes deeper per layer.
+sine product per axis, ``A.apply`` against ``A.materialize()``, P^{-1/2}
+P^{-1/2} x against P^{-1} x, and the paper's theorem (example2's spectrum
+at n1 = 15 inside its interval).  The pytest suite goes deeper per layer.
 """
 
 import itertools
@@ -51,12 +51,12 @@ def _check_operator(rng):
     return None
 
 
-def _check_round_trip(rng):
+def _check_inv_sqrt(rng):
     params = FractionalParams((1.3, 1.8, 1.5), (1.0, 2.0, 0.5), (2.0, 0.5, 1.0))
     P = build_preconditioner(params, GridSpec((0,) * 3, (1,) * 3, _DST_DIMS), 2.0)
     x = rng.standard_normal(P.n)
-    if np.max(np.abs(P.apply(P.apply_inverse(x)) - x)) > 1e-11 * np.max(np.abs(x)):
-        return f"P P^-1 x misses x at dims={_DST_DIMS}"
+    if abs(P.apply_inv_sqrt(P.apply_inv_sqrt(x)) - P.apply_inverse(x)).max() > 1e-11 * abs(x).max():
+        return f"P^-1/2 P^-1/2 x misses P^-1 x at dims={_DST_DIMS}"
     return None
 
 
@@ -99,7 +99,7 @@ def run_selftest(seed=0):
     checks = [
         ("multilevel sine transform", lambda: _check_dst(rng)),
         ("multilevel Toeplitz operator", lambda: _check_operator(rng)),
-        ("tau preconditioner round trip", lambda: _check_round_trip(rng)),
+        ("tau preconditioner square root", lambda: _check_inv_sqrt(rng)),
         ("preconditioned spectrum theorem", _check_theorem),
     ]
     ok = True

@@ -2,9 +2,9 @@
 
 Each theorem is the spectrum of one symmetric matrix.  For an SPD
 preconditioner P, P^{-1} (Y A) has the eigenvalues of P^{-1/2} (Y A) P^{-1/2},
-whose columns come matrix-free from the solver's ``A.apply`` and
-``P.apply_inv_sqrt``.  Without Y they give N = P^{-1/2} A P^{-1/2}, and as
-P^{-1/2} is symmetric, (N + N^T)/2 = P^{-1/2} H(A) P^{-1/2} with
+whose columns come matrix-free from the solver's own ``A.apply_symmetrized``
+and ``P.apply_inv_sqrt``.  ``A.apply`` gives N = P^{-1/2} A P^{-1/2}, and
+as P^{-1/2} is symmetric, (N + N^T)/2 = P^{-1/2} H(A) P^{-1/2} with
 H(A) = (A + A^T)/2, so P^{-1} H(A) needs no H(A) operator; P must act on
 A's dims, not a permutation of them.  The ideal and unpreconditioned
 spectra start from ``A.materialize()``.  Every matrix passes the one
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretization import FIRST_ORDER, epsilon_bound
-from .toeplitz import flip
+from .transforms import _as_real
 
 __all__ = ["SpectrumReport", "SymmetryError", "sym_eig", "preconditioned_spectrum",
            "ideal_preconditioned_spectrum", "equivalence_spectrum",
@@ -59,7 +59,7 @@ class SpectrumReport:
     tolerance: float = INTERVAL_TOL
 
     def __post_init__(self):
-        ev = np.asarray(self.eigenvalues, dtype=float)
+        ev = _as_real(self.eigenvalues, "eigenvalues", shape=(None,))
         ev.setflags(write=False)
         object.__setattr__(self, "eigenvalues", ev)
 
@@ -93,8 +93,8 @@ def sym_eig(M):
     on (M + M^T)/2, written into M (a read-only M is copied first).
     Refuses n > SYM_EIG_CAP.
     """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    M = _as_real(M, "matrix", shape=(None, None))
+    if M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
     n = M.shape[0]
     if n > SYM_EIG_CAP:
@@ -132,12 +132,12 @@ def _congruence(A, P, flipped):
         raise ValueError(f"preconditioner dims {P.dims} do not match operator dims {A.dims}")
     if A.n > SYM_EIG_CAP:
         raise ValueError(f"dense verification capped at n={SYM_EIG_CAP}, got {A.n}")
+    apply = A.apply_symmetrized if flipped else A.apply
     M = np.empty((A.n, A.n))
     e = np.zeros(A.n)
     for j in range(A.n):
         e[j] = 1.0
-        y = A.apply(P.apply_inv_sqrt(e))
-        M[j] = P.apply_inv_sqrt(flip(A.dims, y) if flipped else y)
+        M[j] = P.apply_inv_sqrt(apply(P.apply_inv_sqrt(e)))
         e[j] = 0.0
     return M
 

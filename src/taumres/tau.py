@@ -12,11 +12,11 @@ in O(m log m) (``tau_eigs``); the dense tau(T) and the cosine sum are the
 test suite's oracles.  The multilevel preconditioner is built from the tau
 approximations of the symmetric parts of the per-direction Grünwald
 blocks and stored as its eigenvalue vector in the multilevel sine basis,
-so P, P^{-1} and P^{-1/2} share one body: two multilevel DSTs around one
-elementwise scaling.  Per axis each DST is one full dense product, the
-exact even/odd fold with two half-size products, or real FFTs of length
-2(n_i+1), by the rule of ``transforms``.  Set-up costs one 1-D DST per
-direction; S e_1 is taken in closed form.
+so P^{-1} and P^{-1/2} (P itself is never applied) share one body: two
+multilevel DSTs around one elementwise scaling.  Per axis each DST is one
+full dense product, the exact even/odd fold with two half-size products,
+or real FFTs of length 2(n_i+1), by the rule of ``transforms``.  Set-up
+costs one 1-D DST per direction; S e_1 is taken in closed form.
 """
 
 import functools
@@ -25,25 +25,22 @@ import math
 import numpy as np
 
 from .discretization import build_L, level_scales
-from .transforms import _check_dims, _dst1_fft_axis, dst1_multi
+from .transforms import _as_real, _check_dims, _count, _dst1_fft_axis, dst1_multi
 
 __all__ = ["TauPreconditioner", "tau_eigs", "build_preconditioner"]
 
 
 def tau_eigs(col):
-    """Sine-basis eigenvalues q of tau(T) as a read-only array, in O(m log m).
+    """Sine-basis eigenvalues q of tau(T), for a finite first column, read-only, in O(m log m).
 
     By the DST first-column identity q = diag(S e_1)^{-1} (S tau(T) e_1),
-    where col is T's first column; the first column of tau(T) is
+    where col is T's first column; the first column u of tau(T) is
     t_j - t_{j+2}, and (S e_1)_k = sqrt(2/(m+1)) * sin(pi*k/(m+1)).
     """
-    col = np.asarray(col, dtype=float)
-    if col.ndim != 1 or col.size < 1:
-        raise ValueError(f"expected a nonempty first column, got shape {col.shape}")
-    m = col.shape[0]
-    u = col.copy()
+    u = _as_real(col, "first column", shape=(None,), finite=True, copy=True)
+    m = _count(u.shape[0], "the length of the first column")
     if m > 2:
-        u[:m - 2] -= col[2:]
+        u[:m - 2] -= u[2:]   # overlapping operands are read before they are written
     s_e1 = np.sqrt(2.0 / (m + 1)) * np.sin(np.pi * np.arange(1, m + 1) / (m + 1))
     q = _dst1_fft_axis(u, 0) / s_e1
     q.setflags(write=False)
@@ -61,11 +58,7 @@ class TauPreconditioner:
     def __init__(self, dims, lam):
         self.dims = _check_dims(dims)
         self.n = math.prod(self.dims)
-        lam = np.array(lam, dtype=float)
-        if lam.shape != (self.n,):
-            raise ValueError(f"expected {self.n} eigenvalues, got shape {lam.shape}")
-        if not np.all(np.isfinite(lam)):
-            raise ValueError("preconditioner eigenvalues have non-finite entries")
+        lam = _as_real(lam, "preconditioner eigenvalues", shape=(self.n,), finite=True, copy=True)
         if lam.min() <= 0.0:
             raise ValueError(f"preconditioner not positive definite: min eigenvalue {lam.min()}")
         lam.setflags(write=False)
@@ -87,10 +80,6 @@ class TauPreconditioner:
         scale(y, w, out=y)
         return dst1_multi(self.dims, y, out=y)
 
-    def apply(self, x):
-        """P @ x."""
-        return self._sine_scaled(x, np.multiply, self.lam)
-
     def apply_inverse(self, x):
         """P^{-1} @ x."""
         return self._sine_scaled(x, np.divide, self.lam)
@@ -109,9 +98,10 @@ def build_preconditioner(params, grid, nu):
     """
     if len(grid.n) != params.d:
         raise ValueError(f"grid has {len(grid.n)} directions, params has {params.d}")
+    nu = _as_real(nu, "nu", shape=(), finite=True)
     if nu < 0:
         raise ValueError(f"nu must be nonnegative, got {nu}")
-    lam = np.full(grid.n, float(nu))
+    lam = np.full(grid.n, nu)
     for i, (vp, vm) in enumerate(level_scales(params, grid)):
         if vp + vm == 0.0:
             continue

@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from .transforms import _axis_matmul, _check_dims, _fibre_blocks
+from .transforms import _as_real, _axis_matmul, _check_dims, _count, _fibre_blocks
 
 __all__ = ["Toeplitz1D", "MultilevelOperator", "flip"]
 
@@ -54,21 +54,15 @@ class Toeplitz1D:
     """
 
     def __init__(self, col, row=None):
-        col = np.array(col, dtype=float)
-        row = col if row is None else np.array(row, dtype=float)
-        if col.ndim != 1 or row.shape != col.shape:
-            raise ValueError("col and row must be equal-length vectors")
-        if col.shape[0] < 1:
-            raise ValueError("empty Toeplitz matrix")
-        if not (np.isfinite(col).all() and np.isfinite(row).all()):
-            raise ValueError("col and row entries must be finite")
+        col = _as_real(col, "col", shape=(None,), finite=True, copy=True)
+        row = col if row is None else _as_real(row, "row", shape=col.shape, finite=True, copy=True)
+        self.m = _count(col.shape[0], "a Toeplitz size")
         if col[0] != row[0]:
             raise ValueError(f"col[0]={col[0]} and row[0]={row[0]} must agree")
         col.setflags(write=False)
         row.setflags(write=False)
         self.col = col
         self.row = row
-        self.m = col.shape[0]
 
     def __repr__(self):
         return f"Toeplitz1D(m={self.m})"
@@ -104,7 +98,7 @@ class Toeplitz1D:
 
     def matvec(self, x):
         """T @ x along the last axis of x."""
-        x = np.asarray(x, dtype=float)
+        x = _as_real(x, "x")
         if x.ndim < 1 or x.shape[-1] != self.m:
             raise ValueError(f"expected trailing dimension {self.m}, got shape {x.shape}")
         out = np.zeros(x.shape)
@@ -122,12 +116,7 @@ def flip(dims, x):
     Under lexicographic ordering the Kronecker product of per-axis
     reversals is the full reversal of the flat vector.
     """
-    dims = _check_dims(dims)
-    n = math.prod(dims)
-    x = np.asarray(x, dtype=float)
-    if x.shape != (n,):
-        raise ValueError(f"expected vector of length {n} for dims {dims}, got shape {x.shape}")
-    return x[::-1].copy()
+    return _as_real(x, "x", shape=(math.prod(_check_dims(dims)),))[::-1].copy()
 
 
 class MultilevelOperator:
@@ -146,11 +135,11 @@ class MultilevelOperator:
         for m, K in zip(dims, levels):
             if not isinstance(K, Toeplitz1D) or K.m != m:
                 raise ValueError(f"level {K!r} is not a Toeplitz1D of size {m}")
-        if not math.isfinite(nu) or nu < 0:
-            raise ValueError(f"nu must be finite and nonnegative, got {nu}")
+        self.nu = _as_real(nu, "nu", shape=(), finite=True)
+        if self.nu < 0:
+            raise ValueError(f"nu must be nonnegative, got {nu}")
         self.dims = dims
         self.n = math.prod(dims)
-        self.nu = float(nu)
         self.levels = levels
         self._active = [(axis, K) for axis, K in enumerate(levels) if K.col.any() or K.row.any()]
 
@@ -159,10 +148,7 @@ class MultilevelOperator:
 
     def apply(self, x):
         """A @ x."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
-            raise ValueError(f"expected vector of length {self.n}, got shape {x.shape}")
-        X = x.reshape(self.dims)
+        X = _as_real(x, "x", shape=(self.n,)).reshape(self.dims)
         out = self.nu * X
         for axis, K in self._active:
             K._axis_apply(X, axis, out)

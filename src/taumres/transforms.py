@@ -41,11 +41,13 @@ AWKWARD_AXIS_MAX.  ``_axis_matmul`` is the one full per-axis product,
 shared with the dense product of a ``toeplitz.Toeplitz1D`` level.
 ``dst1_multi`` is the one public entry, for a single vector too (dims
 ``(m,)``); ``tau.tau_eigs`` builds the preconditioner by the FFT path
-``_dst1_fft_axis`` directly.
+``_dst1_fft_axis`` directly.  This lowest layer also holds the library's
+one input rule: ``_as_real`` for every number, ``_is_whole`` for counts.
 """
 
 import functools
 import math
+import numbers
 
 import numpy as np
 
@@ -199,12 +201,48 @@ def _axis_path(m):
     return "fft"
 
 
+def _is_whole(v):
+    """The one rule for sizes and counts: 2 and 2.0 are whole; 2.5, nan, True and "2" are not."""
+    return type(v) is int or not isinstance(v, bool) and isinstance(v, numbers.Real) and (
+        isinstance(v, numbers.Integral) or float(v).is_integer())
+
+
+def _count(v, what, low=1):
+    """``v`` as an int; ValueError unless it is whole (``_is_whole``) and at least ``low``."""
+    if not (_is_whole(v) and v >= low):
+        raise ValueError(f"{what} must be a whole number >= {low}, got {v!r}")
+    return int(v)
+
+
 def _check_dims(dims):
-    """``dims`` as ints; ValueError unless each is a whole number >= 1 (2.5 is not read as 2)."""
-    dims = tuple(dims)
-    if not dims or not all(float(m).is_integer() and m >= 1 for m in dims):
-        raise ValueError(f"sizes must be one or more positive integers, got {dims}")
-    return tuple(int(m) for m in dims)
+    """``dims`` as a tuple of ints; ValueError unless it holds one or more whole numbers >= 1."""
+    if not np.iterable(dims) or not (dims := tuple(dims)):
+        raise ValueError(f"sizes must be one or more positive integers, got {dims!r}")
+    return tuple(_count(m, "a size") for m in dims)
+
+
+def _as_real(x, what, shape=None, finite=False, copy=False):
+    """The one input rule for numbers: ``x`` as a float array (a float for shape ()).
+
+    ValueError for complex, boolean, text or object entries (never cut to the real part
+    or parsed), another shape (None matches any length) and, with ``finite``, a non-finite
+    entry.  Float64 is copied only on ``copy``; finiteness is counted (.all() is slower).
+    """
+    if type(x) is float and shape == () and (not finite or math.isfinite(x)):
+        return float(x)   # numpy's per-call cost would dominate a set-up's dozens of calls
+    a = np.asarray(x)
+    # numpy reads a bool among numbers in a list as 0 or 1, so lists are scanned
+    if a.dtype.kind not in "iuf" or (a.ndim and not isinstance(x, np.ndarray) and any(
+            isinstance(v, (bool, np.bool_)) for v in np.asarray(x, dtype=object).flat)):
+        raise ValueError(f"{what} must hold real numbers, not complex, boolean, text or objects")
+    if shape is not None and (a.ndim != len(shape) or a.shape != shape and any(
+            s is not None and s != m for s, m in zip(shape, a.shape))):
+        want = {0: "a scalar", 1: "a 1-D vector"}.get(len(shape), f"a {len(shape)}-D array")
+        raise ValueError(f"{what} must be {want} of shape {shape}, got shape {a.shape}")
+    a = np.array(a, dtype=float) if copy else np.asarray(a, dtype=float)
+    if finite and np.count_nonzero(np.isfinite(a)) != a.size:
+        raise ValueError(f"{what} has non-finite entries")
+    return float(a) if shape == () else a
 
 
 def dst1_multi(dims, x, out=None):
@@ -217,13 +255,10 @@ def dst1_multi(dims, x, out=None):
     entries; it may be ``x`` itself, which is then transformed in place).
     """
     dims = _check_dims(dims)
-    x = np.asarray(x, dtype=float)
-    n = math.prod(dims)
-    if x.shape != (n,):
-        raise ValueError(f"expected vector of length {n} for dims {dims}, got shape {x.shape}")
+    x = _as_real(x, "x", shape=(math.prod(dims),))
     if out is not None and not (isinstance(out, np.ndarray) and out.shape == x.shape
                                 and out.dtype == float and out.flags.c_contiguous):
-        raise ValueError(f"out must be a C-contiguous float vector of length {n}")
+        raise ValueError(f"out must be a C-contiguous float vector of length {x.size}")
     paths = [_axis_path(m) for m in dims]
     xa = x.reshape(dims)
     own = None if out is None else out.reshape(dims)

@@ -81,6 +81,16 @@ def test_invalid_values_rejected():
         cli.parse_config(["frobnicate"])
 
 
+def test_spectrum_past_the_dense_cap_is_usage_error(capsys):
+    # refused at parse time, not by a traceback after the table header
+    assert cli.parse_config(["spectrum", "--n1", "64"]).n1 == 64
+    for precond in ("tau", "identity"):
+        with pytest.raises(SystemExit) as exc:
+            cli.parse_config(["spectrum", "--n1", "65", "--precond", precond])
+        assert exc.value.code == 2
+        assert "n1**2 <= 4096" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # running
 

@@ -11,6 +11,7 @@ from taumres.spectrum import (SpectrumReport, equivalence_spectrum,
                               preconditioned_spectrum, sym_eig,
                               unpreconditioned_spectrum)
 from taumres.tau import TauPreconditioner, build_preconditioner
+from taumres.toeplitz import MultilevelOperator
 
 from conftest import assemble_dense, kron_chain, sine_matrix, traced_peak
 
@@ -217,10 +218,22 @@ def test_symmetry_defect_raises():
             out[1] = x[2]
             return out
 
+        def apply_symmetrized(self, x):
+            return self.apply(x)[::-1].copy()
+
     P = TauPreconditioner((4,), np.ones(4))
     params = FractionalParams((1.5,), (1.0,), (1.0,))
     with pytest.raises(RuntimeError):
         preconditioned_spectrum(Broken(), P, params)
+
+
+def test_symmetrized_product_without_the_flip_raises(monkeypatch):
+    # the spectrum runs the solver's own Y A: a product that skips the
+    # reversal is the nonsymmetric A, and the gate refuses it
+    params, A, P = setup((5, 4), (1.5, 1.9), EX2, SECOND_ORDER)
+    monkeypatch.setattr(MultilevelOperator, "apply_symmetrized", MultilevelOperator.apply)
+    with pytest.raises(spectrum.SymmetryError):
+        preconditioned_spectrum(A, P, params)
 
 
 def test_preconditioner_on_other_dims_rejected():

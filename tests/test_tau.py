@@ -105,9 +105,9 @@ def test_eigs_of_grunwald_symmetric_part_positive():
 # ---------------------------------------------------------------------------
 # preconditioner
 
-def dense_of(P):
-    """Dense P, one column P e_j at a time."""
-    return np.column_stack([P.apply(e) for e in np.eye(P.n)])
+def inverse_of(P):
+    """Dense P^{-1}, one column P^{-1} e_j at a time."""
+    return np.column_stack([P.apply_inverse(e) for e in np.eye(P.n)])
 
 
 def test_degenerate_preconditioner_is_scaled_identity():
@@ -129,7 +129,7 @@ def test_preconditioner_dense_identity_1d():
     dense = nu * np.eye(16) + (vp + vm) * tau_dense_oracle(col)
     S = sine_matrix(16)
     assert rel_err(S @ np.diag(P.lam) @ S, dense) <= 1e-11
-    assert rel_err(dense_of(P), dense) <= 1e-11
+    assert rel_err(inverse_of(P), np.linalg.inv(dense)) <= 1e-11
 
 
 def test_preconditioner_dense_identity_2d():
@@ -143,15 +143,18 @@ def test_preconditioner_dense_identity_2d():
         blocks = [np.eye(3), np.eye(3)]
         blocks[i] = tau_dense_oracle(col)
         dense = dense + (vp + vm) * kron_chain(blocks)
-    assert rel_err(dense_of(P), dense) <= 1e-11
+    assert rel_err(inverse_of(P), np.linalg.inv(dense)) <= 1e-11
 
 
 def test_apply_inverse_round_trip(rng):
     params = FractionalParams((1.5,), (2.0,), (1.0,), SECOND_ORDER)
     grid = GridSpec((0.0,), (1.0,), (16,))
     P = build_preconditioner(params, grid, 1.0)
+    (vp, vm), = level_scales(params, grid)
+    col = symmetric_part_col(1.5, 16, SECOND_ORDER)
+    dense = 1.0 * np.eye(16) + (vp + vm) * tau_dense_oracle(col)
     x = rng.standard_normal(16)
-    assert np.max(np.abs(P.apply(P.apply_inverse(x)) - x)) <= 1e-11 * np.max(np.abs(x))
+    assert np.max(np.abs(dense @ P.apply_inverse(x) - x)) <= 1e-11 * np.max(np.abs(x))
     assert np.array_equal(P.apply_inverse(np.zeros(16)), np.zeros(16))
 
 
@@ -200,9 +203,11 @@ def test_three_level_preconditioner_round_trip(rng):
     assert P.lam.shape == (60,)
     assert P.lam.min() > 0
     x = rng.standard_normal(60)
-    assert np.max(np.abs(P.apply(P.apply_inverse(x)) - x)) <= 1e-11 * np.max(np.abs(x))
-    dense = dense_of(P)
-    assert np.max(np.abs(dense - dense.T)) <= 1e-12 * np.max(np.abs(dense))
+    S = kron_chain([sine_matrix(m) for m in grid.n])
+    assert np.max(np.abs(S @ (P.lam * (S @ P.apply_inverse(x))) - x)) <= \
+        1e-11 * np.max(np.abs(x))
+    inverse = inverse_of(P)
+    assert np.max(np.abs(inverse - inverse.T)) <= 1e-12 * np.max(np.abs(inverse))
     # Kronecker-sum structure: the spectrum equals the broadcast sum of levels
     qs = []
     for i in range(3):
@@ -219,8 +224,9 @@ def test_round_trip_and_sine_oracle_across_cutoff(rng):
     grid = GridSpec((0, 0), (1, 1), (2, FFT_M))
     P = build_preconditioner(params, grid, 1.0)
     x = rng.standard_normal(P.n)
-    assert np.max(np.abs(P.apply(P.apply_inverse(x)) - x)) <= 1e-11 * np.max(np.abs(x))
     S = kron_chain([sine_matrix(m) for m in grid.n])
+    assert np.max(np.abs(S @ (P.lam * (S @ P.apply_inverse(x))) - x)) <= \
+        1e-11 * np.max(np.abs(x))
     assert rel_err(P.apply_inverse(x), S @ ((S @ x) / P.lam)) <= 1e-11
 
 
@@ -239,7 +245,8 @@ def test_applications_across_the_path_rule(dims, rng):
     scale = np.max(np.abs(x))
     inv = P.apply_inverse(x)
     assert rel_err(inv, sine_oracle(dims, sine_oracle(dims, x) / P.lam)) <= 1e-11
-    assert np.max(np.abs(P.apply(inv) - x)) <= 1e-11 * scale
+    assert np.max(np.abs(sine_oracle(dims, P.lam * sine_oracle(dims, inv)) - x)) <= \
+        1e-11 * scale
     twice = P.apply_inv_sqrt(P.apply_inv_sqrt(x))
     assert np.max(np.abs(twice - inv)) <= 1e-11 * scale
     assert np.array_equal(x, xc)
