@@ -10,10 +10,10 @@ selftest   run the built-in oracle checks
 
 Flags override values from an optional flat-JSON --config file, whose
 keys are the long flag names; null leaves a key unset, and an unknown
-key or a value of the wrong JSON type (a fractional or boolean count,
-say) is a usage error.  Exit codes: 0 success, 2 a solve failed to
-converge, 3 a spectrum violated its theorem interval, 4 I/O failure
-(usage errors exit nonzero via argparse).
+key is a usage error.  Every value, from a flag, the file or a library
+caller, is checked once, by RunConfig.  Exit codes: 0 success, 2 a
+usage error or a solve that failed to converge, 3 a spectrum violated
+its theorem interval, 4 I/O failure.
 """
 
 import argparse
@@ -23,13 +23,13 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .discretization import FIRST_ORDER, SECOND_ORDER, _check_alpha
+from .discretization import FIRST_ORDER, SECOND_ORDER, _check_alpha, _check_scheme
 from .krylov import MinresConfig
 from .pde import (ALPHA_PAIRS, PRECONDITIONERS, example1_problem, example2_problem,
                   first_step_row, setup_operators)
 from .spectrum import (SYM_EIG_CAP, export_spectrum_csv, preconditioned_spectrum,
                        unpreconditioned_spectrum)
-from .transforms import _count, _is_whole
+from .transforms import _count
 from . import selftest as _selftest
 
 __all__ = ["RunConfig", "parse_config", "run", "main"]
@@ -44,37 +44,25 @@ _SCHEMES = {"first": FIRST_ORDER, "second": SECOND_ORDER}
 _COMMAND_SCHEME = {"example1": FIRST_ORDER, "example2": SECOND_ORDER}
 _EXAMPLES = {FIRST_ORDER: example1_problem, SECOND_ORDER: example2_problem}
 
-
-# the JSON kind a config-file value must have (json gives exact types, so
-# a bool is no number); integers and numbers are also the flags' argparse types
-_KINDS = {
-    "an integer": _is_whole,
-    "a number": lambda v: type(v) in (int, float),
-    "a string": lambda v: isinstance(v, str),
-    "a string or a list of strings": lambda v: isinstance(v, str) or (
-        isinstance(v, list) and all(isinstance(s, str) for s in v)),
-}
-_TYPES = {"an integer": int, "a number": float}
-
 # Every option once: its name is the flag, the config-file key and the
-# RunConfig field; its JSON kind and parser settings; its default is on RunConfig
+# RunConfig field, next to its parser settings; its default and check are on RunConfig
 _OPTIONS = {
-    "n1": ("an integer", {"help": "interior points per direction"}),
-    "alphas": ("a string or a list of strings", {"action": "append", "metavar": "A1,A2",
-                                                 "help": "fractional-order pair, repeatable"}),
-    "scheme": ("a string", {"choices": tuple(_SCHEMES)}),
-    "precond": ("a string", {"choices": PRECONDITIONERS}),
-    "tol": ("a number", {}),
-    "maxit": ("an integer", {}),
-    "out": ("a string", {"help": "output CSV path"}),
-    "jobs": ("an integer", {}),
-    "seed": ("an integer", {}),
+    "n1": {"type": int, "help": "interior points per direction"},
+    "alphas": {"action": "append", "metavar": "A1,A2", "help": "fractional-order pair, repeatable"},
+    "scheme": {"metavar": "{" + ",".join(_SCHEMES) + "}"},
+    "precond": {"metavar": "{" + ",".join(PRECONDITIONERS) + "}"},
+    "tol": {"type": float},
+    "maxit": {"type": int},
+    "out": {"help": "output CSV path"},
+    "jobs": {"type": int},
+    "seed": {"type": int},
 }
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One run; ``scheme`` and ``alphas`` left as None take the command's."""
+    """One run, each value checked here and stored converted, from a flag, a file or a
+    library caller alike; ``scheme`` and ``alphas`` left as None take the command's."""
 
     command: str
     n1: int = 31
@@ -92,29 +80,48 @@ class RunConfig:
             raise ValueError(f"unknown command {self.command!r}")
         object.__setattr__(self, "n1", _count(self.n1, "n1"))
         object.__setattr__(self, "jobs", _count(self.jobs, "jobs"))
-        MinresConfig(self.tol, self.maxit)
+        object.__setattr__(self, "seed", _count(self.seed, "seed", low=0))
+        minres = MinresConfig(self.tol, self.maxit)
+        object.__setattr__(self, "tol", minres.tol)
+        object.__setattr__(self, "maxit", minres.maxit)
+        if self.precond not in PRECONDITIONERS:
+            raise ValueError(f"unknown precond {self.precond!r}, expected one of {PRECONDITIONERS}")
+        if not (self.out is None or isinstance(self.out, str)):
+            raise ValueError(f"out must be a path string, got {self.out!r}")
         if self.command == "spectrum" and self.n1 ** 2 > SYM_EIG_CAP:
             raise ValueError(f"a dense spectrum needs n1**2 <= {SYM_EIG_CAP}, got n1 = {self.n1}")
         fixed = _COMMAND_SCHEME.get(self.command)
-        if self.scheme is not None and fixed not in (None, self.scheme):
-            raise ValueError(f"{self.command} runs the {fixed} scheme; "
-                             f"scheme {self.scheme} is contradictory")
+        if self.scheme is not None:
+            _check_scheme(self.scheme)
+            if fixed not in (None, self.scheme):
+                raise ValueError(f"{self.command} runs the {fixed} scheme; "
+                                 f"scheme {self.scheme} is contradictory")
         object.__setattr__(self, "scheme", self.scheme or fixed or SECOND_ORDER)
         if self.alphas is None:
             object.__setattr__(self, "alphas", ALPHA_PAIRS if fixed else ((1.5, 1.5),))
+        try:
+            pairs = tuple((a1, a2) for a1, a2 in self.alphas)
+        except (TypeError, ValueError):
+            pairs = ()
+        if not pairs:
+            raise ValueError(f"alphas must be one or more (alpha1, alpha2) pairs, got {self.alphas!r}")
+        object.__setattr__(self, "alphas", tuple((_check_alpha(a1), _check_alpha(a2))
+                                                 for a1, a2 in pairs))
 
 
 def _parse_alpha_pairs(raw):
     """'a1,a2' pairs from a string or a list of strings, separated by spaces or semicolons."""
-    pairs = []
-    for chunk in " ".join([raw] if isinstance(raw, str) else raw).replace(";", " ").split():
-        nums = chunk.split(",")
-        if len(nums) != 2:
-            raise ValueError(f"alpha pair {chunk!r} must be 'a1,a2'")
-        pairs.append(tuple(_check_alpha(float(a)) for a in nums))
-    if not pairs:
-        raise ValueError("no alpha pairs given")
-    return tuple(pairs)
+    if not (isinstance(raw, str) or isinstance(raw, list) and all(isinstance(s, str) for s in raw)):
+        raise ValueError(f"alphas must be a string or a list of strings, got {raw!r}")
+    chunks = " ".join([raw] if isinstance(raw, str) else raw).replace(";", " ").split()
+    return [[float(a) for a in chunk.split(",")] for chunk in chunks]
+
+
+def _parse_scheme(word):
+    """The scheme a CLI word names: strictly "first" or "second", never a scheme constant."""
+    if not (isinstance(word, str) and word in _SCHEMES):
+        raise ValueError(f"unknown scheme {word!r}, expected one of {tuple(_SCHEMES)}")
+    return _SCHEMES[word]
 
 
 def _build_parser():
@@ -122,14 +129,14 @@ def _build_parser():
         prog="taumres",
         description="Tau-preconditioned MINRES experiments for fractional diffusion.")
     parser.add_argument("command", choices=COMMANDS)
-    for name, (kind, settings) in _OPTIONS.items():
-        parser.add_argument(f"--{name}", type=_TYPES.get(kind), default=None, **settings)
+    for name, settings in _OPTIONS.items():
+        parser.add_argument(f"--{name}", default=None, **settings)
     parser.add_argument("--config", default=None, help="flat JSON file with flag defaults")
     return parser
 
 
 def _config_file_values(parser, path):
-    """The set values of a flat-JSON config file, typed like their flags; null means unset."""
+    """The set values of a flat-JSON config file, unchecked until RunConfig; null means unset."""
     try:
         with open(path, encoding="utf-8") as fh:
             values = json.load(fh)
@@ -141,19 +148,7 @@ def _config_file_values(parser, path):
     if unknown:
         parser.error(f"config file {path}: unknown key(s) {', '.join(map(repr, unknown))}; "
                      f"expected {', '.join(_OPTIONS)}")
-    typed = {}
-    for key, value in values.items():
-        kind, settings = _OPTIONS[key]
-        if value is None:
-            continue
-        if not _KINDS[kind](value):
-            parser.error(f"config file {path}: {key} must be {kind}, got {value!r}")
-        choices = settings.get("choices")
-        if choices and value not in choices:
-            parser.error(f"config file {path}: unknown {key} {value!r}, "
-                         f"expected one of {choices}")
-        typed[key] = _TYPES[kind](value) if kind in _TYPES else value
-    return typed
+    return {key: value for key, value in values.items() if value is not None}
 
 
 def parse_config(argv):
@@ -166,7 +161,7 @@ def parse_config(argv):
         if "alphas" in values:
             values["alphas"] = _parse_alpha_pairs(values["alphas"])
         if "scheme" in values:
-            values["scheme"] = _SCHEMES[values["scheme"]]
+            values["scheme"] = _parse_scheme(values["scheme"])
         return RunConfig(ns.command, **values)
     except ValueError as exc:
         parser.error(str(exc))

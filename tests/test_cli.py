@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -70,13 +71,24 @@ def test_bad_config_file_rejected(tmp_path):
         cli.parse_config(["solve", "--config", str(tmp_path / "missing.json")])
 
 
-def test_invalid_values_rejected():
+def test_invalid_values_rejected(capsys):
     with pytest.raises(SystemExit):
         cli.parse_config(["solve", "--n1", "0"])
     for tol in ("-1", "inf", "nan"):
         with pytest.raises(SystemExit) as exc:
             cli.parse_config(["solve", "--tol", tol])
         assert exc.value.code == 2
+    # a usage error, not numpy's traceback from the seed sequence
+    with pytest.raises(SystemExit) as exc:
+        cli.parse_config(["selftest", "--seed", "-1"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    # the scheme words are strict: a scheme constant is no word
+    for scheme in ("second_order", "bogus"):
+        with pytest.raises(SystemExit) as exc:
+            cli.parse_config(["solve", "--scheme", scheme])
+        assert exc.value.code == 2
+        assert "'first', 'second'" in capsys.readouterr().err
     with pytest.raises(SystemExit):
         cli.parse_config(["frobnicate"])
 
@@ -217,7 +229,8 @@ def test_multiple_spectrum_pairs_keep_a_non_csv_suffix(tmp_path):
 
 def test_config_file_values_are_checked(tmp_path, capsys):
     cfile = tmp_path / "run.json"
-    for bad in ({"precond": "foo"}, {"scheme": "bogus"}, {"alphas": "1.5,2.5"},
+    for bad in ({"precond": "foo"}, {"scheme": "bogus"}, {"scheme": "second_order"},
+                {"seed": -1}, {"alphas": "1.5,2.5"},
                 {"n1": 31.7}, {"maxit": 2.9}, {"tol": True}, {"n1": True}, {"seed": "3"},
                 {"jobs": float("inf")}, {"tol": "1e-8"}, {"scheme": ["second"]}, {"out": 5},
                 {"alphas": 5}, {"alphas": ["1.5,1.5", 1.9]}, {"alphas": {"1.5,1.5": 1}},
@@ -236,6 +249,35 @@ def test_config_file_values_are_checked(tmp_path, capsys):
     # null leaves a key at its default
     cfile.write_text(json.dumps({"out": None, "scheme": None, "n1": None, "alphas": None}))
     assert cli.parse_config(["solve", "--config", str(cfile)]) == cli.parse_config(["solve"])
+
+
+@pytest.mark.parametrize("bad", [
+    {"scheme": "bogus"}, {"scheme": ["second"]}, {"scheme": "first"},
+    {"precond": "foo"}, {"precond": ["tau"]},
+    {"alphas": ((2.5, 1.5),)}, {"alphas": ((1.5,),)}, {"alphas": ()}, {"alphas": 5},
+    {"alphas": (1.5, 1.5)}, {"alphas": (("1.5", "1.5"),)},
+    {"seed": -1}, {"seed": 2.5}, {"seed": "3"}, {"out": 5},
+    {"jobs": float("inf")}, {"n1": True}, {"tol": "1e-8"}, {"maxit": 2.9},
+], ids=repr)
+def test_every_run_value_is_refused_at_construction(bad):
+    # a library caller meets the same check as a flag or a config file, before any run
+    with pytest.raises(ValueError):
+        cli.RunConfig("solve", **bad)
+
+
+def test_run_values_are_stored_converted():
+    cfg = cli.RunConfig("solve", tol=1, maxit=7.0, alphas=[[1.5, 1.9]])
+    assert (cfg.tol, cfg.maxit, cfg.alphas) == (1.0, 7, ((1.5, 1.9),))
+    assert type(cfg.tol) is float and type(cfg.maxit) is int
+
+
+def test_option_table_is_the_run_config(capsys):
+    fieldnames = {f.name for f in fields(cli.RunConfig)} - {"command"}
+    assert set(cli._OPTIONS) == fieldnames
+    with pytest.raises(SystemExit):
+        cli.parse_config(["--help"])
+    usage = capsys.readouterr().out
+    assert all(f"--{key}" in usage for key in cli._OPTIONS)
 
 
 def test_alpha_out_of_range_is_usage_error(capsys):
