@@ -1,13 +1,12 @@
-"""Built-in battery for `taumres selftest`: the fast paths on this machine.
+"""Built-in battery for `taumres selftest`: four fixed checks, no options, no timings.
 
-On sizes that reach every per-axis path: ``dst1_multi`` against the dense
-sine product per axis, ``A.apply`` against ``A.materialize()``, P^{-1/2}
-P^{-1/2} x against P^{-1} x, and the paper's theorem (example2's spectrum
-at n1 = 15 inside its interval).  The pytest suite goes deeper per layer.
+On sizes that reach every per-axis path, with vectors from a fixed seed: ``dst1_multi``
+against the dense sine product per axis, ``A.apply`` against ``A.materialize()``,
+P^{-1/2} P^{-1/2} x against P^{-1} x, and the paper's theorem (example2's spectrum at
+n1 = 15 inside its interval).  Speed is measured by the benchmark script alone.
 """
 
 import itertools
-import time
 
 import numpy as np
 
@@ -70,32 +69,9 @@ def _check_theorem():
     return None
 
 
-_PATH_LABELS = {"full": "full dense product, O(n*n1)",
-                "fold": "fold and two half-size products, O(n*n1/2)",
-                "fft": "FFT, O(n log n1)"}
-
-
-def _scaling_report():
-    # below and above FOLD_MIN, and the first 2^k - 1 past the cutoff, which runs by FFT
-    lines = []
-    for n1 in (63, 127, 255, (1 << DENSE_AXIS_MAX.bit_length()) - 1):
-        params = FractionalParams((1.5, 1.5), (2.0, 3.0), (1.0, 1.0))
-        grid = GridSpec((0, 0), (1, 1), (n1, n1))
-        P = build_preconditioner(params, grid, 1.0)
-        x = np.ones(P.n)
-        P.apply_inverse(x)
-        t0 = time.perf_counter()
-        reps = 5
-        for _ in range(reps):
-            P.apply_inverse(x)
-        secs = (time.perf_counter() - t0) / reps
-        lines.append((n1, n1 * n1, secs, _PATH_LABELS[_axis_path(n1)]))
-    return lines
-
-
-def run_selftest(seed=0):
-    """Run and print every check, then the apply_inverse timings; returns True when all pass."""
-    rng = np.random.default_rng(seed)
+def run_selftest():
+    """Run and print every check on fixed random vectors; returns True when all pass."""
+    rng = np.random.default_rng(0)
     checks = [
         ("multilevel sine transform", lambda: _check_dst(rng)),
         ("multilevel Toeplitz operator", lambda: _check_operator(rng)),
@@ -108,7 +84,4 @@ def run_selftest(seed=0):
         ok = ok and failure is None
         status = "PASS" if failure is None else f"FAIL ({failure})"
         print(f"[selftest] {name}: {status}")
-    for n1, n, secs, path in _scaling_report():
-        print(f"[selftest] apply_inverse n1={n1} n={n}: {secs * 1e3:.2f} ms "
-              f"(two DSTs, per axis: {path})")
     return ok

@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from taumres import cli
 from taumres.discretization import FIRST_ORDER, SECOND_ORDER
+from taumres.pde import PRECONDITIONERS
 from taumres.spectrum import SpectrumReport
 
 
@@ -78,10 +83,15 @@ def test_invalid_values_rejected(capsys):
         with pytest.raises(SystemExit) as exc:
             cli.parse_config(["solve", "--tol", tol])
         assert exc.value.code == 2
-    # a usage error, not numpy's traceback from the seed sequence
+    # --seed is gone, so it is an unknown flag
     with pytest.raises(SystemExit) as exc:
         cli.parse_config(["selftest", "--seed", "-1"])
     assert exc.value.code == 2
+    # an empty path is refused, not replaced by the default file name
+    for command in ("solve", "spectrum"):
+        with pytest.raises(SystemExit) as exc:
+            cli.parse_config([command, "--out", ""])
+        assert exc.value.code == 2
     capsys.readouterr()
     # the scheme words are strict: a scheme constant is no word
     for scheme in ("second_order", "bogus"):
@@ -154,7 +164,7 @@ def test_exit_code_four_on_io_failure(tmp_path, capsys):
 
 def test_deterministic_csv_except_wall_seconds(tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    args = ["example2", "--n1", "7", "--alphas", "1.5,1.9", "--seed", "3"]
+    args = ["example2", "--n1", "7", "--alphas", "1.5,1.9"]
     assert run_cli(args + ["--out", str(out1)]) == 0
     assert run_cli(args + ["--out", str(out2)]) == 0
 
@@ -204,8 +214,31 @@ def test_spectrum_violation_exit_code(tmp_path, monkeypatch):
     assert code == 3
 
 
-def test_selftest_command():
+SELFTEST_LINES = [f"[selftest] {check}: PASS" for check in (
+    "multilevel sine transform", "multilevel Toeplitz operator",
+    "tau preconditioner square root", "preconditioned spectrum theorem")]
+
+
+def test_selftest_command(capsys):
     assert run_cli(["selftest"]) == 0
+    assert capsys.readouterr().out.splitlines() == SELFTEST_LINES
+
+
+def test_cli_runs_as_a_process():
+    # the __main__ entry and argparse's exit codes, end to end
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+    def taumres(*args):
+        return subprocess.run([sys.executable, "-m", "taumres.cli", *args], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    done = taumres("selftest")
+    assert (done.returncode, done.stdout.splitlines(), done.stderr) == (0, SELFTEST_LINES, "")
+    done = taumres("selftest", "--seed", "0")
+    assert done.returncode == 2
+    assert "unrecognized arguments: --seed 0" in done.stderr
 
 
 def test_multiple_spectrum_pairs_write_suffixed_files(tmp_path):
@@ -230,13 +263,13 @@ def test_multiple_spectrum_pairs_keep_a_non_csv_suffix(tmp_path):
 def test_config_file_values_are_checked(tmp_path, capsys):
     cfile = tmp_path / "run.json"
     for bad in ({"precond": "foo"}, {"scheme": "bogus"}, {"scheme": "second_order"},
-                {"seed": -1}, {"alphas": "1.5,2.5"},
+                {"seed": -1}, {"seed": 0}, {"alphas": "1.5,2.5"},
                 {"n1": 31.7}, {"maxit": 2.9}, {"tol": True}, {"n1": True}, {"seed": "3"},
                 {"jobs": float("inf")}, {"tol": "1e-8"}, {"scheme": ["second"]}, {"out": 5},
                 {"alphas": 5}, {"alphas": ["1.5,1.5", 1.9]}, {"alphas": {"1.5,1.5": 1}},
                 {"n_1": 63}, {"n_1": None}, {"n1": 31.7, "maxit": 2.9, "tol": True, "n_1": 63},
                 {"tol": float("inf")}, {"tol": float("nan")}, {"tol": float("-inf")},
-                {"config": "other.json"}, {"command": "example1"}):
+                {"config": "other.json"}, {"command": "example1"}, {"out": ""}):
         cfile.write_text(json.dumps(bad))
         with pytest.raises(SystemExit) as exc:
             cli.parse_config(["solve", "--config", str(cfile)])
@@ -256,7 +289,7 @@ def test_config_file_values_are_checked(tmp_path, capsys):
     {"precond": "foo"}, {"precond": ["tau"]},
     {"alphas": ((2.5, 1.5),)}, {"alphas": ((1.5,),)}, {"alphas": ()}, {"alphas": 5},
     {"alphas": (1.5, 1.5)}, {"alphas": (("1.5", "1.5"),)},
-    {"seed": -1}, {"seed": 2.5}, {"seed": "3"}, {"out": 5},
+    {"out": 5}, {"out": ""},
     {"jobs": float("inf")}, {"n1": True}, {"tol": "1e-8"}, {"maxit": 2.9},
 ], ids=repr)
 def test_every_run_value_is_refused_at_construction(bad):
@@ -278,6 +311,24 @@ def test_option_table_is_the_run_config(capsys):
         cli.parse_config(["--help"])
     usage = capsys.readouterr().out
     assert all(f"--{key}" in usage for key in cli._OPTIONS)
+
+
+@pytest.mark.parametrize("precond", PRECONDITIONERS)
+def test_example1_refuses_precond(precond, tmp_path, capsys):
+    # example1 runs every preconditioner, so naming one contradicts it
+    assert cli.RunConfig("example1").precond == "tau"
+    with pytest.raises(SystemExit) as exc:
+        cli.parse_config(["example1", "--precond", precond])
+    assert exc.value.code == 2
+    assert "example1 runs every preconditioner" in capsys.readouterr().err
+    cfile = tmp_path / "run.json"
+    cfile.write_text(json.dumps({"precond": precond}))
+    with pytest.raises(SystemExit) as exc:
+        cli.parse_config(["example1", "--config", str(cfile)])
+    assert exc.value.code == 2
+    assert cli.parse_config(["example2", "--config", str(cfile)]).precond == precond
+    with pytest.raises(ValueError, match="example1 runs every preconditioner"):
+        cli.RunConfig("example1", precond=precond)
 
 
 def test_alpha_out_of_range_is_usage_error(capsys):
