@@ -10,10 +10,10 @@ selftest   run the four built-in checks on fixed random vectors
 
 Flags override values from an optional flat-JSON --config file, whose
 keys are the long flag names; null leaves a key unset, and an unknown
-key is a usage error.  Every value, from a flag, the file or a library
-caller, is checked once, by RunConfig.  Exit codes: 0 success, 2 a
-usage error or a solve that failed to converge, 3 a spectrum violated
-its theorem interval, 4 I/O failure.
+key is a usage error.  RunConfig checks every value once and refuses an
+option set on a command that does not read it (``_COMMANDS``), from a flag,
+the file or a library caller alike.  Exit codes: 0 success, 2 a usage error
+or a solve that failed to converge, 3 a spectrum broke its theorem interval, 4 I/O failure.
 """
 
 import argparse
@@ -34,14 +34,11 @@ from . import selftest as _selftest
 
 __all__ = ["RunConfig", "parse_config", "run", "main"]
 
-COMMANDS = ("example1", "example2", "solve", "spectrum", "selftest")
 CSV_COLUMNS = ("alpha1", "alpha2", "n", "preconditioner", "iters", "converged",
                "relres", "err_inf", "wall_seconds")
 
-# CLI word -> scheme; example1 and example2 each run one scheme, the
-# other commands default to second order
+# CLI word -> scheme
 _SCHEMES = {"first": FIRST_ORDER, "second": SECOND_ORDER}
-_COMMAND_SCHEME = {"example1": FIRST_ORDER, "example2": SECOND_ORDER}
 _EXAMPLES = {FIRST_ORDER: example1_problem, SECOND_ORDER: example2_problem}
 
 # Every option once: its name is the flag, the config-file key and the
@@ -57,50 +54,61 @@ _OPTIONS = {
     "jobs": {"type": int},
 }
 
+# command -> (the options it reads, the scheme it runs unless it reads one); an option
+# set on a command that does not read it is refused, and the examples run all nine pairs
+_COMMANDS = {
+    "example1": (("n1", "alphas", "tol", "maxit", "out", "jobs"), FIRST_ORDER),
+    "example2": (("n1", "alphas", "precond", "tol", "maxit", "out", "jobs"), SECOND_ORDER),
+    "solve": (tuple(_OPTIONS), SECOND_ORDER),
+    "spectrum": (("n1", "alphas", "scheme", "precond", "out"), SECOND_ORDER),
+    "selftest": ((), None),
+}
+COMMANDS = tuple(_COMMANDS)
+
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One run, each value checked here and stored converted, from a flag, a file or a
-    library caller alike; ``scheme``, ``precond`` and ``alphas`` left as None take the command's."""
+    """One run, from a flag, a file or a library caller alike: a set option the command
+    does not read is refused, and each one it reads is defaulted, checked and stored converted."""
 
     command: str
-    n1: int = 31
+    n1: int = None
     alphas: tuple = None
     scheme: str = None
     precond: str = None
-    tol: float = 1e-8
-    maxit: int = 100
+    tol: float = None
+    maxit: int = None
     out: str = None
-    jobs: int = 1
+    jobs: int = None
 
     def __post_init__(self):
-        if self.command not in COMMANDS:
+        if self.command not in _COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
+        reads, scheme = _COMMANDS[self.command]
+        defaults = {"n1": 31, "alphas": ((1.5, 1.5),) if "scheme" in reads else ALPHA_PAIRS,
+                    "scheme": scheme, "precond": "tau", "tol": MinresConfig.tol,
+                    "maxit": MinresConfig.maxit, "jobs": 1}
+        for name in _OPTIONS:
+            if name not in reads and getattr(self, name) is not None:
+                raise ValueError(f"{self.command} does not read {name}")
+            if name in reads and getattr(self, name) is None:
+                object.__setattr__(self, name, defaults.get(name))
+        if not reads:
+            return
         object.__setattr__(self, "n1", _count(self.n1, "n1"))
-        object.__setattr__(self, "jobs", _count(self.jobs, "jobs"))
-        minres = MinresConfig(self.tol, self.maxit)
-        object.__setattr__(self, "tol", minres.tol)
-        object.__setattr__(self, "maxit", minres.maxit)
-        if self.precond is None:
-            object.__setattr__(self, "precond", "tau")
-        elif self.command == "example1":
-            raise ValueError(f"example1 runs every preconditioner; precond {self.precond!r} "
-                             "is contradictory")
-        if self.precond not in PRECONDITIONERS:
+        if "tol" in reads:   # as are maxit and jobs
+            minres = MinresConfig(self.tol, self.maxit)
+            object.__setattr__(self, "tol", minres.tol)
+            object.__setattr__(self, "maxit", minres.maxit)
+            object.__setattr__(self, "jobs", _count(self.jobs, "jobs"))
+        if self.precond not in (None,) + PRECONDITIONERS:
             raise ValueError(f"unknown precond {self.precond!r}, expected one of {PRECONDITIONERS}")
         if not (self.out is None or isinstance(self.out, str) and self.out):
             raise ValueError(f"out must be a non-empty path string, got {self.out!r}")
         if self.command == "spectrum" and self.n1 ** 2 > SYM_EIG_CAP:
             raise ValueError(f"a dense spectrum needs n1**2 <= {SYM_EIG_CAP}, got n1 = {self.n1}")
-        fixed = _COMMAND_SCHEME.get(self.command)
         if self.scheme is not None:
             _check_scheme(self.scheme)
-            if fixed not in (None, self.scheme):
-                raise ValueError(f"{self.command} runs the {fixed} scheme; "
-                                 f"scheme {self.scheme} is contradictory")
-        object.__setattr__(self, "scheme", self.scheme or fixed or SECOND_ORDER)
-        if self.alphas is None:
-            object.__setattr__(self, "alphas", ALPHA_PAIRS if fixed else ((1.5, 1.5),))
         try:
             pairs = tuple((a1, a2) for a1, a2 in self.alphas)
         except (TypeError, ValueError):
@@ -198,9 +206,9 @@ def _print_rows(rows):
 
 
 def _experiment_rows(config):
-    problem_of = _EXAMPLES[config.scheme]
-    # example1 compares every preconditioner
-    preconds = PRECONDITIONERS if config.command == "example1" else (config.precond,)
+    problem_of = _EXAMPLES[config.scheme or _COMMANDS[config.command][1]]
+    # a command that reads no precond (example1) compares every preconditioner
+    preconds = PRECONDITIONERS if config.precond is None else (config.precond,)
     cells = [(pair, pc) for pair in config.alphas for pc in preconds]
 
     def one(cell):

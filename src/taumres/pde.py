@@ -83,12 +83,15 @@ def sample_grid(grid, fn, t=None):
     """Sample fn on the interior tensor grid, lexicographic order.
 
     Dirichlet boundary points are excluded; fn receives broadcastable
-    coordinate arrays (and t when given) and is evaluated vectorized.
+    coordinate arrays (and t when given), is evaluated vectorized and
+    returns a scalar or a d-D array, never a flat one laid along one axis.
     """
-    coords = np.meshgrid(*(grid.axis_points(i) for i in range(len(grid.n))),
-                         indexing="ij", sparse=True)
-    vals = fn(*coords) if t is None else fn(*coords, t)
-    return np.broadcast_to(_as_real(vals, "sampled values"), grid.n).reshape(grid.size).copy()
+    d = len(grid.n)
+    coords = np.meshgrid(*(grid.axis_points(i) for i in range(d)), indexing="ij", sparse=True)
+    vals = _as_real(fn(*coords) if t is None else fn(*coords, t), "sampled values")
+    if vals.ndim not in (0, d):
+        raise ValueError(f"sampled values must be a scalar or {d}-D, not of shape {vals.shape}")
+    return np.broadcast_to(vals, grid.n).reshape(grid.size).copy()
 
 
 def _solve_step(problem, A, P, yb, t, cfg):
@@ -176,8 +179,7 @@ def example1_problem(n1, alphas):
                               [d[1] for d in EXAMPLE1_COEFFS], FIRST_ORDER)
     grid = GridSpec((0.0, 0.0), (1.0, 1.0), (n1, n1))
     M = int(math.ceil(n1 ** alphas[0]))
-    return FractionalProblem(grid, params, 1.0, M, _example1_source,
-                             lambda x1, x2: np.zeros(np.broadcast_shapes(np.shape(x1), np.shape(x2))))
+    return FractionalProblem(grid, params, 1.0, M, _example1_source, lambda x1, x2: 0.0)
 
 
 def example2_exact(x1, x2, t):

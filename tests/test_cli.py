@@ -2,7 +2,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,8 @@ def test_parse_example2_basic():
     assert cfg.command == "example2"
     assert cfg.n1 == 31
     assert cfg.alphas == ((1.9, 1.9),)
-    assert cfg.scheme == SECOND_ORDER
+    assert cfg.scheme is None       # example2 reads no scheme: it runs the second-order one
+    assert cli._COMMANDS["example2"][1] == SECOND_ORDER
     assert cfg.tol == 1e-8
     assert cfg.maxit == 100
 
@@ -30,7 +31,8 @@ def test_parse_example2_basic():
 def test_parse_defaults_all_pairs():
     cfg = cli.parse_config(["example1"])
     assert len(cfg.alphas) == 9
-    assert cfg.scheme == FIRST_ORDER
+    assert (cfg.scheme, cfg.precond) == (None, None)   # the options example1 does not read
+    assert cli._COMMANDS["example1"][1] == FIRST_ORDER
 
 
 def test_parse_repeatable_alpha_pairs():
@@ -49,11 +51,14 @@ def test_malformed_alpha_pair_rejected():
         cli.parse_config(["solve", "--alphas", "1.5"])
 
 
-def test_contradictory_scheme_rejected():
-    with pytest.raises(SystemExit):
-        cli.parse_config(["example1", "--scheme", "second"])
-    with pytest.raises(SystemExit):
-        cli.parse_config(["example2", "--scheme", "first"])
+def test_contradictory_scheme_rejected(capsys):
+    # the examples fix their scheme, so naming one, even their own, is refused
+    for command in ("example1", "example2"):
+        for scheme in ("first", "second"):
+            with pytest.raises(SystemExit) as exc:
+                cli.parse_config([command, "--scheme", scheme])
+            assert exc.value.code == 2
+            assert f"{command} does not read scheme" in capsys.readouterr().err
 
 
 def test_config_file_flag_precedence(tmp_path):
@@ -239,6 +244,9 @@ def test_cli_runs_as_a_process():
     done = taumres("selftest", "--seed", "0")
     assert done.returncode == 2
     assert "unrecognized arguments: --seed 0" in done.stderr
+    done = taumres("selftest", "--n1", "7")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert "selftest does not read n1" in done.stderr
 
 
 def test_multiple_spectrum_pairs_write_suffixed_files(tmp_path):
@@ -315,20 +323,81 @@ def test_option_table_is_the_run_config(capsys):
 
 @pytest.mark.parametrize("precond", PRECONDITIONERS)
 def test_example1_refuses_precond(precond, tmp_path, capsys):
-    # example1 runs every preconditioner, so naming one contradicts it
-    assert cli.RunConfig("example1").precond == "tau"
+    # example1 runs every preconditioner, so it reads no precond and stores none
+    assert cli.RunConfig("example1").precond is None
     with pytest.raises(SystemExit) as exc:
         cli.parse_config(["example1", "--precond", precond])
     assert exc.value.code == 2
-    assert "example1 runs every preconditioner" in capsys.readouterr().err
+    assert "example1 does not read precond" in capsys.readouterr().err
     cfile = tmp_path / "run.json"
     cfile.write_text(json.dumps({"precond": precond}))
     with pytest.raises(SystemExit) as exc:
         cli.parse_config(["example1", "--config", str(cfile)])
     assert exc.value.code == 2
     assert cli.parse_config(["example2", "--config", str(cfile)]).precond == precond
-    with pytest.raises(ValueError, match="example1 runs every preconditioner"):
+    with pytest.raises(ValueError, match="example1 does not read precond"):
         cli.RunConfig("example1", precond=precond)
+
+
+# the options each command reads; every other (command, option) pair is refused
+EXAMPLE_READS = {"n1", "alphas", "tol", "maxit", "out", "jobs"}
+READS = {
+    "example1": EXAMPLE_READS,
+    "example2": EXAMPLE_READS | {"precond"},
+    "solve": set(cli._OPTIONS),
+    "spectrum": {"n1", "alphas", "scheme", "precond", "out"},
+    "selftest": set(),
+}
+# one valid flag value per option
+FLAG_VALUES = {"n1": "5", "alphas": "1.5,1.9", "scheme": "first", "precond": "identity",
+               "tol": "1e-6", "maxit": "50", "out": "x.csv", "jobs": "2"}
+
+
+def test_command_table_reads_26_pairs():
+    assert {c: set(reads) for c, (reads, _) in cli._COMMANDS.items()} == READS
+    assert sum(map(len, READS.values())) == 26
+    assert cli.COMMANDS == tuple(READS)
+
+
+@pytest.mark.parametrize("option", list(cli._OPTIONS))
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_each_option_is_read_or_refused(command, option, capsys):
+    argv = [command, f"--{option}", FLAG_VALUES[option]]
+    if option in READS[command]:
+        assert getattr(cli.parse_config(argv), option) is not None
+        return
+    with pytest.raises(SystemExit) as exc:
+        cli.parse_config(argv)
+    assert exc.value.code == 2
+    assert f"{command} does not read {option}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("example1", "precond", "tau"), ("example2", "scheme", "second"),
+    ("spectrum", "maxit", 50), ("selftest", "out", "x.csv")])
+def test_unread_key_is_refused_from_a_file_and_a_library(command, key, value, tmp_path, capsys):
+    cfile = tmp_path / "run.json"
+    cfile.write_text(json.dumps({key: value}))
+    with pytest.raises(SystemExit) as exc:
+        cli.parse_config([command, "--config", str(cfile)])
+    assert exc.value.code == 2
+    assert f"{command} does not read {key}" in capsys.readouterr().err
+    with pytest.raises(ValueError, match=f"{command} does not read {key}"):
+        cli.RunConfig(command, **{key: value})
+    # null leaves the key unset, which every command accepts
+    cfile.write_text(json.dumps({key: None}))
+    assert cli.parse_config([command, "--config", str(cfile)]) == cli.RunConfig(command)
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_run_config_round_trips(command):
+    cfg = cli.RunConfig(command)
+    assert cli.RunConfig(**asdict(cfg)) == cfg
+    assert all((getattr(cfg, name) is None) == (name not in READS[command] or name == "out")
+               for name in cli._OPTIONS)
+    set_all = cli.parse_config([command] + [arg for name in sorted(READS[command])
+                                            for arg in (f"--{name}", FLAG_VALUES[name])])
+    assert cli.RunConfig(**asdict(set_all)) == set_all
 
 
 def test_alpha_out_of_range_is_usage_error(capsys):

@@ -38,6 +38,16 @@ def test_sample_2d_lexicographic():
     assert out == pytest.approx([11.0, 21.0, 12.0, 22.0], abs=1e-14)
 
 
+def test_sample_refuses_flat_values_on_a_2d_grid():
+    # x1.ravel() would be laid along x2 on a square grid and fail to broadcast on another
+    for n in ((3, 3), (3, 4)):
+        grid = GridSpec((0.0, 0.0), (1.0, 1.0), n)
+        with pytest.raises(ValueError, match="a scalar or 2-D, not of shape"):
+            sample_grid(grid, lambda x1, x2: x1.ravel())
+    with pytest.raises(ValueError, match="a scalar or 2-D"):
+        sample_grid(grid, lambda x1, x2, t: np.zeros((1, 3, 4)), 0.0)
+
+
 def test_sample_passes_time():
     grid = GridSpec((0.0,), (1.0,), (2,))
     out = sample_grid(grid, lambda x, t: x * t, 3.0)
