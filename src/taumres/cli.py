@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 from .discretization import FIRST_ORDER, SECOND_ORDER, _check_alpha, _check_scheme
 from .krylov import MinresConfig
-from .pde import (ALPHA_PAIRS, PRECONDITIONERS, example1_problem, example2_problem,
-                  first_step_row, setup_operators)
+from .pde import (ALPHA_PAIRS, PRECONDITIONERS, _check_preconditioner, example1_problem,
+                  example2_problem, first_step_row, setup_operators)
 from .spectrum import (SYM_EIG_CAP, export_spectrum_csv, preconditioned_spectrum,
                        unpreconditioned_spectrum)
 from .transforms import _count
@@ -101,8 +101,8 @@ class RunConfig:
             object.__setattr__(self, "tol", minres.tol)
             object.__setattr__(self, "maxit", minres.maxit)
             object.__setattr__(self, "jobs", _count(self.jobs, "jobs"))
-        if self.precond not in (None,) + PRECONDITIONERS:
-            raise ValueError(f"unknown precond {self.precond!r}, expected one of {PRECONDITIONERS}")
+        if self.precond is not None:
+            _check_preconditioner(self.precond)
         if not (self.out is None or isinstance(self.out, str) and self.out):
             raise ValueError(f"out must be a non-empty path string, got {self.out!r}")
         if self.command == "spectrum" and self.n1 ** 2 > SYM_EIG_CAP:

@@ -133,11 +133,12 @@ def weights_second(alpha, K):
     return w
 
 
-def build_L(alpha, m, scheme=SECOND_ORDER):
-    """Lower-Hessenberg Grünwald Toeplitz block of size m.
+def _grunwald_col_row(alpha, m, scheme):
+    """The one rule from the scheme's table c to the Grünwald block of size m: its first
+    column -[c_1 .. c_m] and first row -[c_1, c_0, 0, ...], as two new arrays.
 
-    First column -[c_1 .. c_m], first row -[c_1, c_0, 0, ...] where c is
-    the scheme's coefficient table; the diagonal -c_1 is positive.
+    ``build_L`` wraps them in a ``Toeplitz1D``; the tau preconditioner takes
+    its symmetric part's first column from them, with no Toeplitz matrix built.
     """
     _check_scheme(scheme)
     m = _count(m, "matrix size")
@@ -147,7 +148,12 @@ def build_L(alpha, m, scheme=SECOND_ORDER):
     row[0] = -c[1]
     if m > 1:
         row[1] = -c[0]
-    return Toeplitz1D(col, row)
+    return col, row
+
+
+def build_L(alpha, m, scheme=SECOND_ORDER):
+    """Lower-Hessenberg Grünwald Toeplitz block of size m; the diagonal -c_1 is positive."""
+    return Toeplitz1D(*_grunwald_col_row(alpha, m, scheme))
 
 
 def level_scales(params, grid):

@@ -139,11 +139,15 @@ def _step(problem, A, P, u, k, cfg):
     return step_first_order(problem, A, P, u, (k + 1) * tau, cfg)
 
 
+def _check_preconditioner(name):
+    """The one check of a preconditioner name, for the set-up and the CLI alike."""
+    if name not in PRECONDITIONERS:
+        raise ValueError(f"unknown preconditioner {name!r}, expected one of {PRECONDITIONERS}")
+
+
 def setup_operators(problem, preconditioner):
     """Operator A and preconditioner P (None for "identity") of a problem; the one set-up rule."""
-    if preconditioner not in PRECONDITIONERS:
-        raise ValueError(f"unknown preconditioner {preconditioner!r}, "
-                         f"expected one of {PRECONDITIONERS}")
+    _check_preconditioner(preconditioner)
     A = assemble_operator(problem.params, problem.grid, problem.nu)
     P = build_preconditioner(problem.params, problem.grid, problem.nu) \
         if preconditioner == "tau" else None
@@ -183,7 +187,10 @@ def example1_problem(n1, alphas):
 
 
 def example2_exact(x1, x2, t):
-    return math.exp(t) * x1 ** 2 * (2.0 - x1) ** 2 * x2 ** 2 * (2.0 - x2) ** 2
+    # the last factor multiplies in place: one full-size temporary on a grid
+    v = math.exp(t) * x1 ** 2 * (2.0 - x1) ** 2 * x2 ** 2
+    v *= (2.0 - x2) ** 2
+    return v
 
 
 def _example2_source(alphas):

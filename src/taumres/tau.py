@@ -16,7 +16,9 @@ so P^{-1} and P^{-1/2} (P itself is never applied) share one body: two
 multilevel DSTs around one elementwise scaling.  Per axis each DST is one
 full dense product, the exact even/odd fold with two half-size products,
 or real FFTs of length 2(n_i+1), by the rule of ``transforms``.  Set-up
-costs one 1-D DST per direction; S e_1 is taken in closed form.
+costs one 1-D DST per active direction, on a column taken straight from
+the scheme's coefficient table (no Grünwald block is built), plus one
+n-size write of the Kronecker sum; S e_1 is taken in closed form.
 """
 
 import functools
@@ -24,7 +26,7 @@ import math
 
 import numpy as np
 
-from .discretization import build_L, level_scales
+from .discretization import _grunwald_col_row, level_scales
 from .transforms import _as_real, _check_dims, _count, _dst1_fft_axis, dst1_multi
 
 __all__ = ["TauPreconditioner", "tau_eigs", "build_preconditioner"]
@@ -93,21 +95,24 @@ def build_preconditioner(params, grid, nu):
     """Multilevel tau preconditioner for the symmetrized system.
 
     Per direction, q_i is the tau spectrum of the first column of the
-    symmetric part of the Grünwald block; the eigenvalue vector is the
-    Kronecker sum nu + sum_i (v+_i + v-_i) q_i.
+    symmetric part of the Grünwald block, (col + row) / 2 of the block's
+    first column and row; the eigenvalue vector is the Kronecker sum
+    nu + sum_i (v+_i + v-_i) q_i, added in that order by broadcasting, so
+    only the last sum is n long.
     """
     if len(grid.n) != params.d:
         raise ValueError(f"grid has {len(grid.n)} directions, params has {params.d}")
     nu = _as_real(nu, "nu", shape=(), finite=True)
     if nu < 0:
         raise ValueError(f"nu must be nonnegative, got {nu}")
-    lam = np.full(grid.n, nu)
+    lam = np.full((1,) * params.d, nu)
     for i, (vp, vm) in enumerate(level_scales(params, grid)):
         if vp + vm == 0.0:
             continue
-        L = build_L(params.alpha[i], grid.n[i], params.scheme)
-        q = tau_eigs(0.5 * (L.col + L.row))
+        col, row = _grunwald_col_row(params.alpha[i], grid.n[i], params.scheme)
+        q = tau_eigs(0.5 * (col + row))
         shape = [1] * params.d
         shape[i] = grid.n[i]
         lam = lam + (vp + vm) * q.reshape(shape)
-    return TauPreconditioner(grid.n, lam.reshape(-1))
+    # a view when every direction is active; else the one copy to full size
+    return TauPreconditioner(grid.n, np.broadcast_to(lam, grid.n).reshape(-1))

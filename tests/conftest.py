@@ -4,6 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from taumres.discretization import build_L, level_scales
+from taumres.tau import tau_eigs
 from taumres.toeplitz import Toeplitz1D
 
 
@@ -82,6 +84,20 @@ def tau_eigs_cosine(col):
     m = len(col)
     i = np.arange(1, m + 1)
     return col[0] + 2.0 * np.cos(np.pi * np.outer(i, np.arange(1, m)) / (m + 1)) @ col[1:]
+
+
+def tau_lam_reference(params, grid, nu):
+    """The tau preconditioner's eigenvalues as first built: a Grünwald block per direction,
+    a full nu vector, then one n-size sum lam + (v+_i + v-_i) q_i per active direction."""
+    lam = np.full(grid.n, float(nu))
+    for i, (vp, vm) in enumerate(level_scales(params, grid)):
+        if vp + vm == 0.0:
+            continue
+        L = build_L(params.alpha[i], grid.n[i], params.scheme)
+        shape = [1] * params.d
+        shape[i] = grid.n[i]
+        lam = lam + (vp + vm) * tau_eigs(0.5 * (L.col + L.row)).reshape(shape)
+    return lam.reshape(-1)
 
 
 def convolve_direct(a, b):

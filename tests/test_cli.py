@@ -10,7 +10,7 @@ import pytest
 
 from taumres import cli
 from taumres.discretization import FIRST_ORDER, SECOND_ORDER
-from taumres.pde import PRECONDITIONERS
+from taumres.pde import PRECONDITIONERS, example2_problem, setup_operators
 from taumres.spectrum import SpectrumReport
 
 
@@ -304,6 +304,20 @@ def test_every_run_value_is_refused_at_construction(bad):
     # a library caller meets the same check as a flag or a config file, before any run
     with pytest.raises(ValueError):
         cli.RunConfig("solve", **bad)
+
+
+def test_preconditioner_name_has_one_check(capsys):
+    # RunConfig calls the set-up's own check: one message, exit 2 from a flag
+    msg = r"unknown preconditioner 'foo', expected one of \('tau', 'identity'\)"
+    with pytest.raises(ValueError, match=msg):
+        cli.RunConfig("solve", precond="foo")
+    with pytest.raises(ValueError, match=msg):
+        setup_operators(example2_problem(3, (1.5, 1.5)), "foo")
+    with pytest.raises(SystemExit) as exc:
+        cli.parse_config(["example2", "--precond", "foo"])
+    assert exc.value.code == 2
+    assert "unknown preconditioner 'foo'" in capsys.readouterr().err
+    assert {cli.RunConfig("solve", precond=p).precond for p in PRECONDITIONERS} == {"tau", "identity"}
 
 
 def test_run_values_are_stored_converted():

@@ -6,13 +6,13 @@ import pytest
 
 from taumres.discretization import (FIRST_ORDER, SECOND_ORDER, FractionalParams,
                                     GridSpec, assemble_operator)
-from taumres import pde
+from taumres import discretization, pde
 from taumres.krylov import MinresConfig, pminres
 from taumres.pde import (FractionalProblem, example1_problem, example2_problem,
                          first_step_row, run_steps, sample_grid, setup_operators,
                          step_first_order, step_second_order)
 from taumres.tau import build_preconditioner
-from taumres.toeplitz import flip
+from taumres.toeplitz import Toeplitz1D, flip
 
 from conftest import traced_peak
 
@@ -29,6 +29,21 @@ def test_sample_constant():
 def test_sample_1d_coordinates():
     grid = GridSpec((0.0,), (1.0,), (3,))
     assert sample_grid(grid, lambda x: x) == pytest.approx([0.25, 0.5, 0.75], abs=1e-15)
+
+
+@pytest.mark.parametrize("n1", [63, 255])
+def test_example2_samples_equal_the_one_line_formula(n1):
+    prob = example2_problem(n1, (1.5, 1.9))
+    x1, x2 = np.meshgrid(prob.grid.axis_points(0), prob.grid.axis_points(1),
+                         indexing="ij", sparse=True)
+
+    def formula(t):
+        return (math.exp(t) * x1 ** 2 * (2.0 - x1) ** 2 * x2 ** 2 * (2.0 - x2) ** 2).reshape(-1)
+
+    assert np.array_equal(sample_grid(prob.grid, prob.u0), formula(0.0))
+    for t in (prob.tau_step, 0.5, prob.T):
+        assert np.array_equal(sample_grid(prob.grid, prob.exact, t), formula(t))
+    assert pde.example2_exact(0.5, 1.5, 0.2) == math.exp(0.2) * 0.25 * 2.25 * 2.25 * 0.25
 
 
 def test_sample_2d_lexicographic():
@@ -329,7 +344,27 @@ def test_first_step_row_needs_a_2d_problem(monkeypatch):
 def test_unknown_preconditioner_rejected():
     prob = example2_problem(3, (1.5, 1.5))
     for bad in ("Tau", "none", None):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown preconditioner"):
             run_steps(prob, preconditioner=bad)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown preconditioner"):
             first_step_row(prob, bad, 1e-8, 100)
+
+
+@pytest.mark.parametrize("prob", [
+    example1_problem(15, (1.1, 1.9)), example2_problem(15, (1.5, 1.9)),
+    FractionalProblem(GridSpec((0,) * 3, (1,) * 3, (4, 5, 6)),
+                      FractionalParams((1.5, 1.3, 1.7), (1.0, 0.0, 2.0), (1.0, 0.0, 0.5)),
+                      1.0, 3, lambda *x: 0.0, lambda *x: 0.0),
+], ids=["example1", "example2", "3d-one-off"])
+def test_setup_builds_each_grunwald_block_once(prob, monkeypatch):
+    built = []
+    build_L = discretization.build_L
+    monkeypatch.setattr(discretization, "build_L", lambda *args: built.append(args) or build_L(*args))
+    setup_operators(prob, "tau")
+    assert len(built) == len(prob.grid.n)
+    # the preconditioner takes its columns from the coefficient table, no Toeplitz matrix
+    made = []
+    init = Toeplitz1D.__init__
+    monkeypatch.setattr(Toeplitz1D, "__init__", lambda self, *a: made.append(a) or init(self, *a))
+    build_preconditioner(prob.params, prob.grid, prob.nu)
+    assert made == [] and len(built) == len(prob.grid.n)

@@ -9,7 +9,7 @@ from taumres.tau import TauPreconditioner, build_preconditioner, tau_eigs
 from taumres.transforms import DENSE_AXIS_MAX, FOLD_MIN, _axis_path
 
 from conftest import (kron_chain, rel_err, sine_matrix, sine_oracle, tau_dense_oracle,
-                      tau_eigs_cosine, toeplitz_dense)
+                      tau_eigs_cosine, tau_lam_reference, toeplitz_dense)
 
 # the first length past the dense cutoff that runs by FFT
 FFT_M = next(m for m in itertools.count(DENSE_AXIS_MAX + 1) if _axis_path(m) == "fft")
@@ -117,6 +117,27 @@ def test_degenerate_preconditioner_is_scaled_identity():
     assert np.array_equal(P.lam, np.full(12, 3.0))
     x = np.arange(12.0)
     assert P.apply_inverse(x) == pytest.approx(x / 3.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("scheme", [FIRST_ORDER, SECOND_ORDER])
+@pytest.mark.parametrize("dims, d_plus, d_minus", [
+    ((17,), (2.0,), (1.0,)),
+    ((9, 12), (3.0, 2.0), (1.0, 1.0)),
+    ((5, 6, 7), (1.0, 0.5, 2.0), (0.3, 1.0, 0.0)),
+    ((9, 12), (0.0, 2.0), (0.0, 1.0)),
+    ((9, 12), (3.0, 0.0), (1.0, 0.0)),
+    ((5, 6, 7), (1.0, 0.0, 2.0), (0.3, 0.0, 1.0)),
+    ((5, 6, 7), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
+], ids=["1d", "2d", "3d", "2d-first-off", "2d-last-off", "3d-middle-off", "3d-all-off"])
+def test_spectrum_bit_identical_to_block_built_reference(scheme, dims, d_plus, d_minus):
+    # the columns from the coefficient table and the broadcast Kronecker sum give
+    # the very bits of Grünwald blocks built per direction and n-size sums
+    d = len(dims)
+    params = FractionalParams((1.3, 1.7, 1.9)[:d], d_plus, d_minus, scheme)
+    grid = GridSpec((0.0,) * d, (2.0,) * d, dims)
+    for nu in (0.25, 3.5):
+        assert np.array_equal(build_preconditioner(params, grid, nu).lam,
+                              tau_lam_reference(params, grid, nu))
 
 
 def test_preconditioner_dense_identity_1d():
