@@ -8,12 +8,14 @@ solve      single first-step solve for one or more (alpha1, alpha2) pairs
 spectrum   dense spectrum of the (preconditioned) symmetrized operator, CSV export
 selftest   run the four built-in checks on fixed random vectors
 
-Flags override values from an optional flat-JSON --config file, whose
-keys are the long flag names; null leaves a key unset, and an unknown
-key is a usage error.  RunConfig checks every value once and refuses an
-option set on a command that does not read it (``_COMMANDS``), from a flag,
-the file or a library caller alike.  Exit codes: 0 success, 2 a usage error
-or a solve that failed to converge, 3 a spectrum broke its theorem interval, 4 I/O failure.
+Each option is one ``RunConfig`` field, which carries its flag's parser
+settings; its name is the flag and the config-file key.  Flags override
+values from an optional flat-JSON --config file; null leaves a key unset,
+and an unknown key is a usage error.  RunConfig checks every value once,
+the scheme words "first" and "second" included, and refuses an option set
+on a command that does not read it (``_COMMANDS``), from a flag, the file
+or a library caller alike.  Exit codes: 0 success, 2 a usage error or a
+solve that failed to converge, 3 a spectrum broke its theorem interval, 4 I/O failure.
 """
 
 import argparse
@@ -21,14 +23,14 @@ import concurrent.futures
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
-from .discretization import FIRST_ORDER, SECOND_ORDER, _check_alpha, _check_scheme
+from .discretization import FIRST_ORDER, SECOND_ORDER, _SCHEMES, _check_alpha, _check_scheme
 from .krylov import MinresConfig
 from .pde import (ALPHA_PAIRS, PRECONDITIONERS, _check_preconditioner, example1_problem,
                   example2_problem, first_step_row, setup_operators)
-from .spectrum import (SYM_EIG_CAP, export_spectrum_csv, preconditioned_spectrum,
-                       unpreconditioned_spectrum)
+from .spectrum import export_spectrum_csv, preconditioned_spectrum, unpreconditioned_spectrum
+from .toeplitz import MATERIALIZE_CAP
 from .transforms import _count
 from . import selftest as _selftest
 
@@ -37,33 +39,12 @@ __all__ = ["RunConfig", "parse_config", "run", "main"]
 CSV_COLUMNS = ("alpha1", "alpha2", "n", "preconditioner", "iters", "converged",
                "relres", "err_inf", "wall_seconds")
 
-# CLI word -> scheme
-_SCHEMES = {"first": FIRST_ORDER, "second": SECOND_ORDER}
 _EXAMPLES = {FIRST_ORDER: example1_problem, SECOND_ORDER: example2_problem}
 
-# Every option once: its name is the flag, the config-file key and the
-# RunConfig field, next to its parser settings; its default and check are on RunConfig
-_OPTIONS = {
-    "n1": {"type": int, "help": "interior points per direction"},
-    "alphas": {"action": "append", "metavar": "A1,A2", "help": "fractional-order pair, repeatable"},
-    "scheme": {"metavar": "{" + ",".join(_SCHEMES) + "}"},
-    "precond": {"metavar": "{" + ",".join(PRECONDITIONERS) + "}"},
-    "tol": {"type": float},
-    "maxit": {"type": int},
-    "out": {"help": "output CSV path"},
-    "jobs": {"type": int},
-}
 
-# command -> (the options it reads, the scheme it runs unless it reads one); an option
-# set on a command that does not read it is refused, and the examples run all nine pairs
-_COMMANDS = {
-    "example1": (("n1", "alphas", "tol", "maxit", "out", "jobs"), FIRST_ORDER),
-    "example2": (("n1", "alphas", "precond", "tol", "maxit", "out", "jobs"), SECOND_ORDER),
-    "solve": (tuple(_OPTIONS), SECOND_ORDER),
-    "spectrum": (("n1", "alphas", "scheme", "precond", "out"), SECOND_ORDER),
-    "selftest": ((), None),
-}
-COMMANDS = tuple(_COMMANDS)
+def _option(**flag):
+    """A RunConfig option, unset by default; ``flag`` holds its argparse settings."""
+    return field(default=None, metadata=flag)
 
 
 @dataclass(frozen=True)
@@ -72,14 +53,14 @@ class RunConfig:
     does not read is refused, and each one it reads is defaulted, checked and stored converted."""
 
     command: str
-    n1: int = None
-    alphas: tuple = None
-    scheme: str = None
-    precond: str = None
-    tol: float = None
-    maxit: int = None
-    out: str = None
-    jobs: int = None
+    n1: int = _option(type=int, help="interior points per direction")
+    alphas: tuple = _option(action="append", metavar="A1,A2", help="fractional-order pair, repeatable")
+    scheme: str = _option(metavar="{" + ",".join(_SCHEMES) + "}")
+    precond: str = _option(metavar="{" + ",".join(PRECONDITIONERS) + "}")
+    tol: float = _option(type=float)
+    maxit: int = _option(type=int)
+    out: str = _option(help="output CSV path")
+    jobs: int = _option(type=int)
 
     def __post_init__(self):
         if self.command not in _COMMANDS:
@@ -105,8 +86,8 @@ class RunConfig:
             _check_preconditioner(self.precond)
         if not (self.out is None or isinstance(self.out, str) and self.out):
             raise ValueError(f"out must be a non-empty path string, got {self.out!r}")
-        if self.command == "spectrum" and self.n1 ** 2 > SYM_EIG_CAP:
-            raise ValueError(f"a dense spectrum needs n1**2 <= {SYM_EIG_CAP}, got n1 = {self.n1}")
+        if self.command == "spectrum" and self.n1 ** 2 > MATERIALIZE_CAP:
+            raise ValueError(f"a dense spectrum needs n1**2 <= {MATERIALIZE_CAP}, got n1 = {self.n1}")
         if self.scheme is not None:
             _check_scheme(self.scheme)
         try:
@@ -119,6 +100,21 @@ class RunConfig:
                                                  for a1, a2 in pairs))
 
 
+# every option once, in flag order: its name is the flag, the config-file key and the field
+_OPTIONS = tuple(f.name for f in fields(RunConfig)[1:])
+
+# command -> (the options it reads, the scheme it runs unless it reads one); an option
+# set on a command that does not read it is refused, and the examples run all nine pairs
+_COMMANDS = {
+    "example1": (("n1", "alphas", "tol", "maxit", "out", "jobs"), FIRST_ORDER),
+    "example2": (("n1", "alphas", "precond", "tol", "maxit", "out", "jobs"), SECOND_ORDER),
+    "solve": (_OPTIONS, SECOND_ORDER),
+    "spectrum": (("n1", "alphas", "scheme", "precond", "out"), SECOND_ORDER),
+    "selftest": ((), None),
+}
+COMMANDS = tuple(_COMMANDS)
+
+
 def _parse_alpha_pairs(raw):
     """'a1,a2' pairs from a string or a list of strings, separated by spaces or semicolons."""
     if not (isinstance(raw, str) or isinstance(raw, list) and all(isinstance(s, str) for s in raw)):
@@ -127,20 +123,13 @@ def _parse_alpha_pairs(raw):
     return [[float(a) for a in chunk.split(",")] for chunk in chunks]
 
 
-def _parse_scheme(word):
-    """The scheme a CLI word names: strictly "first" or "second", never a scheme constant."""
-    if not (isinstance(word, str) and word in _SCHEMES):
-        raise ValueError(f"unknown scheme {word!r}, expected one of {tuple(_SCHEMES)}")
-    return _SCHEMES[word]
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="taumres",
         description="Tau-preconditioned MINRES experiments for fractional diffusion.")
     parser.add_argument("command", choices=COMMANDS)
-    for name, settings in _OPTIONS.items():
-        parser.add_argument(f"--{name}", default=None, **settings)
+    for option in fields(RunConfig)[1:]:
+        parser.add_argument(f"--{option.name}", default=None, **option.metadata)
     parser.add_argument("--config", default=None, help="flat JSON file with flag defaults")
     return parser
 
@@ -170,8 +159,6 @@ def parse_config(argv):
     try:
         if "alphas" in values:
             values["alphas"] = _parse_alpha_pairs(values["alphas"])
-        if "scheme" in values:
-            values["scheme"] = _parse_scheme(values["scheme"])
         return RunConfig(ns.command, **values)
     except ValueError as exc:
         parser.error(str(exc))

@@ -30,8 +30,10 @@ __all__ = [
     "epsilon_bound",
 ]
 
-FIRST_ORDER = "first_order"
-SECOND_ORDER = "second_order"
+# The two schemes, by the words the command line and config files use too:
+# first-order shifted and second-order weighted-shifted Grünwald
+FIRST_ORDER = "first"
+SECOND_ORDER = "second"
 _SCHEMES = (FIRST_ORDER, SECOND_ORDER)
 
 
@@ -43,6 +45,7 @@ def _check_alpha(alpha):
 
 
 def _check_scheme(scheme):
+    """The one scheme check, for a flag, a config file, a RunConfig and FractionalParams."""
     if scheme not in _SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {_SCHEMES}")
 
@@ -51,10 +54,10 @@ def _check_scheme(scheme):
 class FractionalParams:
     """Orders and diffusion coefficients of the model problem.
 
-    ``alpha[i]`` must lie strictly in (1, 2); the coefficients are
-    finite and nonnegative.  A direction with ``d_plus + d_minus == 0`` makes the
-    spatial operator vanish there (allowed for degenerate identity-like
-    operators; ``epsilon_bound`` skips it).
+    There are one or more directions; ``alpha[i]`` must lie strictly in
+    (1, 2); the coefficients are finite and nonnegative.  A direction with
+    ``d_plus + d_minus == 0`` makes the spatial operator vanish there
+    (allowed for degenerate identity-like operators; ``epsilon_bound`` skips it).
     """
 
     alpha: tuple
@@ -65,6 +68,8 @@ class FractionalParams:
     def __post_init__(self):
         alpha, d_plus, d_minus = _as_real((self.alpha, self.d_plus, self.d_minus),
                                           "FractionalParams", shape=(3, None), finite=True).tolist()
+        if not alpha:
+            raise ValueError("FractionalParams needs one or more directions, got none")
         if any(c < 0 for c in d_plus + d_minus):
             raise ValueError("diffusion coefficients must be nonnegative")
         object.__setattr__(self, "alpha", tuple(map(_check_alpha, alpha)))

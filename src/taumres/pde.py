@@ -84,13 +84,15 @@ def sample_grid(grid, fn, t=None):
 
     Dirichlet boundary points are excluded; fn receives broadcastable
     coordinate arrays (and t when given), is evaluated vectorized and
-    returns a scalar or a d-D array, never a flat one laid along one axis.
+    returns a scalar or a d-D array whose every axis has length 1 or the
+    grid's, never a flat one laid along one axis.
     """
     d = len(grid.n)
     coords = np.meshgrid(*(grid.axis_points(i) for i in range(d)), indexing="ij", sparse=True)
     vals = _as_real(fn(*coords) if t is None else fn(*coords, t), "sampled values")
-    if vals.ndim not in (0, d):
-        raise ValueError(f"sampled values must be a scalar or {d}-D, not of shape {vals.shape}")
+    if vals.ndim not in (0, d) or any(s not in (1, m) for s, m in zip(vals.shape, grid.n)):
+        raise ValueError(f"sampled values must be a scalar or {d}-D, not of shape {vals.shape}: "
+                         f"each axis of length 1 or the grid's, {grid.n}")
     return np.broadcast_to(vals, grid.n).reshape(grid.size).copy()
 
 

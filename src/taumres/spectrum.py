@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import toeplitz
 from .discretization import FIRST_ORDER, epsilon_bound
 from .transforms import _as_real
 
@@ -31,7 +32,6 @@ __all__ = ["SpectrumReport", "SymmetryError", "sym_eig", "preconditioned_spectru
            "ideal_preconditioned_spectrum", "equivalence_spectrum",
            "unpreconditioned_spectrum", "export_spectrum_csv"]
 
-SYM_EIG_CAP = 4096
 SYM_TOL = 1e-10
 IDEAL_CAP = 1024
 INTERVAL_TOL = 1e-8
@@ -91,14 +91,14 @@ def sym_eig(M):
     The one symmetry gate: refuses (``SymmetryError``) a matrix with a
     non-finite entry or with max|M - M^T| > SYM_TOL * max|M|, then solves
     on (M + M^T)/2, written into M (a read-only M is copied first).
-    Refuses n > SYM_EIG_CAP.
+    Refuses an empty matrix and n > ``toeplitz.MATERIALIZE_CAP``.
     """
     M = _as_real(M, "matrix", shape=(None, None))
-    if M.shape[0] != M.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
+    if M.shape[0] != M.shape[1] or not M.size:
+        raise ValueError(f"expected a non-empty square (n, n) matrix, got shape {M.shape}")
     n = M.shape[0]
-    if n > SYM_EIG_CAP:
-        raise ValueError(f"dense eigensolve capped at n={SYM_EIG_CAP}, got {n}")
+    if n > toeplitz.MATERIALIZE_CAP:
+        raise ValueError(f"dense eigensolve capped at n={toeplitz.MATERIALIZE_CAP}, got {n}")
     if not M.flags.writeable:
         M = M.copy()
     defects, scales = [], []
@@ -130,8 +130,8 @@ def _congruence(A, P, flipped):
     """
     if P.dims != A.dims:
         raise ValueError(f"preconditioner dims {P.dims} do not match operator dims {A.dims}")
-    if A.n > SYM_EIG_CAP:
-        raise ValueError(f"dense verification capped at n={SYM_EIG_CAP}, got {A.n}")
+    if A.n > toeplitz.MATERIALIZE_CAP:
+        raise ValueError(f"dense verification capped at n={toeplitz.MATERIALIZE_CAP}, got {A.n}")
     apply = A.apply_symmetrized if flipped else A.apply
     M = np.empty((A.n, A.n))
     e = np.zeros(A.n)

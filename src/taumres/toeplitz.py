@@ -34,6 +34,8 @@ from .transforms import _as_real, _axis_matmul, _check_dims, _count, _fibre_bloc
 
 __all__ = ["Toeplitz1D", "MultilevelOperator", "flip"]
 
+# The one limit on a dense n x n matrix: ``materialize`` and every dense
+# spectrum (``spectrum``, the ``taumres spectrum`` command) refuse n above it
 MATERIALIZE_CAP = 4096
 
 # Longest axis whose level is applied as a dense m x m product.  Measured in

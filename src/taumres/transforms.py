@@ -230,7 +230,10 @@ def _as_real(x, what, shape=None, finite=False, copy=False):
     """
     if type(x) is float and shape == () and (not finite or math.isfinite(x)):
         return float(x)   # numpy's per-call cost would dominate a set-up's dozens of calls
-    a = np.asarray(x)
+    try:
+        a = np.asarray(x)
+    except ValueError:   # numpy's "inhomogeneous shape"
+        raise ValueError(f"{what} must be a regular array, not a ragged nested sequence") from None
     # numpy reads a bool among numbers in a list as 0 or 1, so lists are scanned
     if a.dtype.kind not in "iuf" or (a.ndim and not isinstance(x, np.ndarray) and any(
             isinstance(v, (bool, np.bool_)) for v in np.asarray(x, dtype=object).flat)):

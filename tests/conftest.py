@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from taumres.discretization import build_L, level_scales
+from taumres.discretization import FIRST_ORDER, SECOND_ORDER, build_L, level_scales
 from taumres.tau import tau_eigs
 from taumres.toeplitz import Toeplitz1D
 
@@ -12,6 +12,11 @@ from taumres.toeplitz import Toeplitz1D
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+# one test per scheme, its id the scheme's name as the spectrum tags spell it
+each_scheme = pytest.mark.parametrize("scheme", (FIRST_ORDER, SECOND_ORDER),
+                                      ids=("first_order", "second_order"))
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +157,7 @@ def symbol_series(c, theta, K):
     return -s
 
 
-def symbol_closed(alpha, theta, scheme="second_order"):
+def symbol_closed(alpha, theta, scheme=SECOND_ORDER):
     """Closed-form generating function of the Grünwald block.
 
     First order:  -e^{-i theta} (1 - e^{i theta})^alpha.
@@ -160,14 +165,14 @@ def symbol_closed(alpha, theta, scheme="second_order"):
     Principal branch; the value at theta = 0 is 0 by continuity.  The
     formula is evaluated for any positive order (boundary sanity checks
     use alpha = 2); the (1, 2) restriction applies to the tables.
-    ``scheme`` is the value of ``FIRST_ORDER`` or ``SECOND_ORDER``.
+    ``scheme`` is ``FIRST_ORDER`` or ``SECOND_ORDER``.
     """
-    if scheme not in ("first_order", "second_order"):
+    if scheme not in (FIRST_ORDER, SECOND_ORDER):
         raise ValueError(f"unknown scheme {scheme!r}")
     if theta == 0.0:
         return 0.0 + 0.0j
     zp = (1.0 - np.exp(1j * theta)) ** alpha
-    if scheme == "first_order":
+    if scheme == FIRST_ORDER:
         return -np.exp(-1j * theta) * zp
     return -(0.5 * alpha * np.exp(-1j * theta) + 0.5 * (2.0 - alpha)) * zp
 

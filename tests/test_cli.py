@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from taumres import cli
-from taumres.discretization import FIRST_ORDER, SECOND_ORDER
+from taumres.discretization import FIRST_ORDER, SECOND_ORDER, FractionalParams
 from taumres.pde import PRECONDITIONERS, example2_problem, setup_operators
 from taumres.spectrum import SpectrumReport
 
@@ -98,7 +98,7 @@ def test_invalid_values_rejected(capsys):
             cli.parse_config([command, "--out", ""])
         assert exc.value.code == 2
     capsys.readouterr()
-    # the scheme words are strict: a scheme constant is no word
+    # the scheme words are strict: only "first" and "second"
     for scheme in ("second_order", "bogus"):
         with pytest.raises(SystemExit) as exc:
             cli.parse_config(["solve", "--scheme", scheme])
@@ -293,7 +293,7 @@ def test_config_file_values_are_checked(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("bad", [
-    {"scheme": "bogus"}, {"scheme": ["second"]}, {"scheme": "first"},
+    {"scheme": "bogus"}, {"scheme": ["second"]}, {"scheme": "first_order"},
     {"precond": "foo"}, {"precond": ["tau"]},
     {"alphas": ((2.5, 1.5),)}, {"alphas": ((1.5,),)}, {"alphas": ()}, {"alphas": 5},
     {"alphas": (1.5, 1.5)}, {"alphas": (("1.5", "1.5"),)},
@@ -326,13 +326,42 @@ def test_run_values_are_stored_converted():
     assert type(cfg.tol) is float and type(cfg.maxit) is int
 
 
-def test_option_table_is_the_run_config(capsys):
-    fieldnames = {f.name for f in fields(cli.RunConfig)} - {"command"}
-    assert set(cli._OPTIONS) == fieldnames
+def test_option_table_is_the_run_config(tmp_path, capsys):
+    # every field after command is a flag and a config-file key
+    options = [f.name for f in fields(cli.RunConfig)][1:]
+    assert list(cli._OPTIONS) == options
     with pytest.raises(SystemExit):
         cli.parse_config(["--help"])
     usage = capsys.readouterr().out
-    assert all(f"--{key}" in usage for key in cli._OPTIONS)
+    assert all(f"--{key}" in usage for key in options)
+    # a file with every field set to null is read: an unknown key is refused even when null
+    cfile = tmp_path / "run.json"
+    cfile.write_text(json.dumps(dict.fromkeys(options)))
+    assert cli.parse_config(["solve", "--config", str(cfile)]) == cli.RunConfig("solve")
+
+
+def test_scheme_has_one_vocabulary_and_one_check(tmp_path, capsys):
+    # a flag, a config file and a library caller name a scheme by the same word
+    cfile = tmp_path / "run.json"
+    for word, scheme in (("first", FIRST_ORDER), ("second", SECOND_ORDER)):
+        cfile.write_text(json.dumps({"scheme": word}))
+        cfg = cli.RunConfig("solve", scheme=word)
+        assert cfg.scheme == scheme
+        assert cli.parse_config(["solve", "--scheme", word]) == cfg
+        assert cli.parse_config(["solve", "--config", str(cfile)]) == cfg
+    msg = "unknown scheme 'first_order', expected one of ('first', 'second')"
+    with pytest.raises(ValueError) as exc:
+        cli.RunConfig("solve", scheme="first_order")
+    assert str(exc.value) == msg
+    with pytest.raises(ValueError) as exc:
+        FractionalParams((1.5,), (1.0,), (1.0,), "first_order")
+    assert str(exc.value) == msg
+    cfile.write_text(json.dumps({"scheme": "first_order"}))
+    for argv in (["solve", "--scheme", "first_order"], ["solve", "--config", str(cfile)]):
+        with pytest.raises(SystemExit) as exc:
+            cli.parse_config(argv)
+        assert exc.value.code == 2
+        assert msg in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("precond", PRECONDITIONERS)

@@ -7,8 +7,8 @@ from taumres.discretization import (FIRST_ORDER, SECOND_ORDER, FractionalParams,
                                     GridSpec, assemble_operator, build_L,
                                     epsilon_bound, grunwald_g, level_scales, weights_second)
 
-from conftest import (assemble_dense, omega_bound, rel_err, symbol_closed, symbol_series,
-                      toeplitz_dense)
+from conftest import (assemble_dense, each_scheme, omega_bound, rel_err, symbol_closed,
+                      symbol_series, toeplitz_dense)
 
 ALPHAS = (1.1, 1.5, 1.9)
 
@@ -140,7 +140,7 @@ def test_assemble_identity_degeneracy():
     assert np.array_equal(A.materialize(), 7.0 * np.eye(6))
 
 
-@pytest.mark.parametrize("scheme", (FIRST_ORDER, SECOND_ORDER))
+@each_scheme
 def test_assemble_matches_kron_oracle(scheme):
     params = FractionalParams((1.5, 1.9), (3.0, 2.0), (1.0, 1.0), scheme)
     grid = GridSpec((0, 0), (2, 2), (3, 3))
@@ -156,7 +156,7 @@ def test_assemble_matches_kron_oracle(scheme):
     assert rel_err(A.materialize(), dense) <= 1e-14
 
 
-@pytest.mark.parametrize("scheme", (FIRST_ORDER, SECOND_ORDER))
+@each_scheme
 @pytest.mark.parametrize("d_minus", ((1.0, 0.5), (1.0, 0.0)), ids=("two_sided", "one_sided"))
 def test_assembled_level_is_the_two_sided_block_bit_for_bit(scheme, d_minus):
     # K_i = v+_i L_i + v-_i L_i^T byte for byte as the dense sum: a dense
@@ -192,7 +192,7 @@ def piecewise_symbol(alpha, theta, scheme):
                  + 1j * (0.5 * alpha * s1 + 0.5 * (2 - alpha) * s2))
 
 
-@pytest.mark.parametrize("scheme", (FIRST_ORDER, SECOND_ORDER))
+@each_scheme
 def test_closed_form_matches_piecewise(scheme):
     thetas = np.linspace(-np.pi + 1e-3, np.pi - 1e-3, 41)
     for alpha in ALPHAS:
@@ -228,7 +228,7 @@ def test_series_partial_sums_vanish_at_origin():
     assert prev < 1e-3
 
 
-@pytest.mark.parametrize("scheme", (FIRST_ORDER, SECOND_ORDER))
+@each_scheme
 def test_series_converges_to_closed_form(scheme):
     table_of = grunwald_g if scheme == FIRST_ORDER else weights_second
     for alpha in ALPHAS:
@@ -253,7 +253,7 @@ def test_series_truncation_bounds():
         symbol_series(tab, 0.1, -1)
 
 
-@pytest.mark.parametrize("scheme", (FIRST_ORDER, SECOND_ORDER))
+@each_scheme
 def test_symbol_real_part_positive_and_parity(scheme):
     thetas = np.linspace(-np.pi, np.pi, 81)
     for alpha in ALPHAS:
@@ -266,7 +266,7 @@ def test_symbol_real_part_positive_and_parity(scheme):
         assert np.max(np.abs(vals.imag + rev.imag)) <= 1e-12 * np.max(np.abs(vals.imag) + 1e-30)
 
 
-@pytest.mark.parametrize("scheme", (FIRST_ORDER, SECOND_ORDER))
+@each_scheme
 def test_imag_real_ratio_supremum_is_tangent(scheme):
     # sup |Im g / Re g| over theta equals |tan(alpha pi / 2)|, attained as
     # theta -> 0 (grid stays above the 1 - cos(theta) cancellation zone)
@@ -297,7 +297,7 @@ def test_epsilon_bounds_two_dimensional_symbol():
     assert worst <= eps + 1e-9
 
 
-@pytest.mark.parametrize("scheme", (FIRST_ORDER, SECOND_ORDER))
+@each_scheme
 def test_symmetric_part_of_block_is_spd(scheme):
     for alpha in ALPHAS:
         for m in (8, 64):

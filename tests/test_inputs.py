@@ -114,8 +114,10 @@ def test_scalar_entry_refuses_non_real_input(entry, bad):
     lambda: build_L(1.5, 2.5),
     lambda: bound_curve(0.5, -1),
     lambda: tau_eigs([1.0, np.nan]),
+    lambda: FractionalParams((), (), ()),
 ), ids=("GridSpec-n-bool", "maxit-bool", "tol-bool", "M-bool", "grunwald-K-bool",
-        "dims-text", "dims-not-a-sequence", "build_L-fraction", "k_max-negative", "tau_eigs-nan"))
+        "dims-text", "dims-not-a-sequence", "build_L-fraction", "k_max-negative", "tau_eigs-nan",
+        "params-no-direction"))
 def test_counts_and_finite_columns_refuse(call):
     with pytest.raises(ValueError):
         call()
@@ -129,3 +131,13 @@ def test_whole_floats_are_counts():
     assert np.array_equal(build_L(1.5, 3.0).dense(), build_L(1.5, 3).dense())
     assert np.array_equal(bound_curve(0.5, 4.0), bound_curve(0.5, 4))
     assert _check_dims((np.int64(2), 3.0)) == (2, 3)
+
+
+@pytest.mark.parametrize("call, what", [
+    (lambda: FractionalParams((1.5, 1.5, 1.5), (1, 1), (1, 1)), "FractionalParams"),
+    (lambda: GridSpec((0, 0), (1,), (3, 3)), "ends a, b"),
+], ids=("FractionalParams", "GridSpec"))
+def test_ragged_sequence_gets_the_rule_s_message(call, what):
+    # not numpy's "inhomogeneous shape"
+    with pytest.raises(ValueError, match=f"^{what} must be a regular array, not a ragged"):
+        call()

@@ -63,6 +63,14 @@ def test_sample_refuses_flat_values_on_a_2d_grid():
         sample_grid(grid, lambda x1, x2, t: np.zeros((1, 3, 4)), 0.0)
 
 
+def test_sample_refuses_values_of_another_grid():
+    grid = GridSpec((0.0, 0.0), (1.0, 1.0), (3, 4))
+    with pytest.raises(ValueError, match=r"of shape \(2, 4\): each axis of length 1 or the grid's"):
+        sample_grid(grid, lambda x1, x2: np.zeros((2, 4)))
+    # an axis of length 1 is spread over the grid
+    assert np.array_equal(sample_grid(grid, lambda x1, x2: x1), np.repeat(grid.axis_points(0), 4))
+
+
 def test_sample_passes_time():
     grid = GridSpec((0.0,), (1.0,), (2,))
     out = sample_grid(grid, lambda x, t: x * t, 3.0)

@@ -5,7 +5,7 @@ import pytest
 
 from taumres.discretization import (FIRST_ORDER, SECOND_ORDER, FractionalParams,
                                     GridSpec, assemble_operator)
-from taumres import spectrum
+from taumres import spectrum, toeplitz
 from taumres.spectrum import (SpectrumReport, equivalence_spectrum,
                               export_spectrum_csv, ideal_preconditioned_spectrum,
                               preconditioned_spectrum, sym_eig,
@@ -13,7 +13,7 @@ from taumres.spectrum import (SpectrumReport, equivalence_spectrum,
 from taumres.tau import TauPreconditioner, build_preconditioner
 from taumres.toeplitz import MultilevelOperator
 
-from conftest import assemble_dense, kron_chain, sine_matrix, traced_peak
+from conftest import assemble_dense, each_scheme, kron_chain, sine_matrix, traced_peak
 
 EX1 = ((2.0, 0.3), (0.5, 1.0))   # d_plus, d_minus per direction
 EX2 = ((3.0, 2.0), (1.0, 1.0))
@@ -51,10 +51,13 @@ def test_sym_eig_trace_invariance(rng):
 def test_sym_eig_rejects_nonsymmetric_and_oversized(rng, monkeypatch):
     with pytest.raises(ValueError):
         sym_eig(rng.standard_normal((5, 5)))
-    monkeypatch.setattr(spectrum, "SYM_EIG_CAP", 9)
-    with pytest.raises(ValueError):
+    monkeypatch.setattr(toeplitz, "MATERIALIZE_CAP", 9)
+    with pytest.raises(ValueError, match="dense eigensolve capped at n=9"):
         sym_eig(np.eye(10))
     assert np.array_equal(sym_eig(np.eye(9)), np.ones(9))
+    for shape in ((0, 0), (0, 3)):
+        with pytest.raises(ValueError, match=r"non-empty square \(n, n\) matrix"):
+            sym_eig(np.zeros(shape))
 
 
 def test_sym_eig_refuses_non_finite_entries():
@@ -175,7 +178,7 @@ def test_equivalence_1d_interval():
     assert rep.eigenvalues.max() < 1.5
 
 
-@pytest.mark.parametrize("scheme", (FIRST_ORDER, SECOND_ORDER))
+@each_scheme
 def test_equivalence_example2_small(scheme):
     params, A, P = setup((15, 15), (1.5, 1.9), EX2, scheme, nu=16.0, box=2.0)
     rep = equivalence_spectrum(A, P)

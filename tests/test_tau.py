@@ -8,8 +8,8 @@ from taumres.discretization import (FIRST_ORDER, SECOND_ORDER, FractionalParams,
 from taumres.tau import TauPreconditioner, build_preconditioner, tau_eigs
 from taumres.transforms import DENSE_AXIS_MAX, FOLD_MIN, _axis_path
 
-from conftest import (kron_chain, rel_err, sine_matrix, sine_oracle, tau_dense_oracle,
-                      tau_eigs_cosine, tau_lam_reference, toeplitz_dense)
+from conftest import (each_scheme, kron_chain, rel_err, sine_matrix, sine_oracle,
+                      tau_dense_oracle, tau_eigs_cosine, tau_lam_reference, toeplitz_dense)
 
 # the first length past the dense cutoff that runs by FFT
 FFT_M = next(m for m in itertools.count(DENSE_AXIS_MAX + 1) if _axis_path(m) == "fft")
@@ -119,7 +119,7 @@ def test_degenerate_preconditioner_is_scaled_identity():
     assert P.apply_inverse(x) == pytest.approx(x / 3.0, abs=1e-14)
 
 
-@pytest.mark.parametrize("scheme", [FIRST_ORDER, SECOND_ORDER])
+@each_scheme
 @pytest.mark.parametrize("dims, d_plus, d_minus", [
     ((17,), (2.0,), (1.0,)),
     ((9, 12), (3.0, 2.0), (1.0, 1.0)),
@@ -204,7 +204,7 @@ def test_dense_inv_sqrt_eigenvalues(rng):
     assert ev == pytest.approx(np.sort(P.lam ** -0.5), abs=1e-11)
 
 
-@pytest.mark.parametrize("scheme", (FIRST_ORDER, SECOND_ORDER))
+@each_scheme
 def test_positivity_sweep(scheme):
     for d in (1, 2):
         for alpha in (1.1, 1.5, 1.9):

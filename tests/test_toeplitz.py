@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from taumres import toeplitz
+from taumres.spectrum import sym_eig
 from taumres.toeplitz import DENSE_LEVEL_MAX, MultilevelOperator, Toeplitz1D, flip
 
 from conftest import (assemble_dense, convolve_direct, kron_chain, rel_err,
@@ -277,8 +278,11 @@ def test_materialize_cap(monkeypatch):
     T = Toeplitz1D(np.zeros(5))
     A = MultilevelOperator((5, 5), 1.0, [T, T])
     monkeypatch.setattr(toeplitz, "MATERIALIZE_CAP", 24)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="materialize capped at n=24"):
         A.materialize()
+    # the one cap on a dense matrix: the spectra read it too
+    with pytest.raises(ValueError, match="dense eigensolve capped at n=24"):
+        sym_eig(np.eye(25))
     monkeypatch.setattr(toeplitz, "MATERIALIZE_CAP", 25)
     assert np.array_equal(A.materialize(), np.eye(25))
 
