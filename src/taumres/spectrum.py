@@ -1,22 +1,24 @@
 """Dense spectral verification of the preconditioned-eigenvalue theorems.
 
-Each theorem is the spectrum of one symmetric matrix.  For an SPD
-preconditioner P, P^{-1} (Y A) has the eigenvalues of P^{-1/2} (Y A) P^{-1/2},
-whose columns come matrix-free from the solver's own ``A.apply_symmetrized``
-and ``P.apply_inv_sqrt``.  ``A.apply`` gives N = P^{-1/2} A P^{-1/2}, and
-as P^{-1/2} is symmetric, (N + N^T)/2 = P^{-1/2} H(A) P^{-1/2} with
-H(A) = (A + A^T)/2, so P^{-1} H(A) needs no H(A) operator; P must act on
-A's dims, not a permutation of them.  The ideal and unpreconditioned
-spectra start from ``A.materialize()``.  Every matrix passes the one
-symmetry gate of ``sym_eig``; reports carry the theorem interval and a
-count of eigenvalues outside it beyond INTERVAL_TOL (EQUIVALENCE_TOL for
-the equivalence band, which has no eps*).
+Each theorem is the spectrum of one symmetric matrix.  The multilevel DST-I S
+diagonalizes the tau preconditioner, P = S diag(lam) S, takes A to nu*I +
+sum_i I (x) S_i K_i S_i and the flip Y to the diagonal D of the signs
+(-1)^(k_1 + ... + k_d) of the 0-based modes (Bini and Capovani, 1983).  So
+P^{-1} Y A has the eigenvalues of M = diag(lam)^{-1/2} D (S A S) diag(lam)^{-1/2},
+assembled by ``toeplitz._kron_sum`` from one 2-D DST per dense level, then
+scaled.  Without D, M's symmetric part is similar to P^{-1/2} H(A) P^{-1/2},
+H(A) = (A + A^T)/2, so P^{-1} H(A) needs no H(A) operator.  A seeded probe
+ties M to the solver: S (lam^{-1/2} * M (lam^{1/2} * S v)) must match
+``P.apply_inverse(A.apply_symmetrized(v))`` (``A.apply`` without D).  The
+ideal and unpreconditioned spectra start from ``A.materialize()``.  Every
+matrix passes ``sym_eig``'s one symmetry gate; reports carry the theorem
+interval and a count of eigenvalues outside it beyond INTERVAL_TOL
+(EQUIVALENCE_TOL for the equivalence band, which has no eps*).
 
-Memory: a spectrum holds two n x n matrices at its peak, the one it
-builds and LAPACK's own copy inside ``eigvalsh``.  ``sym_eig`` gates and
-symmetrizes tile by tile and overwrites its argument by its symmetric
-part.  The ideal spectrum's dense factorization (n <= IDEAL_CAP) holds
-three, each dropped at its last use.
+Memory: a spectrum holds two n x n matrices at its peak, the one it builds
+and LAPACK's own copy inside ``eigvalsh``.  ``sym_eig`` gates and symmetrizes
+tile by tile, overwriting its argument.  The ideal spectrum's dense
+factorization (n <= IDEAL_CAP) holds three, each dropped at its last use.
 """
 
 import math
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import toeplitz
+from . import toeplitz, transforms
 from .discretization import FIRST_ORDER, epsilon_bound
 from .transforms import _as_real
 
@@ -65,7 +67,7 @@ class SpectrumReport:
 
 
 class SymmetryError(ValueError, RuntimeError):
-    """A matrix failed ``sym_eig``'s gate; for a spectrum's own matrix, a broken pipeline."""
+    """A matrix failed ``sym_eig``'s gate or, in a spectrum, missed the solver's product."""
 
 
 def _tile_pairs(n):
@@ -122,35 +124,38 @@ def _report(M, eps, lo, hi, tag, tol=INTERVAL_TOL, signed=True):
     return SpectrumReport(M.shape[0], ev, eps, lo, hi, violations, tag, tol)
 
 
-def _congruence(A, P, flipped):
-    """Dense (P^{-1/2} Y A P^{-1/2})^T (without Y unless ``flipped``), column j into row j.
-
-    Every consumer takes the symmetric part, which the transpose shares
-    bit for bit, and rows are contiguous stores.
-    """
+def _sine_basis(A, P, flipped):
+    """Dense diag(lam)^{-1/2} D (S A S) diag(lam)^{-1/2} (no D unless ``flipped``), probed."""
     if P.dims != A.dims:
         raise ValueError(f"preconditioner dims {P.dims} do not match operator dims {A.dims}")
     if A.n > toeplitz.MATERIALIZE_CAP:
         raise ValueError(f"dense verification capped at n={toeplitz.MATERIALIZE_CAP}, got {A.n}")
-    apply = A.apply_symmetrized if flipped else A.apply
-    M = np.empty((A.n, A.n))
-    e = np.zeros(A.n)
-    for j in range(A.n):
-        e[j] = 1.0
-        M[j] = P.apply_inv_sqrt(apply(P.apply_inv_sqrt(e)))
-        e[j] = 0.0
+    # S_i K_i S_i: one 2-D DST of each dense level, in place
+    levels = (transforms.dst1_multi(D.shape, D.reshape(-1), out=D.reshape(-1)).reshape(D.shape)
+              for D in (K.dense() for K in A.levels))
+    M = toeplitz._kron_sum(A.dims, A.nu, levels)
+    w = np.sqrt(1.0 / P.lam)
+    signs = np.indices(A.dims).sum(axis=0).reshape(-1) % 2 if flipped else 0
+    M *= np.where(signs, -w, w)[:, None]
+    M *= w
+    # S (lam^{-1/2} * M (lam^{1/2} * S v)) against P^{-1} Y A v (P^{-1} A v), to SYM_TOL
+    v = np.random.default_rng(0).standard_normal(A.n)
+    want = P.apply_inverse((A.apply_symmetrized if flipped else A.apply)(v))
+    got = transforms.dst1_multi(A.dims, w * (M @ (transforms.dst1_multi(A.dims, v) / w)))
+    if not (defect := np.max(np.abs(got - want))) <= SYM_TOL * np.max(np.abs(want)):
+        raise SymmetryError(f"dense matrix misses the solver's product (defect {defect:.2e})")
     return M
 
 
 def preconditioned_spectrum(A, P, params):
     """Spectrum of P^{-1} Y A against +-(1/2, (3/2)(1+eps*)).
 
-    A broken operator pipeline shows as an asymmetric matrix and raises
-    ``SymmetryError``, a RuntimeError.
+    A broken operator or preconditioner product raises ``SymmetryError``,
+    a RuntimeError.
     """
     eps = epsilon_bound(params)
     tag = "main_first_order" if params.scheme == FIRST_ORDER else "main_second_order"
-    return _report(_congruence(A, P, flipped=True), eps, 0.5, 1.5 * (1.0 + eps), tag)
+    return _report(_sine_basis(A, P, flipped=True), eps, 0.5, 1.5 * (1.0 + eps), tag)
 
 
 def ideal_preconditioned_spectrum(A, params):
@@ -180,10 +185,9 @@ def ideal_preconditioned_spectrum(A, params):
 
 
 def equivalence_spectrum(A, P):
-    """Spectrum of P^{-1} H(A), via (N + N^T)/2 with N = P^{-1/2} A P^{-1/2}, against (1/2, 3/2)."""
-    N = _congruence(A, P, flipped=False)
-    return _report(_symmetrize(N), 0.0, 0.5, 1.5, "equivalence", EQUIVALENCE_TOL,
-                   signed=False)
+    """Spectrum of P^{-1} H(A), via the symmetric part of P^{-1/2} A P^{-1/2}, against (1/2, 3/2)."""
+    return _report(_symmetrize(_sine_basis(A, P, flipped=False)), 0.0, 0.5, 1.5, "equivalence",
+                   EQUIVALENCE_TOL, signed=False)
 
 
 def unpreconditioned_spectrum(A):

@@ -71,7 +71,7 @@ class TauPreconditioner:
 
     @functools.cached_property
     def _inv_sqrt(self):
-        # built on first use: only the spectrum code applies P^{-1/2}
+        # built on first use: no solve or spectrum applies P^{-1/2}
         return np.sqrt(1.0 / self.lam)
 
     def _sine_scaled(self, x, scale, w):

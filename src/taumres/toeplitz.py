@@ -17,12 +17,10 @@ with one nonsymmetric Toeplitz level K_i per axis, applied axis by axis
 on the lexicographically ordered vector; for the Grünwald operators
 ``discretization.assemble_operator`` builds K_i = v_plus[i] * L_i +
 v_minus[i] * L_i^T.  A level whose entries all vanish costs no product.
-``apply`` is the only product of the operator; the dense spectra of
-``spectrum`` build their matrices from it column by column, or from the
-dense materialization, capped at MATERIALIZE_CAP unknowns.
-``materialize`` holds one n x n array: nu*I, into whose (l, r) diagonal
-blocks, viewed as ``(left, m_i, right, left, m_i, right)``, each level
-adds K_i.
+``apply`` is the only product of the operator.  Dense matrices, capped
+at MATERIALIZE_CAP unknowns, come from one block assembly (``_kron_sum``)
+that holds one n x n array: ``materialize`` adds the levels K_i, the
+dense spectra of ``spectrum`` the levels in the sine basis, S_i K_i S_i.
 """
 
 import functools
@@ -108,8 +106,9 @@ class Toeplitz1D:
         return out
 
     def dense(self):
-        idx = np.subtract.outer(np.arange(self.m), np.arange(self.m))
-        return np.where(idx >= 0, self.col[np.abs(idx)], self.row[np.abs(idx)])
+        # row j: the window of (row[m-1], ..., row[1], col) ending at col[j], reversed
+        v = np.concatenate((self.row[:0:-1], self.col))
+        return np.lib.stride_tricks.sliding_window_view(v, self.m)[:, ::-1].copy()
 
 
 def flip(dims, x):
@@ -164,14 +163,20 @@ class MultilevelOperator:
         """Dense n x n assembly, built in place; refuses n > MATERIALIZE_CAP."""
         if self.n > MATERIALIZE_CAP:
             raise ValueError(f"materialize capped at n={MATERIALIZE_CAP}, operator has n={self.n}")
-        A = np.eye(self.n)
-        A *= self.nu
-        for axis, K in enumerate(self.levels):
-            m = self.dims[axis]
-            left, right = math.prod(self.dims[:axis]), math.prod(self.dims[axis + 1:])
-            blocks = A.reshape(left, m, right, left, m, right)
-            D = K.dense()
-            for l in range(left):
-                for r in range(right):
-                    blocks[l, :, r, l, :, r] += D
+        return _kron_sum(self.dims, self.nu, (K.dense() for K in self.levels))
+
+
+def _kron_sum(dims, nu, blocks):
+    """Dense nu*I + sum_i I (x) B_i (x) I; in 1-D the C-contiguous B_1 is written and returned."""
+    if len(dims) == 1:
+        (A,) = blocks
+        A.reshape(-1)[::dims[0] + 1] += nu
         return A
+    A = np.eye(math.prod(dims))
+    A *= nu
+    for axis, B in enumerate(blocks):
+        # the (l, r) diagonal blocks of A viewed as (left, m_i, right, left, m_i, right)
+        shape = (math.prod(dims[:axis]), dims[axis], math.prod(dims[axis + 1:]))
+        diagonal = np.einsum("lirljr->lrij", A.reshape(shape + shape))
+        diagonal += B
+    return A

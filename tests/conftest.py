@@ -105,6 +105,23 @@ def tau_lam_reference(params, grid, nu):
     return lam.reshape(-1)
 
 
+def congruence_oracle(A, P, flipped):
+    """Dense (P^{-1/2} Y A P^{-1/2})^T (without Y unless ``flipped``), column j into row j.
+
+    n column applications of the solver's own ``A.apply_symmetrized`` (or
+    ``A.apply``) between two ``P.apply_inv_sqrt``; the flipped matrix is
+    symmetric up to rounding, the other one is not.
+    """
+    apply = A.apply_symmetrized if flipped else A.apply
+    M = np.empty((A.n, A.n))
+    e = np.zeros(A.n)
+    for j in range(A.n):
+        e[j] = 1.0
+        M[j] = P.apply_inv_sqrt(apply(P.apply_inv_sqrt(e)))
+        e[j] = 0.0
+    return M
+
+
 def convolve_direct(a, b):
     """Circular convolution by its defining sum, one output entry at a time."""
     L = len(a)

@@ -11,9 +11,10 @@ from taumres.spectrum import (SpectrumReport, equivalence_spectrum,
                               preconditioned_spectrum, sym_eig,
                               unpreconditioned_spectrum)
 from taumres.tau import TauPreconditioner, build_preconditioner
-from taumres.toeplitz import MultilevelOperator
+from taumres.toeplitz import MultilevelOperator, Toeplitz1D
 
-from conftest import assemble_dense, each_scheme, kron_chain, sine_matrix, traced_peak
+from conftest import (assemble_dense, congruence_oracle, each_scheme, kron_chain, rel_err,
+                      sine_matrix, traced_peak)
 
 EX1 = ((2.0, 0.3), (0.5, 1.0))   # d_plus, d_minus per direction
 EX2 = ((3.0, 2.0), (1.0, 1.0))
@@ -210,24 +211,57 @@ def test_spectrum_invariant_under_joint_scaling():
     assert r1.epsilon_star == pytest.approx(r2.epsilon_star, rel=1e-13)
 
 
-def test_symmetry_defect_raises():
-    class Broken:
-        dims = (4,)
-        n = 4
+@each_scheme
+@pytest.mark.parametrize("dims, alphas, dpm", (
+    ((7, 7), (1.1, 1.9), EX1),
+    ((15, 15), (1.5, 1.9), EX2),
+    ((31,), (1.5,), ((3.0,), (1.0,))),
+    ((5, 6, 7), (1.3, 1.5, 1.8), ((1.0, 0.0, 2.0), (0.5, 0.0, 1.0)))),
+    ids=("n1=7", "n1=15", "1d", "3d_middle_off"))
+def test_spectra_match_the_column_oracle(scheme, dims, alphas, dpm):
+    # the sine-basis assembly is orthogonally similar to the column-built congruence
+    params, A, P = setup(dims, alphas, dpm, scheme)
+    ref = sym_eig(congruence_oracle(A, P, flipped=True))
+    assert rel_err(preconditioned_spectrum(A, P, params).eigenvalues, ref) <= 1e-12
+    N = congruence_oracle(A, P, flipped=False)
+    ref = sym_eig(0.5 * (N + N.T))
+    assert rel_err(equivalence_spectrum(A, P).eigenvalues, ref) <= 1e-12
 
-        def apply(self, x):
+
+def test_symmetry_defect_raises():
+    # an operator whose symmetrized product is not Y A: the matrix built
+    # from its levels (here A = I) does not reproduce that product
+    class Broken(MultilevelOperator):
+        def apply_symmetrized(self, x):
             out = np.zeros(4)
             out[0] = x[1] * 2.0
             out[1] = x[2]
-            return out
+            return out[::-1].copy()
 
-        def apply_symmetrized(self, x):
-            return self.apply(x)[::-1].copy()
-
+    A = Broken((4,), 1.0, [Toeplitz1D(np.zeros(4))])
     P = TauPreconditioner((4,), np.ones(4))
     params = FractionalParams((1.5,), (1.0,), (1.0,))
     with pytest.raises(RuntimeError):
-        preconditioned_spectrum(Broken(), P, params)
+        preconditioned_spectrum(A, P, params)
+
+
+@pytest.mark.parametrize("target", ("apply_inverse", "_axis_apply"))
+def test_broken_solver_product_raises(target, monkeypatch):
+    # P^{-1} scaled by 1.01, or one level's product perturbed: the seeded
+    # probe finds that the assembled matrix misses the solver's product
+    params, A, P = setup((5, 4), (1.5, 1.9), EX2, SECOND_ORDER)
+    if target == "apply_inverse":
+        apply_inverse = TauPreconditioner.apply_inverse
+        monkeypatch.setattr(TauPreconditioner, "apply_inverse",
+                            lambda self, x: 1.01 * apply_inverse(self, x))
+    else:
+        axis_apply = Toeplitz1D._axis_apply
+        monkeypatch.setattr(Toeplitz1D, "_axis_apply",
+                            lambda self, X, axis, out: axis_apply(self, 1.001 * X, axis, out))
+    with pytest.raises(spectrum.SymmetryError, match="solver's product"):
+        preconditioned_spectrum(A, P, params)
+    with pytest.raises(spectrum.SymmetryError, match="solver's product"):
+        equivalence_spectrum(A, P)
 
 
 def test_symmetrized_product_without_the_flip_raises(monkeypatch):
@@ -263,12 +297,14 @@ def test_unpreconditioned_spectrum_has_no_interval():
 
 @pytest.mark.parametrize("which", ("preconditioned", "equivalence", "unpreconditioned"))
 def test_spectrum_holds_one_matrix(which):
-    # the spectrum's own matrix; LAPACK's copy inside eigvalsh is not traced
-    params, A, P = setup((31, 31), (1.5, 1.9), EX2, SECOND_ORDER, nu=32.0, box=2.0)
-    run = {"preconditioned": lambda: preconditioned_spectrum(A, P, params),
-           "equivalence": lambda: equivalence_spectrum(A, P),
-           "unpreconditioned": lambda: unpreconditioned_spectrum(A)}[which]
-    assert traced_peak(run) <= 1.25 * 8 * A.n ** 2
+    # the spectrum's own matrix; LAPACK's copy inside eigvalsh is not traced.
+    # In 1-D the level's dense block becomes the matrix
+    for dims, alphas, dpm in (((31, 31), (1.5, 1.9), EX2), ((1023,), (1.5,), ((3.0,), (1.0,)))):
+        params, A, P = setup(dims, alphas, dpm, SECOND_ORDER, nu=32.0, box=2.0)
+        run = {"preconditioned": lambda: preconditioned_spectrum(A, P, params),
+               "equivalence": lambda: equivalence_spectrum(A, P),
+               "unpreconditioned": lambda: unpreconditioned_spectrum(A)}[which]
+        assert traced_peak(run) <= 1.25 * 8 * A.n ** 2, dims
 
 
 def test_ideal_spectrum_holds_three_matrices():

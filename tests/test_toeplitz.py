@@ -75,6 +75,21 @@ def test_dense_entry_layout():
     assert np.array_equal(T.dense(), expect)
 
 
+@pytest.mark.parametrize("m", (1, 2, 7, 64))
+def test_dense_is_the_gather_by_offset_bit_for_bit(m, rng):
+    # the first formula: entry (j, k) gathered from col or row at |j - k|
+    T = random_toeplitz(rng, m)
+    idx = np.subtract.outer(np.arange(m), np.arange(m))
+    expect = np.where(idx >= 0, T.col[np.abs(idx)], T.row[np.abs(idx)])
+    dense = T.dense()
+    assert dense.tobytes() == expect.tobytes() and dense.flags.c_contiguous
+
+
+def test_dense_holds_one_matrix(rng):
+    T = random_toeplitz(rng, 1023)
+    assert traced_peak(T.dense) <= 1.01 * 8 * T.m ** 2
+
+
 def test_corner_mismatch_rejected():
     with pytest.raises(ValueError):
         Toeplitz1D([1.0, 2.0], [3.0, 4.0])
@@ -253,14 +268,15 @@ def test_materialize_columns_equal_apply(rng):
 
 
 def test_materialize_is_the_kronecker_sum_bit_for_bit(rng):
-    # nu*I, then I (x) K_i (x) I added level by level
-    A = random_operator(rng, (3, 4, 5))
-    ref = A.nu * np.eye(A.n)
-    for axis, K in enumerate(A.levels):
-        blocks = [np.eye(m) for m in A.dims]
-        blocks[axis] = K.dense()
-        ref += kron_chain(blocks)
-    assert np.array_equal(A.materialize(), ref)
+    # nu*I, then I (x) K_i (x) I added level by level; in 1-D, nu added to K_1's diagonal
+    for dims in ((3, 4, 5), (6,)):
+        A = random_operator(rng, dims)
+        ref = A.nu * np.eye(A.n)
+        for axis, K in enumerate(A.levels):
+            blocks = [np.eye(m) for m in A.dims]
+            blocks[axis] = K.dense()
+            ref += kron_chain(blocks)
+        assert np.array_equal(A.materialize(), ref), dims
 
 
 def test_materialize_holds_one_matrix():
