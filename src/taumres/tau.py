@@ -18,7 +18,8 @@ full dense product, the exact even/odd fold with two half-size products,
 or real FFTs of length 2(n_i+1), by the rule of ``transforms``.  Set-up
 costs one 1-D DST per active direction, on a column taken straight from
 the scheme's coefficient table (no Grünwald block is built), plus one
-n-size write of the Kronecker sum; S e_1 is taken in closed form.
+n-size write of the Kronecker sum (kept by P, not copied); S e_1 is
+taken in closed form.
 """
 
 import functools
@@ -53,16 +54,20 @@ class TauPreconditioner:
     """SPD multilevel tau preconditioner P = S diag(lam) S.
 
     ``lam`` is the full length-n eigenvalue vector in the multilevel
-    sine basis (Kronecker sum of per-direction tau spectra plus nu).
+    sine basis (Kronecker sum of per-direction tau spectra plus nu): a
+    read-only float64 vector owning its data is kept, anything else copied.
     Immutable; all applications are pure.
     """
 
     def __init__(self, dims, lam):
         self.dims = _check_dims(dims)
         self.n = math.prod(self.dims)
-        lam = _as_real(lam, "preconditioner eigenvalues", shape=(self.n,), finite=True, copy=True)
-        if lam.min() <= 0.0:
-            raise ValueError(f"preconditioner not positive definite: min eigenvalue {lam.min()}")
+        owned = type(lam) is np.ndarray and lam.flags.owndata and not lam.flags.writeable
+        lam = _as_real(lam, "preconditioner eigenvalues", shape=(self.n,), copy=not owned)
+        if not -math.inf < (lo := lam.min()) <= lam.max() < math.inf:   # NaN fails too
+            raise ValueError("preconditioner eigenvalues has non-finite entries")
+        if lo <= 0.0:
+            raise ValueError(f"preconditioner not positive definite: min eigenvalue {lo}")
         lam.setflags(write=False)
         self.lam = lam
 
@@ -97,22 +102,22 @@ def build_preconditioner(params, grid, nu):
     Per direction, q_i is the tau spectrum of the first column of the
     symmetric part of the Grünwald block, (col + row) / 2 of the block's
     first column and row; the eigenvalue vector is the Kronecker sum
-    nu + sum_i (v+_i + v-_i) q_i, added in that order by broadcasting, so
-    only the last sum is n long.
+    nu + sum_i (v+_i + v-_i) q_i, added in that order by broadcasting; only
+    the last sum is n long, written once into the vector P keeps.
     """
     if len(grid.n) != params.d:
         raise ValueError(f"grid has {len(grid.n)} directions, params has {params.d}")
     nu = _as_real(nu, "nu", shape=(), finite=True)
     if nu < 0:
         raise ValueError(f"nu must be nonnegative, got {nu}")
-    lam = np.full((1,) * params.d, nu)
+    lam, last = 0.0, nu
     for i, (vp, vm) in enumerate(level_scales(params, grid)):
         if vp + vm == 0.0:
             continue
         col, row = _grunwald_col_row(params.alpha[i], grid.n[i], params.scheme)
         q = tau_eigs(0.5 * (col + row))
-        shape = [1] * params.d
-        shape[i] = grid.n[i]
-        lam = lam + (vp + vm) * q.reshape(shape)
-    # a view when every direction is active; else the one copy to full size
-    return TauPreconditioner(grid.n, np.broadcast_to(lam, grid.n).reshape(-1))
+        lam, last = lam + last, (vp + vm) * q.reshape(-1, *[1] * (params.d - 1 - i))   # on axis i
+    out = np.empty(grid.size)
+    np.add(lam, last, out=out.reshape(grid.n))
+    out.setflags(write=False)
+    return TauPreconditioner(grid.n, out)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -75,6 +76,58 @@ def test_sample_passes_time():
     grid = GridSpec((0.0,), (1.0,), (2,))
     out = sample_grid(grid, lambda x, t: x * t, 3.0)
     assert out == pytest.approx([1.0, 2.0], abs=1e-14)
+
+
+GLOBAL_SAMPLE = np.arange(12.0).reshape(3, 4).copy()   # owns its data
+
+
+def test_sample_never_aliases_a_callers_array():
+    # a global, a closure's cached array, a view, a read-only and an F-ordered array are copied
+    grid = GridSpec((0.0, 0.0), (1.0, 1.0), (3, 4))
+    cached = np.arange(12.0).reshape(3, 4).copy()
+    frozen = cached.copy()
+    frozen.setflags(write=False)
+    wide = np.arange(24.0).reshape(3, 8)
+    for held in (GLOBAL_SAMPLE, cached, wide[:, ::2], frozen, np.asfortranarray(cached)):
+        before = held.copy()
+        out = sample_grid(grid, lambda x1, x2: held)
+        assert not np.shares_memory(out, held)
+        assert np.array_equal(out, held.reshape(-1))
+        out[:] = -1.0
+        assert np.array_equal(held, before)
+
+
+def test_fresh_sample_is_kept():
+    # a full-size result that only sample_grid holds is handed back flattened, not copied
+    grid = GridSpec((0.0, 0.0), (1.0, 1.0), (3, 4))
+    made = []
+
+    def fn(x1, x2):
+        v = x1 + 10.0 * x2
+        made.append(weakref.ref(v))
+        return v
+
+    out = sample_grid(grid, fn)
+    assert out.base is not None and out.base is made[0]()
+
+
+@pytest.mark.parametrize("fn", [
+    lambda x1, x2: 4.5, lambda x1, x2: x1, lambda x1, x2: x2, lambda x1, x2: x1 * x2,
+    lambda x1, x2: np.ones((3, 4), dtype=int), lambda x1, x2: np.asfortranarray(x1 * x2),
+    lambda x1, x2: GLOBAL_SAMPLE], ids=["scalar", "x1-only", "x2-only", "fresh", "int",
+                                        "f-ordered", "global"])
+def test_every_sample_is_a_fresh_writeable_vector(fn):
+    grid = GridSpec((0.0, 0.0), (1.0, 1.0), (3, 4))
+    out = sample_grid(grid, fn)
+    assert out.shape == (12,) and out.dtype == np.float64
+    assert out.flags.c_contiguous and out.flags.writeable
+
+
+def test_sample_writes_once():
+    # a fresh full-size sample is kept; no second copy of it
+    prob = example2_problem(255, (1.5, 1.9))
+    sample_grid(prob.grid, prob.u0)
+    assert traced_peak(sample_grid, prob.grid, prob.u0) <= 1.3 * 8 * prob.grid.size
 
 
 # ---------------------------------------------------------------------------

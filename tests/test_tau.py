@@ -5,11 +5,13 @@ import pytest
 
 from taumres.discretization import (FIRST_ORDER, SECOND_ORDER, FractionalParams,
                                     GridSpec, build_L, level_scales)
+from taumres.pde import example2_problem
 from taumres.tau import TauPreconditioner, build_preconditioner, tau_eigs
 from taumres.transforms import DENSE_AXIS_MAX, FOLD_MIN, _axis_path
 
 from conftest import (each_scheme, kron_chain, rel_err, sine_matrix, sine_oracle,
-                      tau_dense_oracle, tau_eigs_cosine, tau_lam_reference, toeplitz_dense)
+                      tau_dense_oracle, tau_eigs_cosine, tau_lam_reference, toeplitz_dense,
+                      traced_peak)
 
 # the first length past the dense cutoff that runs by FFT
 FFT_M = next(m for m in itertools.count(DENSE_AXIS_MAX + 1) if _axis_path(m) == "fft")
@@ -273,15 +275,60 @@ def test_applications_across_the_path_rule(dims, rng):
     assert np.array_equal(x, xc)
 
 
+def owned_read_only(values):
+    # the one kind of spectrum TauPreconditioner keeps as is, and still checks
+    lam = np.array(values, dtype=float)
+    lam.setflags(write=False)
+    return lam
+
+
 def test_nonpositive_spectrum_rejected():
-    with pytest.raises(ValueError):
-        TauPreconditioner((3,), np.array([1.0, 0.0, 2.0]))
+    for bad in (0.0, -1.0):
+        for lam in (np.array([1.0, bad, 2.0]), owned_read_only([1.0, bad, 2.0])):
+            with pytest.raises(ValueError, match="not positive definite"):
+                TauPreconditioner((3,), lam)
 
 
 def test_non_finite_spectrum_rejected():
-    for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError):
-            TauPreconditioner((3,), np.array([1.0, bad, 2.0]))
+    for bad in (np.nan, np.inf, -np.inf):
+        for lam in (np.array([1.0, bad, 2.0]), owned_read_only([1.0, bad, 2.0])):
+            with pytest.raises(ValueError, match="non-finite"):
+                TauPreconditioner((3,), lam)
+
+
+def test_caller_spectrum_is_copied():
+    lam = np.array([1.0, 2.0, 3.0])
+    P = TauPreconditioner((3,), lam)
+    lam[1] = 7.0
+    assert np.array_equal(P.lam, [1.0, 2.0, 3.0])
+    # a view, a list and another dtype are copied as well, even when read-only
+    base = owned_read_only([1.0, 2.0, 3.0, 4.0])
+    for given in (base[1:], [1.0, 2.0, 3.0], np.arange(1, 4), np.arange(1.0, 4.0, dtype=np.float32)):
+        P = TauPreconditioner((3,), given)
+        assert P.lam.dtype == np.float64 and not np.shares_memory(P.lam, base)
+        assert not P.lam.flags.writeable
+
+
+def test_owned_read_only_spectrum_is_kept():
+    lam = owned_read_only([1.0, 2.0, 3.0])
+    P = TauPreconditioner((3,), lam)
+    assert P.lam is lam and np.shares_memory(P.lam, lam)
+    built = build_preconditioner(FractionalParams((1.5,), (1.0,), (1.0,)),
+                                 GridSpec((0.0,), (1.0,), (8,)), 1.0)
+    assert built.lam.flags.owndata and not built.lam.flags.writeable
+    with pytest.raises(ValueError):
+        built.lam[0] = 1.0
+
+
+@pytest.mark.parametrize("d_plus, d_minus", [((3.0, 2.0), (1.0, 1.0)), ((0.0, 2.0), (0.0, 1.0))],
+                         ids=["both-active", "first-off"])
+def test_build_writes_the_spectrum_once(d_plus, d_minus):
+    # one n-size write into the vector the preconditioner keeps: no second copy, no mask
+    prob = example2_problem(255, (1.5, 1.9))
+    params = FractionalParams(prob.params.alpha, d_plus, d_minus, prob.params.scheme)
+    build_preconditioner(params, prob.grid, prob.nu)   # warm numpy's caches
+    peak = traced_peak(build_preconditioner, params, prob.grid, prob.nu)
+    assert peak <= 1.3 * 8 * prob.grid.size
 
 
 def test_dimension_validation(rng):
