@@ -17,7 +17,6 @@ vector x0 = 1/sqrt(n), the experiments' protocol; every step of
 """
 
 import math
-import sys
 import time
 from dataclasses import dataclass
 
@@ -86,9 +85,8 @@ def sample_grid(grid, fn, t=None):
     Dirichlet boundary points are excluded; fn receives broadcastable
     coordinate arrays (and t when given), is evaluated vectorized and
     returns a scalar or a d-D array whose every axis has length 1 or the
-    grid's, never a flat one laid along one axis.  fn's own fresh full-size
-    C-contiguous result is flattened, not copied; a global or cached array,
-    a view, a read-only or F-ordered one is copied once into a new vector.
+    grid's, never a flat one laid along one axis.  The values are copied
+    once into a new C-ordered vector, so a sample never aliases fn's array.
     """
     d = len(grid.n)
     coords = np.meshgrid(*(grid.axis_points(i) for i in range(d)), indexing="ij", sparse=True)
@@ -96,8 +94,6 @@ def sample_grid(grid, fn, t=None):
     if vals.ndim not in (0, d) or any(s not in (1, m) for s, m in zip(vals.shape, grid.n)):
         raise ValueError(f"sampled values must be a scalar or {d}-D, not of shape {vals.shape}: "
                          f"each axis of length 1 or the grid's, {grid.n}")
-    if vals.shape == grid.n and vals.flags.carray and vals.flags.owndata and sys.getrefcount(vals) == 2:
-        return vals.reshape(grid.size)   # a count of 2: ``vals`` and getrefcount's argument
     return np.array(np.broadcast_to(vals, grid.n), order="C").reshape(grid.size)
 
 

@@ -18,8 +18,9 @@ full dense product, the exact even/odd fold with two half-size products,
 or real FFTs of length 2(n_i+1), by the rule of ``transforms``.  Set-up
 costs one 1-D DST per active direction, on a column taken straight from
 the scheme's coefficient table (no Grünwald block is built), plus one
-n-size write of the Kronecker sum (kept by P, not copied); S e_1 is
-taken in closed form.
+n-size write of the Kronecker sum, which P keeps without a copy (a
+spectrum passed to the constructor is copied); S e_1 is taken in closed
+form.
 """
 
 import functools
@@ -54,16 +55,17 @@ class TauPreconditioner:
     """SPD multilevel tau preconditioner P = S diag(lam) S.
 
     ``lam`` is the full length-n eigenvalue vector in the multilevel
-    sine basis (Kronecker sum of per-direction tau spectra plus nu): a
-    read-only float64 vector owning its data is kept, anything else copied.
-    Immutable; all applications are pure.
+    sine basis (Kronecker sum of per-direction tau spectra plus nu); it
+    is copied, so no caller's array is ever P's.  Immutable; all
+    applications are pure.
     """
 
-    def __init__(self, dims, lam):
+    def __init__(self, dims, lam, *, _fresh=False):
+        # private _fresh: build_preconditioner hands over the vector it has just
+        # written and nothing else holds; it is checked and kept, not copied
         self.dims = _check_dims(dims)
         self.n = math.prod(self.dims)
-        owned = type(lam) is np.ndarray and lam.flags.owndata and not lam.flags.writeable
-        lam = _as_real(lam, "preconditioner eigenvalues", shape=(self.n,), copy=not owned)
+        lam = _as_real(lam, "preconditioner eigenvalues", shape=(self.n,), copy=not _fresh)
         if not -math.inf < (lo := lam.min()) <= lam.max() < math.inf:   # NaN fails too
             raise ValueError("preconditioner eigenvalues has non-finite entries")
         if lo <= 0.0:
@@ -119,5 +121,4 @@ def build_preconditioner(params, grid, nu):
         lam, last = lam + last, (vp + vm) * q.reshape(-1, *[1] * (params.d - 1 - i))   # on axis i
     out = np.empty(grid.size)
     np.add(lam, last, out=out.reshape(grid.n))
-    out.setflags(write=False)
-    return TauPreconditioner(grid.n, out)
+    return TauPreconditioner(grid.n, out, _fresh=True)

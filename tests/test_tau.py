@@ -275,25 +275,18 @@ def test_applications_across_the_path_rule(dims, rng):
     assert np.array_equal(x, xc)
 
 
-def owned_read_only(values):
-    # the one kind of spectrum TauPreconditioner keeps as is, and still checks
-    lam = np.array(values, dtype=float)
-    lam.setflags(write=False)
-    return lam
-
-
 def test_nonpositive_spectrum_rejected():
     for bad in (0.0, -1.0):
-        for lam in (np.array([1.0, bad, 2.0]), owned_read_only([1.0, bad, 2.0])):
+        for fresh in (False, True):
             with pytest.raises(ValueError, match="not positive definite"):
-                TauPreconditioner((3,), lam)
+                TauPreconditioner((3,), np.array([1.0, bad, 2.0]), _fresh=fresh)
 
 
 def test_non_finite_spectrum_rejected():
     for bad in (np.nan, np.inf, -np.inf):
-        for lam in (np.array([1.0, bad, 2.0]), owned_read_only([1.0, bad, 2.0])):
+        for fresh in (False, True):
             with pytest.raises(ValueError, match="non-finite"):
-                TauPreconditioner((3,), lam)
+                TauPreconditioner((3,), np.array([1.0, bad, 2.0]), _fresh=fresh)
 
 
 def test_caller_spectrum_is_copied():
@@ -301,18 +294,25 @@ def test_caller_spectrum_is_copied():
     P = TauPreconditioner((3,), lam)
     lam[1] = 7.0
     assert np.array_equal(P.lam, [1.0, 2.0, 3.0])
-    # a view, a list and another dtype are copied as well, even when read-only
-    base = owned_read_only([1.0, 2.0, 3.0, 4.0])
+    # a read-only array that owns its data is copied too: its owner may make it writeable again
+    frozen = np.array([1.0, 2.0, 3.0])
+    frozen.setflags(write=False)
+    P = TauPreconditioner((3,), frozen)
+    frozen.setflags(write=True)
+    frozen[0] = -1.0
+    assert np.array_equal(P.lam, [1.0, 2.0, 3.0])
+    # a view, a list and another dtype are copied as well
+    base = np.arange(1.0, 5.0)
     for given in (base[1:], [1.0, 2.0, 3.0], np.arange(1, 4), np.arange(1.0, 4.0, dtype=np.float32)):
         P = TauPreconditioner((3,), given)
         assert P.lam.dtype == np.float64 and not np.shares_memory(P.lam, base)
         assert not P.lam.flags.writeable
 
 
-def test_owned_read_only_spectrum_is_kept():
-    lam = owned_read_only([1.0, 2.0, 3.0])
-    P = TauPreconditioner((3,), lam)
-    assert P.lam is lam and np.shares_memory(P.lam, lam)
+def test_built_spectrum_is_handed_over():
+    # build_preconditioner's private hand-over keeps its fresh vector, read-only
+    lam = np.array([1.0, 2.0, 3.0])
+    assert TauPreconditioner((3,), lam, _fresh=True).lam is lam and not lam.flags.writeable
     built = build_preconditioner(FractionalParams((1.5,), (1.0,), (1.0,)),
                                  GridSpec((0.0,), (1.0,), (8,)), 1.0)
     assert built.lam.flags.owndata and not built.lam.flags.writeable
