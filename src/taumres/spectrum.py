@@ -9,18 +9,16 @@ assembled by ``toeplitz._kron_sum`` from one 2-D DST per dense level, then
 scaled.  Without D, M's symmetric part is similar to P^{-1/2} H(A) P^{-1/2},
 H(A) = (A + A^T)/2, so P^{-1} H(A) needs no H(A) operator.  A seeded probe
 ties M to the solver: S (lam^{-1/2} * M (lam^{1/2} * S v)) must match
-``P.apply_inverse(A.apply_symmetrized(v))`` (``A.apply`` without D).  The
-ideal and unpreconditioned spectra start from ``A.materialize()``.  Every
-matrix passes ``sym_eig``'s one symmetry gate; reports carry the theorem
-interval and a count of eigenvalues outside it beyond INTERVAL_TOL
-(EQUIVALENCE_TOL for the equivalence band, which has no eps*).
+``P.apply_inverse(A.apply_symmetrized(v))`` (``A.apply`` without D).  The ideal
+spectrum diagonalizes H(A) by one ``eigh`` per level (fast diagonalization; Lynch,
+Rice and Thomas, 1964).  Every matrix passes ``sym_eig``'s symmetry gate; reports
+carry the band and a count of eigenvalues outside it beyond INTERVAL_TOL.
 
-Memory: a spectrum holds two n x n matrices at its peak, the one it builds
-and LAPACK's own copy inside ``eigvalsh``.  ``sym_eig`` gates and symmetrizes
-tile by tile, overwriting its argument.  The ideal spectrum's dense
-factorization (n <= IDEAL_CAP) holds three, each dropped at its last use.
+Memory: ``toeplitz.MATERIALIZE_CAP`` is the one dense cap.  A spectrum peaks at two n x n
+matrices, its own and LAPACK's copy (ideal: an axis product and its input; 1-D: three).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -28,14 +26,13 @@ import numpy as np
 
 from . import toeplitz, transforms
 from .discretization import FIRST_ORDER, epsilon_bound
-from .transforms import _as_real
+from .transforms import _as_real, _axis_matmul
 
 __all__ = ["SpectrumReport", "SymmetryError", "sym_eig", "preconditioned_spectrum",
            "ideal_preconditioned_spectrum", "equivalence_spectrum",
            "unpreconditioned_spectrum", "export_spectrum_csv"]
 
 SYM_TOL = 1e-10
-IDEAL_CAP = 1024
 INTERVAL_TOL = 1e-8
 EQUIVALENCE_TOL = 1e-10
 _TILE = 128           # tile edge of sym_eig's gate and symmetrization
@@ -124,6 +121,12 @@ def _report(M, eps, lo, hi, tag, tol=INTERVAL_TOL, signed=True):
     return SpectrumReport(M.shape[0], ev, eps, lo, hi, violations, tag, tol)
 
 
+def _epsilon_star(A, params):
+    if params.d != len(A.dims):
+        raise ValueError(f"params have {params.d} directions, the operator {len(A.dims)}")
+    return epsilon_bound(params)
+
+
 def _sine_basis(A, P, flipped):
     """Dense diag(lam)^{-1/2} D (S A S) diag(lam)^{-1/2} (no D unless ``flipped``), probed."""
     if P.dims != A.dims:
@@ -150,37 +153,34 @@ def _sine_basis(A, P, flipped):
 def preconditioned_spectrum(A, P, params):
     """Spectrum of P^{-1} Y A against +-(1/2, (3/2)(1+eps*)).
 
-    A broken operator or preconditioner product raises ``SymmetryError``,
-    a RuntimeError.
+    A broken operator or preconditioner product raises ``SymmetryError``, a RuntimeError.
     """
-    eps = epsilon_bound(params)
+    eps = _epsilon_star(A, params)
     tag = "main_first_order" if params.scheme == FIRST_ORDER else "main_second_order"
     return _report(_sine_basis(A, P, flipped=True), eps, 0.5, 1.5 * (1.0 + eps), tag)
 
 
 def ideal_preconditioned_spectrum(A, params):
-    """Spectrum of H(A)^{-1} Y A against +-[1, 1+eps*].
+    """Spectrum of H(A)^{-1} Y A against +-[1, 1+eps*]; RuntimeError unless H(A) is SPD.
 
-    H(A) is factored densely (Cholesky); the symmetric congruence
-    C^{-1} (Y A) C^{-T} shares the generalized spectrum.
+    With H(A) = Q diag(lam) Q^T, its matrix is diag(lam)^{-1/2} Q^T (Y A) Q diag(lam)^{-1/2}.
     """
-    if A.n > IDEAL_CAP:
-        raise ValueError(f"ideal-preconditioner verification capped at n={IDEAL_CAP}, got {A.n}")
-    eps = epsilon_bound(params)
-    # at most three matrices are alive: A, H(A) and C, then A, C and X, then
-    # C, X and M.  H(A) is formed in place, the bits of 0.5 * (dense + dense.T)
-    dense = A.materialize()
-    H = dense.T + dense
-    H *= 0.5
-    try:
-        C = np.linalg.cholesky(H)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError("H(A) is not positive definite; discretization is broken") from exc
-    del H
-    X = np.linalg.solve(C, dense[::-1, :].T)
-    del dense
-    M = np.linalg.solve(C, X.T)
-    del C, X
+    eps = _epsilon_star(A, params)
+    if A.n > toeplitz.MATERIALIZE_CAP:
+        raise ValueError(f"dense verification capped at n={toeplitz.MATERIALIZE_CAP}, got {A.n}")
+    # H_i = Q_i diag(mu_i) Q_i^T by eigh of 2 H_i, each dense level dropped before materialize
+    eigs = [np.linalg.eigh(D + D.T) for D in (K.dense() for K in A.levels)]
+    lam = functools.reduce(np.add.outer, (0.5 * mu for mu, _ in eigs), A.nu).reshape(-1)
+    if not lam.min() > 0.0:
+        raise RuntimeError("H(A) is not positive definite; discretization is broken")
+    # columns M Q_i along axis d + i, rows Q_i^T Y_i M along axis i; each product replaces M
+    M = A.materialize()
+    for axis, (_, Q) in enumerate(eigs):
+        M = _axis_matmul(M.reshape(A.dims * 2), len(A.dims) + axis, Q.T)
+        M = _axis_matmul(M, axis, Q[::-1].T).reshape(A.n, A.n)
+    w = np.sqrt(1.0 / lam)
+    M *= w[:, None]
+    M *= w
     return _report(M, eps, 1.0, 1.0 + eps, "ideal")
 
 

@@ -122,6 +122,16 @@ def congruence_oracle(A, P, flipped):
     return M
 
 
+def ideal_oracle(A):
+    """Dense C^{-1} (Y A) C^{-T} with C the Cholesky factor of H(A) = (A + A^T)/2.
+
+    Its eigenvalues are those of H(A)^{-1} Y A; a non-SPD H(A) raises LinAlgError.
+    """
+    dense = A.materialize()
+    C = np.linalg.cholesky(0.5 * (dense + dense.T))
+    return np.linalg.solve(C, np.linalg.solve(C, dense[::-1, :].T).T)
+
+
 def convolve_direct(a, b):
     """Circular convolution by its defining sum, one output entry at a time."""
     L = len(a)

@@ -205,11 +205,13 @@ def test_criterion_08_main_theorems():
                 if rep.violations:
                     failures.append(f"{scheme} alphas={alphas} n1={n1}: "
                                     f"{rep.violations} violations of the +-(1/2, 3/2(1+eps)) band")
-        for alphas in ALPHA_PAIRS:
-            params, A, _ = example_setup(coeffs, alphas, scheme, 7)
-            rep = ideal_preconditioned_spectrum(A, params)
-            if rep.violations or np.min(np.abs(rep.eigenvalues)) < 1.0 - 1e-8:
-                failures.append(f"{scheme} alphas={alphas}: ideal preconditioner magnitudes")
+        for n1 in (7, 31):
+            for alphas in ALPHA_PAIRS:
+                params, A, _ = example_setup(coeffs, alphas, scheme, n1)
+                rep = ideal_preconditioned_spectrum(A, params)
+                if rep.violations or np.min(np.abs(rep.eigenvalues)) < 1.0 - 1e-8:
+                    failures.append(f"{scheme} alphas={alphas} n1={n1}: "
+                                    "ideal preconditioner magnitudes")
     elapsed = time.perf_counter() - t0
     if elapsed >= 600.0:
         failures.append(f"runtime {elapsed:.0f}s exceeded 10 min")

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from taumres.discretization import (FIRST_ORDER, SECOND_ORDER, FractionalParams,
-                                    GridSpec, assemble_operator)
+                                    GridSpec, assemble_operator, epsilon_bound)
 from taumres import spectrum, toeplitz
+from taumres.pde import example2_problem, setup_operators
 from taumres.spectrum import (SpectrumReport, equivalence_spectrum,
                               export_spectrum_csv, ideal_preconditioned_spectrum,
                               preconditioned_spectrum, sym_eig,
@@ -13,8 +14,8 @@ from taumres.spectrum import (SpectrumReport, equivalence_spectrum,
 from taumres.tau import TauPreconditioner, build_preconditioner
 from taumres.toeplitz import MultilevelOperator, Toeplitz1D
 
-from conftest import (assemble_dense, congruence_oracle, each_scheme, kron_chain, rel_err,
-                      sine_matrix, traced_peak)
+from conftest import (assemble_dense, congruence_oracle, each_scheme, ideal_oracle, kron_chain,
+                      rel_err, sine_matrix, traced_peak)
 
 EX1 = ((2.0, 0.3), (0.5, 1.0))   # d_plus, d_minus per direction
 EX2 = ((3.0, 2.0), (1.0, 1.0))
@@ -226,6 +227,8 @@ def test_spectra_match_the_column_oracle(scheme, dims, alphas, dpm):
     N = congruence_oracle(A, P, flipped=False)
     ref = sym_eig(0.5 * (N + N.T))
     assert rel_err(equivalence_spectrum(A, P).eigenvalues, ref) <= 1e-12
+    ref = sym_eig(ideal_oracle(A))
+    assert rel_err(ideal_preconditioned_spectrum(A, params).eigenvalues, ref) <= 1e-12
 
 
 def test_symmetry_defect_raises():
@@ -283,6 +286,37 @@ def test_preconditioner_on_other_dims_rejected():
         equivalence_spectrum(A, P)
 
 
+def test_params_of_other_direction_count_rejected():
+    # the 1-D params of A's second direction give eps* = 0.053 for A's 0.5: a wrong band
+    params, A, P = setup((7, 7), (1.5, 1.9), EX2, SECOND_ORDER)
+    params_1d = FractionalParams((1.9,), (2.0,), (1.0,), SECOND_ORDER)
+    assert epsilon_bound(params_1d) == pytest.approx(0.0528, abs=1e-4)
+    assert epsilon_bound(params) == pytest.approx(0.5)
+    for run in (lambda: preconditioned_spectrum(A, P, params_1d),
+                lambda: ideal_preconditioned_spectrum(A, params_1d)):
+        with pytest.raises(ValueError, match="1 directions, the operator 2"):
+            run()
+
+
+def test_ideal_spectrum_refuses_a_non_spd_symmetric_part():
+    # nu = 0 and a level with a negative diagonal: H(A) has a negative eigenvalue
+    A = MultilevelOperator((4, 3), 0.0, [Toeplitz1D([-2.0, 1.0, 0.0, 0.0], [-2.0, 0.5, 0.0, 0.0]),
+                                         Toeplitz1D([1.0, -0.5, 0.0])])
+    params = FractionalParams((1.5, 1.5), (1.0, 1.0), (1.0, 1.0))
+    with pytest.raises(RuntimeError, match="not positive definite"):
+        ideal_preconditioned_spectrum(A, params)
+
+
+def test_ideal_spectrum_beyond_a_thousand_unknowns():
+    # n = 2025 > 1024: the ideal spectrum has no cap of its own below MATERIALIZE_CAP
+    problem = example2_problem(45, (1.5, 1.5))
+    A, _ = setup_operators(problem, "identity")
+    rep = ideal_preconditioned_spectrum(A, problem.params)
+    assert rep.n == 2025
+    assert rep.violations == 0
+    assert np.min(np.abs(rep.eigenvalues)) >= 1.0 - 1e-8
+
+
 def test_unpreconditioned_spectrum_has_no_interval():
     params, A, _ = setup((5, 5), (1.5, 1.5), EX1, FIRST_ORDER, nu=6.0)
     rep = unpreconditioned_spectrum(A)
@@ -307,15 +341,18 @@ def test_spectrum_holds_one_matrix(which):
         assert traced_peak(run) <= 1.25 * 8 * A.n ** 2, dims
 
 
-def test_ideal_spectrum_holds_three_matrices():
-    # A, H(A) and its factor, then A, the factor and one solve: never four
-    # matrices, and the eigenvalues of the all-at-once formula bit for bit
+def test_ideal_spectrum_matches_the_oracle_in_two_matrices():
+    # one axis product and its input at the peak; the m x m eigenvectors are small
     params, A, _ = setup((31, 31), (1.5, 1.9), EX2, SECOND_ORDER, nu=32.0, box=2.0)
+    assert traced_peak(ideal_preconditioned_spectrum, A, params) <= 2.01 * 8 * A.n ** 2
+    ref = sym_eig(ideal_oracle(A))
+    assert rel_err(ideal_preconditioned_spectrum(A, params).eigenvalues, ref) <= 1e-12
+
+
+def test_ideal_spectrum_holds_three_matrices():
+    # in 1-D the eigenvectors are n x n too: they, one axis product and its input
+    params, A, _ = setup((1023,), (1.5,), ((3.0,), (1.0,)), SECOND_ORDER, nu=32.0, box=2.0)
     assert traced_peak(ideal_preconditioned_spectrum, A, params) <= 3.01 * 8 * A.n ** 2
-    dense = A.materialize()
-    C = np.linalg.cholesky(0.5 * (dense + dense.T))
-    M = np.linalg.solve(C, np.linalg.solve(C, dense[::-1, :].T).T)
-    assert np.array_equal(ideal_preconditioned_spectrum(A, params).eigenvalues, sym_eig(M))
 
 
 # ---------------------------------------------------------------------------
