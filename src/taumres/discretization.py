@@ -103,7 +103,7 @@ class GridSpec:
 
     @property
     def size(self):
-        return int(np.prod(self.n))
+        return math.prod(self.n)
 
     def axis_points(self, i):
         """Interior points a_i + j*h_i, j = 1..n_i."""

@@ -103,8 +103,9 @@ def _solve_step(problem, A, P, yb, t, cfg):
     res = pminres(A.apply_symmetrized, pinv, yb, cfg)
     err = None if problem.exact is None else \
         float(np.max(np.abs(res.x - sample_grid(problem.grid, problem.exact, t))))
+    # an empty history is a solve that stalled before its first step: the residual did not move
     report = StepReport(int(round(t / problem.tau_step)), res.iters, res.converged,
-                        res.relres_history[-1] if res.relres_history else 0.0, err)
+                        res.relres_history[-1] if res.relres_history else 1.0, err)
     return res.x, report
 
 

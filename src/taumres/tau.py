@@ -9,18 +9,16 @@ diagonalized by the DST-I, tau(T) = S diag(q) S, with
 
 Only q is computed, as a read-only array, by the DST first-column identity
 in O(m log m) (``tau_eigs``); the dense tau(T) and the cosine sum are the
-test suite's oracles.  The multilevel preconditioner is built from the tau
-approximations of the symmetric parts of the per-direction Grünwald
-blocks and stored as its eigenvalue vector in the multilevel sine basis,
-so P^{-1} and P^{-1/2} (P itself is never applied) share one body: two
-multilevel DSTs around one elementwise scaling.  Per axis each DST is one
-full dense product, the exact even/odd fold with two half-size products,
-or real FFTs of length 2(n_i+1), by the rule of ``transforms``.  Set-up
-costs one 1-D DST per active direction, on a column taken straight from
-the scheme's coefficient table (no Grünwald block is built), plus one
-n-size write of the Kronecker sum, which P keeps without a copy (a
-spectrum passed to the constructor is copied); S e_1 is taken in closed
-form.
+test suite's oracles.  The multilevel preconditioner P = S diag(lam) S
+writes lam = nu + sum_i I (x) q_i (x) I, the Kronecker sum of one such
+spectrum per axis, itself; P^{-1} and P^{-1/2} (P itself is never
+applied) share one body: two multilevel DSTs around one elementwise
+scaling.  Per axis each DST is one full dense product, the exact even/odd
+fold with two half-size products, or real FFTs of length 2(n_i+1), by the
+rule of ``transforms``.  ``build_preconditioner`` takes each q_i by one
+1-D DST of the symmetric part's first column, read straight from the
+scheme's coefficient table (no Grünwald block is built); S e_1 is taken
+in closed form.
 """
 
 import functools
@@ -54,18 +52,25 @@ def tau_eigs(col):
 class TauPreconditioner:
     """SPD multilevel tau preconditioner P = S diag(lam) S.
 
-    ``lam`` is the full length-n eigenvalue vector in the multilevel
-    sine basis (Kronecker sum of per-direction tau spectra plus nu); it
-    is copied, so no caller's array is ever P's.  Immutable; all
-    applications are pure.
+    ``spectra`` holds one real sine-basis spectrum q_i of length dims[i]
+    per axis (zeros for a direction that adds nothing) and ``nu >= 0``;
+    ``lam = nu + sum_i I (x) q_i (x) I`` is their Kronecker sum, a new
+    read-only length-n array that shares memory with no caller's array.
+    Immutable; all applications are pure.
     """
 
-    def __init__(self, dims, lam, *, _fresh=False):
-        # private _fresh: build_preconditioner hands over the vector it has just
-        # written and nothing else holds; it is checked and kept, not copied
+    def __init__(self, dims, nu, spectra):
         self.dims = _check_dims(dims)
         self.n = math.prod(self.dims)
-        lam = _as_real(lam, "preconditioner eigenvalues", shape=(self.n,), copy=not _fresh)
+        spectra = tuple(spectra)
+        if len(spectra) != len(self.dims):
+            raise ValueError(f"{len(self.dims)} dims but {len(spectra)} spectra")
+        nu = _as_real(nu, "nu", shape=(), finite=True)
+        if nu < 0:
+            raise ValueError(f"nu must be nonnegative, got {nu}")
+        spectra = [_as_real(q, f"spectrum of axis {i}", shape=(m,))
+                   for i, (m, q) in enumerate(zip(self.dims, spectra))]
+        lam = functools.reduce(np.add.outer, spectra, nu).reshape(-1)
         if not -math.inf < (lo := lam.min()) <= lam.max() < math.inf:   # NaN fails too
             raise ValueError("preconditioner eigenvalues has non-finite entries")
         if lo <= 0.0:
@@ -103,22 +108,13 @@ def build_preconditioner(params, grid, nu):
 
     Per direction, q_i is the tau spectrum of the first column of the
     symmetric part of the Grünwald block, (col + row) / 2 of the block's
-    first column and row; the eigenvalue vector is the Kronecker sum
-    nu + sum_i (v+_i + v-_i) q_i, added in that order by broadcasting; only
-    the last sum is n long, written once into the vector P keeps.
+    first column and row, scaled by v+_i + v-_i; ``TauPreconditioner``
+    adds them to nu as a Kronecker sum.
     """
     if len(grid.n) != params.d:
         raise ValueError(f"grid has {len(grid.n)} directions, params has {params.d}")
-    nu = _as_real(nu, "nu", shape=(), finite=True)
-    if nu < 0:
-        raise ValueError(f"nu must be nonnegative, got {nu}")
-    lam, last = 0.0, nu
-    for i, (vp, vm) in enumerate(level_scales(params, grid)):
-        if vp + vm == 0.0:
-            continue
-        col, row = _grunwald_col_row(params.alpha[i], grid.n[i], params.scheme)
-        q = tau_eigs(0.5 * (col + row))
-        lam, last = lam + last, (vp + vm) * q.reshape(-1, *[1] * (params.d - 1 - i))   # on axis i
-    out = np.empty(grid.size)
-    np.add(lam, last, out=out.reshape(grid.n))
-    return TauPreconditioner(grid.n, out, _fresh=True)
+    spectra = []
+    for alpha, m, (vp, vm) in zip(params.alpha, grid.n, level_scales(params, grid)):
+        col, row = _grunwald_col_row(alpha, m, params.scheme)
+        spectra.append((vp + vm) * tau_eigs(0.5 * (col + row)))
+    return TauPreconditioner(grid.n, nu, spectra)

@@ -386,6 +386,11 @@ def test_gridspec_validation():
     assert GridSpec((0.0,), (1.0,), (3.0,)).n == (3,)
 
 
+def test_gridspec_size_does_not_wrap():
+    # numpy's int64 product of (2**32, 2**32) wraps to 0
+    assert GridSpec((0, 0), (1, 1), (2**32, 2**32)).size == 2**64
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         FractionalParams((2.5,), (1.0,), (1.0,))

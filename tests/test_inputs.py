@@ -31,7 +31,8 @@ ARRAY_ENTRIES = {
     "Toeplitz1D col": (COL, lambda v: Toeplitz1D(v, ROW).dense()),
     "Toeplitz1D row": (ROW, lambda v: Toeplitz1D(COL, v).dense()),
     "tau_eigs": (COL, tau_eigs),
-    "TauPreconditioner lam": (X + 2.0, lambda v: TauPreconditioner((2, 3), v).apply_inverse(X)),
+    # a per-axis spectrum, read through the lam it is summed into
+    "TauPreconditioner lam": (COL, lambda v: TauPreconditioner((2, 3), 2.0, [ROW[:2], v]).lam),
     "pminres b": (X, lambda v: pminres(A.apply_symmetrized, None, v).x),
     "pminres x0": (X, lambda v: pminres(A.apply_symmetrized, None, X, MinresConfig(x0=v)).x),
     "sample_grid": (X.reshape(2, 3), lambda v: sample_grid(GRID, lambda x1, x2: v)),
@@ -85,6 +86,7 @@ SCALAR_ENTRIES = {
     "MinresConfig tol": (lambda v: MinresConfig(tol=v), 1e-8),
     "FractionalProblem T": (lambda v: FractionalProblem(GRID, PARAMS, v, 4, None, None), 1.0),
     "MultilevelOperator nu": (lambda v: MultilevelOperator((3,), v, [Toeplitz1D(COL)]), 2.0),
+    "TauPreconditioner nu": (lambda v: TauPreconditioner((3,), v, [COL]), 2.0),
     "build_preconditioner nu": (lambda v: build_preconditioner(PARAMS, GRID, v), 2.0),
     "grunwald_g alpha": (lambda v: grunwald_g(v, 3), 1.5),
     "bound_curve epsilon": (lambda v: bound_curve(v, 3), 0.5),

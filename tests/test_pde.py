@@ -12,7 +12,7 @@ from taumres.pde import (FractionalProblem, example1_problem, example2_problem,
                          first_step_row, run_steps, sample_grid, setup_operators,
                          step_first_order, step_second_order)
 from taumres.tau import build_preconditioner
-from taumres.toeplitz import Toeplitz1D, flip
+from taumres.toeplitz import MultilevelOperator, Toeplitz1D, flip
 
 from conftest import traced_peak
 
@@ -195,6 +195,16 @@ def test_first_order_zero_step():
     assert np.array_equal(u1, np.zeros(5))
     assert rep.iters <= 1
     assert rep.converged
+
+
+def test_stalled_solve_reports_an_unmoved_residual():
+    # A = 0 stalls MINRES in its first iteration with an empty history: the
+    # residual is the right-hand side's, relres 1, not 0
+    prob = example1_problem(3, (1.5, 1.5))
+    A = MultilevelOperator(prob.grid.n, 0.0, [Toeplitz1D(np.zeros(m)) for m in prob.grid.n])
+    u1, rep = step_first_order(prob, A, None, np.ones(prob.grid.size), prob.tau_step)
+    assert (rep.iters, rep.converged, rep.relres) == (0, False, 1.0)
+    assert np.array_equal(u1, np.zeros(prob.grid.size))
 
 
 def test_first_order_scalar_closed_form():

@@ -242,7 +242,7 @@ def test_symmetry_defect_raises():
             return out[::-1].copy()
 
     A = Broken((4,), 1.0, [Toeplitz1D(np.zeros(4))])
-    P = TauPreconditioner((4,), np.ones(4))
+    P = TauPreconditioner((4,), 1.0, [np.zeros(4)])
     params = FractionalParams((1.5,), (1.0,), (1.0,))
     with pytest.raises(RuntimeError):
         preconditioned_spectrum(A, P, params)

@@ -191,7 +191,9 @@ def test_inv_sqrt_squares_to_inverse(rng):
 
 
 def test_constant_spectrum_inv_sqrt():
-    P = TauPreconditioner((4,), np.full(4, 4.0))
+    # lam = 1 + 1 + 2 = 4 everywhere, by the Kronecker sum of two constant spectra
+    P = TauPreconditioner((2, 2), 1.0, [np.full(2, 1.0), np.full(2, 2.0)])
+    assert np.array_equal(P.lam, np.full(4, 4.0))
     x = np.arange(4.0)
     assert P.apply_inv_sqrt(x) == pytest.approx(x / 2.0, abs=1e-14)
 
@@ -276,59 +278,75 @@ def test_applications_across_the_path_rule(dims, rng):
 
 
 def test_nonpositive_spectrum_rejected():
+    # in one spectrum, and spread over two whose Kronecker sum reaches it
     for bad in (0.0, -1.0):
-        for fresh in (False, True):
+        for nu, spectra in ((0.0, [[1.0, bad, 2.0]]), (1.0, [[1.0, bad - 1.0, 2.0], [0.0, 3.0]])):
             with pytest.raises(ValueError, match="not positive definite"):
-                TauPreconditioner((3,), np.array([1.0, bad, 2.0]), _fresh=fresh)
+                TauPreconditioner((3, 2)[:len(spectra)], nu, spectra)
 
 
 def test_non_finite_spectrum_rejected():
     for bad in (np.nan, np.inf, -np.inf):
-        for fresh in (False, True):
+        for spectra in ([[1.0, bad, 2.0]], [[1.0, 2.0, 3.0], [bad]]):
             with pytest.raises(ValueError, match="non-finite"):
-                TauPreconditioner((3,), np.array([1.0, bad, 2.0]), _fresh=fresh)
+                TauPreconditioner((3, 1)[:len(spectra)], 1.0, spectra)
 
 
-def test_caller_spectrum_is_copied():
-    lam = np.array([1.0, 2.0, 3.0])
-    P = TauPreconditioner((3,), lam)
-    lam[1] = 7.0
-    assert np.array_equal(P.lam, [1.0, 2.0, 3.0])
-    # a read-only array that owns its data is copied too: its owner may make it writeable again
-    frozen = np.array([1.0, 2.0, 3.0])
-    frozen.setflags(write=False)
-    P = TauPreconditioner((3,), frozen)
-    frozen.setflags(write=True)
-    frozen[0] = -1.0
-    assert np.array_equal(P.lam, [1.0, 2.0, 3.0])
-    # a view, a list and another dtype are copied as well
+def test_constructor_refuses_spectra_that_miss_the_dims():
+    for spectra in ([np.ones(3)], [np.ones(3), np.ones(2), np.ones(1)], []):
+        with pytest.raises(ValueError, match="2 dims but"):
+            TauPreconditioner((3, 2), 1.0, spectra)
+    for spectra in ([np.ones(2), np.ones(2)], [np.ones(3), np.ones((2, 1))], [np.ones(3), 1.0]):
+        with pytest.raises(ValueError, match="spectrum of axis"):
+            TauPreconditioner((3, 2), 1.0, spectra)
+
+
+def test_constructor_refuses_a_negative_or_non_finite_nu():
+    # the rule and message of MultilevelOperator
+    with pytest.raises(ValueError, match="nu must be nonnegative, got -1.0"):
+        TauPreconditioner((3,), -1.0, [np.ones(3)])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="nu has non-finite entries"):
+            TauPreconditioner((3,), bad, [np.ones(3)])
+
+
+def test_lam_shares_no_caller_memory():
+    # lam is a new read-only array: no spectrum given is kept, so a later write
+    # to one (a read-only owner made writeable again too) never reaches P
+    q0, q1 = np.array([1.0, 2.0, 3.0]), np.array([0.5])
+    q1.setflags(write=False)
+    P = TauPreconditioner((3, 1), 0.0, [q0, q1])
+    assert not P.lam.flags.writeable
+    assert not any(np.shares_memory(P.lam, q) for q in (q0, q1))
+    q0[1] = 7.0
+    q1.setflags(write=True)
+    q1[0] = -1.0
+    assert np.array_equal(P.lam, [1.5, 2.5, 3.5])
+    with pytest.raises(ValueError):
+        P.lam[0] = 1.0
+    # a view, a list and another dtype alike; in one direction too
     base = np.arange(1.0, 5.0)
-    for given in (base[1:], [1.0, 2.0, 3.0], np.arange(1, 4), np.arange(1.0, 4.0, dtype=np.float32)):
-        P = TauPreconditioner((3,), given)
+    for given in (base[:3], [1.0, 2.0, 3.0], np.arange(1, 4), np.arange(1.0, 4.0, dtype=np.float32)):
+        P = TauPreconditioner((3,), 0.0, [given])
         assert P.lam.dtype == np.float64 and not np.shares_memory(P.lam, base)
-        assert not P.lam.flags.writeable
-
-
-def test_built_spectrum_is_handed_over():
-    # build_preconditioner's private hand-over keeps its fresh vector, read-only
-    lam = np.array([1.0, 2.0, 3.0])
-    assert TauPreconditioner((3,), lam, _fresh=True).lam is lam and not lam.flags.writeable
+        assert np.array_equal(P.lam, [1.0, 2.0, 3.0]) and not P.lam.flags.writeable
     built = build_preconditioner(FractionalParams((1.5,), (1.0,), (1.0,)),
                                  GridSpec((0.0,), (1.0,), (8,)), 1.0)
-    assert built.lam.flags.owndata and not built.lam.flags.writeable
-    with pytest.raises(ValueError):
-        built.lam[0] = 1.0
+    assert not built.lam.flags.writeable
 
 
 @pytest.mark.parametrize("d_plus, d_minus", [((3.0, 2.0), (1.0, 1.0)), ((0.0, 2.0), (0.0, 1.0))],
                          ids=["both-active", "first-off"])
 def test_build_writes_the_spectrum_once(d_plus, d_minus):
-    # one n-size write into the vector the preconditioner keeps: no second copy, no mask
+    # one n-size write into the vector the preconditioner keeps: no second copy, no mask;
+    # through build_preconditioner and through the constructor alike
     prob = example2_problem(255, (1.5, 1.9))
     params = FractionalParams(prob.params.alpha, d_plus, d_minus, prob.params.scheme)
+    spectra = [(vp + vm) * np.linspace(1.0, 2.0, m) for vp, vm, m in zip(d_plus, d_minus, prob.grid.n)]
     build_preconditioner(params, prob.grid, prob.nu)   # warm numpy's caches
-    peak = traced_peak(build_preconditioner, params, prob.grid, prob.nu)
-    assert peak <= 1.3 * 8 * prob.grid.size
+    for build, args in ((build_preconditioner, (params, prob.grid, prob.nu)),
+                        (TauPreconditioner, (prob.grid.n, prob.nu, spectra))):
+        assert traced_peak(build, *args) <= 1.3 * 8 * prob.grid.size
 
 
 def test_dimension_validation(rng):
@@ -342,7 +360,7 @@ def test_dimension_validation(rng):
     with pytest.raises(ValueError):
         build_preconditioner(params, grid, -1.0)
     with pytest.raises(ValueError):
-        TauPreconditioner((2.9,), np.ones(2))
+        TauPreconditioner((2.9,), 1.0, [np.ones(2)])
 
 
 def test_lemma_interval_for_tau_of_symmetric_part():
