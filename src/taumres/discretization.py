@@ -142,8 +142,8 @@ def _grunwald_col_row(alpha, m, scheme):
     """The one rule from the scheme's table c to the Grünwald block of size m: its first
     column -[c_1 .. c_m] and first row -[c_1, c_0, 0, ...], as two new arrays.
 
-    ``build_L`` wraps them in a ``Toeplitz1D``; the tau preconditioner takes
-    its symmetric part's first column from them, with no Toeplitz matrix built.
+    ``build_L`` wraps them in a ``Toeplitz1D``; ``_directions`` hands them,
+    with no Toeplitz matrix built, to the operator and the tau preconditioner.
     """
     _check_scheme(scheme)
     m = _count(m, "matrix size")
@@ -161,29 +161,26 @@ def build_L(alpha, m, scheme=SECOND_ORDER):
     return Toeplitz1D(*_grunwald_col_row(alpha, m, scheme))
 
 
-def level_scales(params, grid):
-    """Per-direction scalings (v+_i, v-_i) of the scheme."""
+def _directions(params, grid):
+    """The one per-direction set-up rule, read by the operator and the tau preconditioner:
+    the scheme's scalings v+_i, v-_i and L_i's first column and row, for each direction i."""
+    if len(grid.n) != params.d:
+        raise ValueError(f"grid has {len(grid.n)} directions, params has {params.d}")
     half = 0.5 if params.scheme == SECOND_ORDER else 1.0
-    out = []
-    for i in range(params.d):
-        s = half / grid.h[i] ** params.alpha[i]
-        out.append((params.d_plus[i] * s, params.d_minus[i] * s))
-    return out
+    for alpha, h, m, dp, dm in zip(params.alpha, grid.h, grid.n, params.d_plus, params.d_minus):
+        s = half / h ** alpha
+        yield (dp * s, dm * s, *_grunwald_col_row(alpha, m, params.scheme))
 
 
 def assemble_operator(params, grid, nu):
     """Assemble nu*I + sum_i (v+_i W_i + v-_i W_i^T) for the given scheme.
 
-    Level i is the one Toeplitz matrix K_i = v+_i L_i + v-_i L_i^T; L_i^T
-    has first column L_i.row and first row L_i.col.
+    Level i is the one Toeplitz matrix K_i = v+_i L_i + v-_i L_i^T, built
+    from L_i's first column and row (``_directions``); L_i^T has first
+    column L_i's row and first row L_i's column.
     """
-    if len(grid.n) != params.d:
-        raise ValueError(f"grid has {len(grid.n)} directions, params has {params.d}")
-    levels = []
-    for i, (vp, vm) in enumerate(level_scales(params, grid)):
-        L = build_L(params.alpha[i], grid.n[i], params.scheme)
-        levels.append(Toeplitz1D(vp * L.col + vm * L.row, vp * L.row + vm * L.col))
-    return MultilevelOperator(grid.n, nu, levels)
+    return MultilevelOperator(grid.n, nu, [Toeplitz1D(vp * col + vm * row, vp * row + vm * col)
+                                           for vp, vm, col, row in _directions(params, grid)])
 
 
 def epsilon_bound(params):

@@ -13,12 +13,13 @@ test suite's oracles.  The multilevel preconditioner P = S diag(lam) S
 writes lam = nu + sum_i I (x) q_i (x) I, the Kronecker sum of one such
 spectrum per axis, itself; P^{-1} and P^{-1/2} (P itself is never
 applied) share one body: two multilevel DSTs around one elementwise
-scaling.  Per axis each DST is one full dense product, the exact even/odd
-fold with two half-size products, or real FFTs of length 2(n_i+1), by the
-rule of ``transforms``.  ``build_preconditioner`` takes each q_i by one
-1-D DST of the symmetric part's first column, read straight from the
-scheme's coefficient table (no Grünwald block is built); S e_1 is taken
-in closed form.
+division, by lam or by sqrt(lam).  Per axis each DST is one full dense
+product, the exact even/odd fold with two half-size products, or real
+FFTs of length 2(n_i+1), by the rule of ``transforms``.
+``build_preconditioner`` takes each q_i by one 1-D DST of the symmetric
+part's first column, from the operator's per-direction rule
+(``discretization._directions``; no Grünwald block is built); S e_1 is
+taken in closed form.
 """
 
 import functools
@@ -26,7 +27,7 @@ import math
 
 import numpy as np
 
-from .discretization import _grunwald_col_row, level_scales
+from .discretization import _directions
 from .transforms import _as_real, _check_dims, _count, _dst1_fft_axis, dst1_multi
 
 __all__ = ["TauPreconditioner", "tau_eigs", "build_preconditioner"]
@@ -70,7 +71,8 @@ class TauPreconditioner:
             raise ValueError(f"nu must be nonnegative, got {nu}")
         spectra = [_as_real(q, f"spectrum of axis {i}", shape=(m,))
                    for i, (m, q) in enumerate(zip(self.dims, spectra))]
-        lam = functools.reduce(np.add.outer, spectra, nu).reshape(-1)
+        with np.errstate(over="ignore"):   # an overflowed sum is refused just below
+            lam = functools.reduce(np.add.outer, spectra, nu).reshape(-1)
         if not -math.inf < (lo := lam.min()) <= lam.max() < math.inf:   # NaN fails too
             raise ValueError("preconditioner eigenvalues has non-finite entries")
         if lo <= 0.0:
@@ -81,40 +83,29 @@ class TauPreconditioner:
     def __repr__(self):
         return f"TauPreconditioner(dims={self.dims})"
 
-    @functools.cached_property
-    def _inv_sqrt(self):
-        # built on first use: no solve or spectrum applies P^{-1/2}
-        return np.sqrt(1.0 / self.lam)
-
-    def _sine_scaled(self, x, scale, w):
-        # S diag(w) S x, or S diag(w)^{-1} S x with scale = np.divide: the
-        # first DST's result is the one new array, scaled and transformed
-        # again in place, and returned
+    def _sine_scaled(self, x, w):
+        # S diag(w)^{-1} S x: the first DST's result is the one new array,
+        # divided and transformed again in place, and returned
         y = dst1_multi(self.dims, x)
-        scale(y, w, out=y)
+        y /= w
         return dst1_multi(self.dims, y, out=y)
 
     def apply_inverse(self, x):
         """P^{-1} @ x."""
-        return self._sine_scaled(x, np.divide, self.lam)
+        return self._sine_scaled(x, self.lam)
 
     def apply_inv_sqrt(self, x):
         """P^{-1/2} @ x; applying twice equals ``apply_inverse``."""
-        return self._sine_scaled(x, np.multiply, self._inv_sqrt)
+        return self._sine_scaled(x, np.sqrt(self.lam))
 
 
 def build_preconditioner(params, grid, nu):
     """Multilevel tau preconditioner for the symmetrized system.
 
-    Per direction, q_i is the tau spectrum of the first column of the
-    symmetric part of the Grünwald block, (col + row) / 2 of the block's
-    first column and row, scaled by v+_i + v-_i; ``TauPreconditioner``
-    adds them to nu as a Kronecker sum.
+    Per direction (``_directions``, the operator's rule), q_i is the tau
+    spectrum of the first column of the symmetric part of the Grünwald
+    block, (col + row) / 2 of the block's first column and row, scaled by
+    v+_i + v-_i; ``TauPreconditioner`` adds them to nu as a Kronecker sum.
     """
-    if len(grid.n) != params.d:
-        raise ValueError(f"grid has {len(grid.n)} directions, params has {params.d}")
-    spectra = []
-    for alpha, m, (vp, vm) in zip(params.alpha, grid.n, level_scales(params, grid)):
-        col, row = _grunwald_col_row(alpha, m, params.scheme)
-        spectra.append((vp + vm) * tau_eigs(0.5 * (col + row)))
-    return TauPreconditioner(grid.n, nu, spectra)
+    return TauPreconditioner(grid.n, nu, [(vp + vm) * tau_eigs(0.5 * (col + row))
+                                          for vp, vm, col, row in _directions(params, grid)])

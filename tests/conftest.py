@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from taumres.discretization import FIRST_ORDER, SECOND_ORDER, build_L, level_scales
+from taumres.discretization import FIRST_ORDER, SECOND_ORDER, build_L
 from taumres.tau import tau_eigs
 from taumres.toeplitz import Toeplitz1D
 
@@ -95,7 +95,10 @@ def tau_lam_reference(params, grid, nu):
     """The tau preconditioner's eigenvalues as first built: a Grünwald block per direction,
     a full nu vector, then one n-size sum lam + (v+_i + v-_i) q_i per active direction."""
     lam = np.full(grid.n, float(nu))
-    for i, (vp, vm) in enumerate(level_scales(params, grid)):
+    for i in range(params.d):
+        # the scalings in closed form, in the library's order of operations
+        s = (0.5 if params.scheme == SECOND_ORDER else 1.0) / grid.h[i] ** params.alpha[i]
+        vp, vm = params.d_plus[i] * s, params.d_minus[i] * s
         if vp + vm == 0.0:
             continue
         L = build_L(params.alpha[i], grid.n[i], params.scheme)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from taumres.discretization import (FIRST_ORDER, SECOND_ORDER, FractionalParams,
-                                    GridSpec, assemble_operator, build_L,
-                                    epsilon_bound, grunwald_g, level_scales, weights_second)
+                                    GridSpec, _directions, assemble_operator, build_L,
+                                    epsilon_bound, grunwald_g, weights_second)
+from taumres.tau import build_preconditioner
 
 from conftest import (assemble_dense, each_scheme, omega_bound, rel_err, symbol_closed,
                       symbol_series, toeplitz_dense)
@@ -164,9 +165,33 @@ def test_assembled_level_is_the_two_sided_block_bit_for_bit(scheme, d_minus):
     params = FractionalParams((1.5, 1.9), (3.0, 2.0), d_minus, scheme)
     grid = GridSpec((0, 0), (2, 1), (7, 5))
     A = assemble_operator(params, grid, 1.0)
-    for i, ((vp, vm), K) in enumerate(zip(level_scales(params, grid), A.levels)):
+    for i, ((vp, vm, _, _), K) in enumerate(zip(_directions(params, grid), A.levels)):
         D = build_L(params.alpha[i], grid.n[i], scheme).dense()
         assert K.dense().tobytes() == (vp * D + vm * D.T).tobytes()
+
+
+@each_scheme
+def test_directions_are_the_block_and_the_closed_form_scalings(scheme):
+    # the one per-direction rule: L_i's first column and row as build_L has
+    # them, and v+-_i = (0.5 if second order else 1.0) / h_i**alpha_i * d+-_i
+    params = FractionalParams((1.3, 1.7, 1.9), (3.0, 0.0, 2.0), (1.0, 0.0, 0.5), scheme)
+    grid = GridSpec((0, 0, -1), (2, 1, 1), (7, 1, 5))
+    directions = list(_directions(params, grid))
+    assert len(directions) == 3
+    half = 0.5 if scheme == SECOND_ORDER else 1.0
+    for i, (vp, vm, col, row) in enumerate(directions):
+        s = half / grid.h[i] ** params.alpha[i]
+        assert (vp, vm) == (params.d_plus[i] * s, params.d_minus[i] * s)
+        L = build_L(params.alpha[i], grid.n[i], scheme)
+        assert col.tobytes() == L.col.tobytes() and row.tobytes() == L.row.tobytes()
+
+
+def test_direction_count_mismatch_is_refused_by_both_builders():
+    params = FractionalParams((1.5, 1.5), (1.0, 1.0), (1.0, 1.0))
+    for grid in (GridSpec((0,), (1,), (4,)), GridSpec((0,) * 3, (1,) * 3, (4, 4, 4))):
+        for build in (assemble_operator, build_preconditioner):
+            with pytest.raises(ValueError, match=rf"^grid has {len(grid.n)} directions, params has 2$"):
+                build(params, grid, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Every exported name resolves, so a deleted function cannot linger in an ``__all__``;
-no exported callable takes a private parameter."""
+no exported callable takes a private parameter; the private names one module takes from
+a sibling are an explicit list."""
 
+import ast
 import importlib
 import inspect
+import pathlib
 import pkgutil
 
 import pytest
@@ -43,3 +46,44 @@ def test_no_export_takes_a_private_parameter(name):
                 continue
             private += [f"{export}: {p}" for p in parameters if p.startswith("_")]
     assert not private, f"{name} exports callables with private parameters: {private}"
+
+
+# every private name a module takes from a sibling, by ``from .x import _y`` or
+# by reading ``x._y`` off a sibling module: a new reach-in is a one-line diff here
+PRIVATE_REACH_INS = {
+    "cli": {"discretization._SCHEMES", "discretization._check_alpha",
+            "discretization._check_scheme", "pde._check_preconditioner", "transforms._count"},
+    "discretization": {"transforms._as_real", "transforms._check_dims", "transforms._count"},
+    "krylov": {"transforms._as_real", "transforms._count"},
+    "pde": {"transforms._as_real", "transforms._count"},
+    "selftest": {"transforms._axis_path", "transforms._sine_matrix"},
+    "spectrum": {"toeplitz._kron_sum", "transforms._as_real", "transforms._axis_matmul"},
+    "tau": {"discretization._directions", "transforms._as_real", "transforms._check_dims",
+            "transforms._count", "transforms._dst1_fft_axis"},
+    "toeplitz": {"transforms._as_real", "transforms._axis_matmul", "transforms._check_dims",
+                 "transforms._count", "transforms._fibre_blocks"},
+}
+
+
+def private_reach_ins(path):
+    """``sibling._name`` for each private name the module at ``path`` takes from a sibling."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    siblings, found = {}, set()   # siblings: local name -> sibling module bound by ``from . import``
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None:
+                    siblings[alias.asname or alias.name] = alias.name
+                elif alias.name.startswith("_"):
+                    found.add(f"{node.module}.{alias.name}")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in siblings and node.attr.startswith("_"):
+            found.add(f"{siblings[node.value.id]}.{node.attr}")
+    return found
+
+
+def test_private_names_taken_from_siblings_are_listed():
+    taken = {path.stem: found for path in pathlib.Path(taumres.__file__).parent.glob("*.py")
+             if (found := private_reach_ins(path))}
+    assert taken == PRIVATE_REACH_INS

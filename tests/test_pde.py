@@ -6,7 +6,7 @@ import pytest
 
 from taumres.discretization import (FIRST_ORDER, SECOND_ORDER, FractionalParams,
                                     GridSpec, assemble_operator)
-from taumres import discretization, pde
+from taumres import pde
 from taumres.krylov import MinresConfig, pminres
 from taumres.pde import (FractionalProblem, example1_problem, example2_problem,
                          first_step_row, run_steps, sample_grid, setup_operators,
@@ -418,14 +418,15 @@ def test_unknown_preconditioner_rejected():
                       1.0, 3, lambda *x: 0.0, lambda *x: 0.0),
 ], ids=["example1", "example2", "3d-one-off"])
 def test_setup_builds_each_grunwald_block_once(prob, monkeypatch):
-    built = []
-    build_L = discretization.build_L
-    monkeypatch.setattr(discretization, "build_L", lambda *args: built.append(args) or build_L(*args))
-    setup_operators(prob, "tau")
-    assert len(built) == len(prob.grid.n)
-    # the preconditioner takes its columns from the coefficient table, no Toeplitz matrix
+    # one Toeplitz1D per direction, the operator's own level: no throwaway
+    # Grünwald block, and none for the preconditioner, which reads the
+    # same per-direction columns and rows
     made = []
     init = Toeplitz1D.__init__
-    monkeypatch.setattr(Toeplitz1D, "__init__", lambda self, *a: made.append(a) or init(self, *a))
+    monkeypatch.setattr(Toeplitz1D, "__init__", lambda self, *a: made.append(self) or init(self, *a))
+    A, _ = setup_operators(prob, "tau")
+    assert len(made) == len(prob.grid.n)
+    assert all(K is level for K, level in zip(made, A.levels))
+    made.clear()
     build_preconditioner(prob.params, prob.grid, prob.nu)
-    assert made == [] and len(built) == len(prob.grid.n)
+    assert made == []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from taumres.discretization import (FIRST_ORDER, SECOND_ORDER, FractionalParams,
-                                    GridSpec, build_L, level_scales)
+                                    GridSpec, _directions, build_L)
 from taumres.pde import example2_problem
 from taumres.tau import TauPreconditioner, build_preconditioner, tau_eigs
 from taumres.transforms import DENSE_AXIS_MAX, FOLD_MIN, _axis_path
@@ -147,7 +147,7 @@ def test_preconditioner_dense_identity_1d():
     grid = GridSpec((0.0,), (1.0,), (16,))
     nu = 2.5
     P = build_preconditioner(params, grid, nu)
-    (vp, vm), = level_scales(params, grid)
+    (vp, vm, _, _), = _directions(params, grid)
     col = symmetric_part_col(1.5, 16, SECOND_ORDER)
     dense = nu * np.eye(16) + (vp + vm) * tau_dense_oracle(col)
     S = sine_matrix(16)
@@ -161,7 +161,7 @@ def test_preconditioner_dense_identity_2d():
     nu = 4.0
     P = build_preconditioner(params, grid, nu)
     dense = nu * np.eye(9)
-    for i, (vp, vm) in enumerate(level_scales(params, grid)):
+    for i, (vp, vm, _, _) in enumerate(_directions(params, grid)):
         col = symmetric_part_col(params.alpha[i], 3, params.scheme)
         blocks = [np.eye(3), np.eye(3)]
         blocks[i] = tau_dense_oracle(col)
@@ -173,7 +173,7 @@ def test_apply_inverse_round_trip(rng):
     params = FractionalParams((1.5,), (2.0,), (1.0,), SECOND_ORDER)
     grid = GridSpec((0.0,), (1.0,), (16,))
     P = build_preconditioner(params, grid, 1.0)
-    (vp, vm), = level_scales(params, grid)
+    (vp, vm, _, _), = _directions(params, grid)
     col = symmetric_part_col(1.5, 16, SECOND_ORDER)
     dense = 1.0 * np.eye(16) + (vp + vm) * tau_dense_oracle(col)
     x = rng.standard_normal(16)
@@ -235,9 +235,8 @@ def test_three_level_preconditioner_round_trip(rng):
     assert np.max(np.abs(inverse - inverse.T)) <= 1e-12 * np.max(np.abs(inverse))
     # Kronecker-sum structure: the spectrum equals the broadcast sum of levels
     qs = []
-    for i in range(3):
+    for i, (vp, vm, _, _) in enumerate(_directions(params, grid)):
         col = symmetric_part_col(params.alpha[i], grid.n[i], SECOND_ORDER)
-        vp, vm = level_scales(params, grid)[i]
         qs.append((vp + vm) * tau_eigs(col))
     lam = 2.0 + qs[0][:, None, None] + qs[1][None, :, None] + qs[2][None, None, :]
     assert np.max(np.abs(P.lam - lam.reshape(-1))) <= 1e-11 * np.max(np.abs(lam))
@@ -290,6 +289,14 @@ def test_non_finite_spectrum_rejected():
         for spectra in ([[1.0, bad, 2.0]], [[1.0, 2.0, 3.0], [bad]]):
             with pytest.raises(ValueError, match="non-finite"):
                 TauPreconditioner((3, 1)[:len(spectra)], 1.0, spectra)
+
+
+def test_overflowed_sum_is_refused_as_non_finite():
+    # finite spectra whose Kronecker sum overflows reach the one finite
+    # check, with no overflow warning first
+    for dims, nu, spectra in (((1, 1), 0.0, [[1e308], [1e308]]), ((1,), 1e308, [[1e308]])):
+        with pytest.raises(ValueError, match="non-finite"):
+            TauPreconditioner(dims, nu, spectra)
 
 
 def test_constructor_refuses_spectra_that_miss_the_dims():
