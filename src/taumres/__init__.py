@@ -8,8 +8,7 @@ eigenvalue-interval bounds densely at desk scale.
 """
 
 from .discretization import (FIRST_ORDER, SECOND_ORDER, FractionalParams, GridSpec,
-                             assemble_operator, build_L, epsilon_bound, grunwald_g,
-                             weights_second)
+                             assemble_operator, epsilon_bound, grunwald_g, weights_second)
 from .krylov import BreakdownError, MinresConfig, MinresResult, bound_curve, pminres
 from .pde import (ALPHA_PAIRS, FractionalProblem, StepReport, example1_problem,
                   example2_problem, first_step_row, run_steps, sample_grid,
@@ -26,7 +25,7 @@ __version__ = "0.1.0"
 __all__ = [
     "FIRST_ORDER", "SECOND_ORDER",
     "FractionalParams", "GridSpec",
-    "assemble_operator", "build_L", "epsilon_bound",
+    "assemble_operator", "epsilon_bound",
     "grunwald_g", "weights_second",
     "BreakdownError", "MinresConfig", "MinresResult", "bound_curve", "pminres",
     "ALPHA_PAIRS", "FractionalProblem", "StepReport", "example1_problem",

@@ -1,7 +1,9 @@
 """Grünwald discretizations of Riemann-Liouville fractional diffusion.
 
 Generates the first-order (shifted) and second-order (weighted-shifted)
-Grünwald coefficient tables, assembles the time-stepping operators
+Grünwald coefficient tables, builds each direction's Grünwald block from
+its scheme's table in one place (``_directions``, read by the operator
+and the tau preconditioner), assembles the time-stepping operators
 
     A = nu*I + sum_i ( v+_i W_i + v-_i W_i^T ),
 
@@ -25,7 +27,6 @@ __all__ = [
     "GridSpec",
     "grunwald_g",
     "weights_second",
-    "build_L",
     "assemble_operator",
     "epsilon_bound",
 ]
@@ -138,38 +139,20 @@ def weights_second(alpha, K):
     return w
 
 
-def _grunwald_col_row(alpha, m, scheme):
-    """The one rule from the scheme's table c to the Grünwald block of size m: its first
-    column -[c_1 .. c_m] and first row -[c_1, c_0, 0, ...], as two new arrays.
-
-    ``build_L`` wraps them in a ``Toeplitz1D``; ``_directions`` hands them,
-    with no Toeplitz matrix built, to the operator and the tau preconditioner.
-    """
-    _check_scheme(scheme)
-    m = _count(m, "matrix size")
-    c = (weights_second if scheme == SECOND_ORDER else grunwald_g)(alpha, m)
-    col = -c[1:m + 1]
-    row = np.zeros(m)
-    row[0] = -c[1]
-    if m > 1:
-        row[1] = -c[0]
-    return col, row
-
-
-def build_L(alpha, m, scheme=SECOND_ORDER):
-    """Lower-Hessenberg Grünwald Toeplitz block of size m; the diagonal -c_1 is positive."""
-    return Toeplitz1D(*_grunwald_col_row(alpha, m, scheme))
-
-
 def _directions(params, grid):
-    """The one per-direction set-up rule, read by the operator and the tau preconditioner:
-    the scheme's scalings v+_i, v-_i and L_i's first column and row, for each direction i."""
+    """The one per-direction set-up rule, read by the operator and the tau preconditioner,
+    and the one place that knows the Grünwald block: for each direction i, the scheme's
+    scalings v+_i, v-_i and the first column -[c_1 .. c_m] and first row -[c_1, c_0, 0, ...]
+    of L_i of size m = n_i, from the scheme's table c, as new arrays."""
     if len(grid.n) != params.d:
         raise ValueError(f"grid has {len(grid.n)} directions, params has {params.d}")
-    half = 0.5 if params.scheme == SECOND_ORDER else 1.0
+    half, table = (0.5, weights_second) if params.scheme == SECOND_ORDER else (1.0, grunwald_g)
     for alpha, h, m, dp, dm in zip(params.alpha, grid.h, grid.n, params.d_plus, params.d_minus):
         s = half / h ** alpha
-        yield (dp * s, dm * s, *_grunwald_col_row(alpha, m, params.scheme))
+        c = table(alpha, m)
+        row = np.zeros(m)
+        row[:2] = -c[1::-1][:m]   # -c_1, then -c_0 when m > 1
+        yield dp * s, dm * s, -c[1:], row
 
 
 def assemble_operator(params, grid, nu):

@@ -74,7 +74,7 @@ class TauPreconditioner:
         with np.errstate(over="ignore"):   # an overflowed sum is refused just below
             lam = functools.reduce(np.add.outer, spectra, nu).reshape(-1)
         if not -math.inf < (lo := lam.min()) <= lam.max() < math.inf:   # NaN fails too
-            raise ValueError("preconditioner eigenvalues has non-finite entries")
+            raise ValueError("preconditioner eigenvalues have non-finite entries")
         if lo <= 0.0:
             raise ValueError(f"preconditioner not positive definite: min eigenvalue {lo}")
         lam.setflags(write=False)

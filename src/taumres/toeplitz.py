@@ -50,12 +50,12 @@ class Toeplitz1D:
     """Toeplitz matrix stored by first column and first row.
 
     Entry (j, k) is ``col[j-k]`` for j >= k and ``row[k-j]`` otherwise.
-    ``row`` defaults to ``col`` (symmetric matrix).  Entries must be finite.
+    Entries must be finite.
     """
 
-    def __init__(self, col, row=None):
+    def __init__(self, col, row):
         col = _as_real(col, "col", shape=(None,), finite=True, copy=True)
-        row = col if row is None else _as_real(row, "row", shape=col.shape, finite=True, copy=True)
+        row = _as_real(row, "row", shape=col.shape, finite=True, copy=True)
         self.m = _count(col.shape[0], "a Toeplitz size")
         if col[0] != row[0]:
             raise ValueError(f"col[0]={col[0]} and row[0]={row[0]} must agree")

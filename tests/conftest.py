@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from taumres.discretization import FIRST_ORDER, SECOND_ORDER, build_L
+from taumres.discretization import FIRST_ORDER, SECOND_ORDER, grunwald_g, weights_second
 from taumres.tau import tau_eigs
 from taumres.toeplitz import Toeplitz1D
 
@@ -68,6 +68,19 @@ def two_sided(T, vp, vm):
     return Toeplitz1D(vp * T.col + vm * T.row, vp * T.row + vm * T.col)
 
 
+def grunwald_block(alpha, m, scheme):
+    """The Grünwald block L of size m from the scheme's public table c, written out here
+    apart from the library's set-up rule: first column -[c_1 .. c_m], first row
+    -[c_1, c_0, 0, ...]."""
+    c = (weights_second if scheme == SECOND_ORDER else grunwald_g)(alpha, m)
+    col = np.array([-c[k] for k in range(1, m + 1)])
+    row = np.zeros(m)
+    row[0] = -c[1]
+    if m > 1:
+        row[1] = -c[0]
+    return Toeplitz1D(col, row)
+
+
 def tau_dense_oracle(col):
     """Dense tau(T) of the symmetric Toeplitz T with first column col: T minus the Hankel correction."""
     m = len(col)
@@ -101,7 +114,7 @@ def tau_lam_reference(params, grid, nu):
         vp, vm = params.d_plus[i] * s, params.d_minus[i] * s
         if vp + vm == 0.0:
             continue
-        L = build_L(params.alpha[i], grid.n[i], params.scheme)
+        L = grunwald_block(params.alpha[i], grid.n[i], params.scheme)
         shape = [1] * params.d
         shape[i] = grid.n[i]
         lam = lam + (vp + vm) * tau_eigs(0.5 * (L.col + L.row)).reshape(shape)

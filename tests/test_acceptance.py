@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from taumres.discretization import (FIRST_ORDER, SECOND_ORDER, FractionalParams,
-                                    GridSpec, assemble_operator, build_L,
+                                    GridSpec, assemble_operator,
                                     epsilon_bound, grunwald_g, weights_second)
 from taumres.krylov import MinresConfig, bound_curve, pminres
 from taumres.pde import (example1_problem, example2_problem, first_step_row, run_steps,
@@ -27,8 +27,8 @@ from taumres.tau import build_preconditioner
 from taumres.toeplitz import MultilevelOperator, Toeplitz1D
 from taumres.transforms import dst1_multi
 
-from conftest import (rel_err, sine_matrix, symbol_closed, symbol_series, tau_dense_oracle,
-                      toeplitz_dense, two_sided)
+from conftest import (grunwald_block, rel_err, sine_matrix, symbol_closed, symbol_series,
+                      tau_dense_oracle, toeplitz_dense, two_sided)
 
 ALPHA_VALUES = (1.1, 1.5, 1.9)
 ALPHA_PAIRS = tuple((a, b) for a in ALPHA_VALUES for b in ALPHA_VALUES)
@@ -167,10 +167,10 @@ def test_criterion_06_tau_lemma_interval():
     for scheme in SCHEMES:
         for alpha in ALPHA_VALUES:
             for m in (8, 16, 32):
-                L = build_L(alpha, m, scheme)
-                H = Toeplitz1D(0.5 * (L.col + L.row))
-                C = np.linalg.cholesky(tau_dense_oracle(H.col))
-                M = np.linalg.solve(C, np.linalg.solve(C, toeplitz_dense(H.col).T).T)
+                L = grunwald_block(alpha, m, scheme)
+                h = 0.5 * (L.col + L.row)   # first column of the symmetric part
+                C = np.linalg.cholesky(tau_dense_oracle(h))
+                M = np.linalg.solve(C, np.linalg.solve(C, toeplitz_dense(h).T).T)
                 ev = np.linalg.eigvalsh(0.5 * (M + M.T))
                 if not (ev.min() > 0.5 + 1e-10 and ev.max() < 1.5 - 1e-10):
                     failures.append(

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from taumres.discretization import (FIRST_ORDER, SECOND_ORDER, FractionalParams,
-                                    GridSpec, _directions, assemble_operator, build_L,
-                                    epsilon_bound, grunwald_g, weights_second)
+                                    GridSpec, _directions, assemble_operator, epsilon_bound,
+                                    grunwald_g, weights_second)
 from taumres.tau import build_preconditioner
+from taumres.toeplitz import Toeplitz1D
 
-from conftest import (assemble_dense, each_scheme, omega_bound, rel_err, symbol_closed,
-                      symbol_series, toeplitz_dense)
+from conftest import (assemble_dense, each_scheme, grunwald_block, omega_bound, rel_err,
+                      symbol_closed, symbol_series, toeplitz_dense)
 
 ALPHAS = (1.1, 1.5, 1.9)
 
@@ -103,6 +104,14 @@ def test_alpha_out_of_range_rejected():
 # ---------------------------------------------------------------------------
 # Grünwald blocks and operator assembly
 
+def build_L(alpha, m, scheme):
+    """The Grünwald block L of size m as the set-up builds it: ``_directions`` on a
+    one-direction problem, whose ``GridSpec`` checks the size m."""
+    params = FractionalParams((alpha,), (1.0,), (0.0,), scheme)
+    ((_, _, col, row),) = _directions(params, GridSpec((0.0,), (1.0,), (m,)))
+    return Toeplitz1D(col, row)
+
+
 def test_build_L_second_order_frozen():
     L = build_L(1.5, 3, SECOND_ORDER)
     assert L.col == pytest.approx([0.875, 0.09375, -0.140625], abs=1e-15)
@@ -150,7 +159,7 @@ def test_assemble_matches_kron_oracle(scheme):
     half = 0.5 if scheme == SECOND_ORDER else 1.0
     level_data = []
     for i in range(2):
-        L = build_L(params.alpha[i], 3, scheme)
+        L = grunwald_block(params.alpha[i], 3, scheme)
         s = half / grid.h[i] ** params.alpha[i]
         level_data.append((L.col, L.row, 3.0 * s if i == 0 else 2.0 * s, 1.0 * s))
     dense = assemble_dense((3, 3), nu, level_data)
@@ -166,14 +175,14 @@ def test_assembled_level_is_the_two_sided_block_bit_for_bit(scheme, d_minus):
     grid = GridSpec((0, 0), (2, 1), (7, 5))
     A = assemble_operator(params, grid, 1.0)
     for i, ((vp, vm, _, _), K) in enumerate(zip(_directions(params, grid), A.levels)):
-        D = build_L(params.alpha[i], grid.n[i], scheme).dense()
+        D = grunwald_block(params.alpha[i], grid.n[i], scheme).dense()
         assert K.dense().tobytes() == (vp * D + vm * D.T).tobytes()
 
 
 @each_scheme
 def test_directions_are_the_block_and_the_closed_form_scalings(scheme):
-    # the one per-direction rule: L_i's first column and row as build_L has
-    # them, and v+-_i = (0.5 if second order else 1.0) / h_i**alpha_i * d+-_i
+    # the one per-direction rule: L_i's first column and row as ``grunwald_block``
+    # writes them out, and v+-_i = (0.5 if second order else 1.0) / h_i**alpha_i * d+-_i
     params = FractionalParams((1.3, 1.7, 1.9), (3.0, 0.0, 2.0), (1.0, 0.0, 0.5), scheme)
     grid = GridSpec((0, 0, -1), (2, 1, 1), (7, 1, 5))
     directions = list(_directions(params, grid))
@@ -182,7 +191,7 @@ def test_directions_are_the_block_and_the_closed_form_scalings(scheme):
     for i, (vp, vm, col, row) in enumerate(directions):
         s = half / grid.h[i] ** params.alpha[i]
         assert (vp, vm) == (params.d_plus[i] * s, params.d_minus[i] * s)
-        L = build_L(params.alpha[i], grid.n[i], scheme)
+        L = grunwald_block(params.alpha[i], grid.n[i], scheme)
         assert col.tobytes() == L.col.tobytes() and row.tobytes() == L.row.tobytes()
 
 
@@ -326,7 +335,7 @@ def test_epsilon_bounds_two_dimensional_symbol():
 def test_symmetric_part_of_block_is_spd(scheme):
     for alpha in ALPHAS:
         for m in (8, 64):
-            L = build_L(alpha, m, scheme)
+            L = grunwald_block(alpha, m, scheme)
             H = toeplitz_dense(0.5 * (L.col + L.row))
             assert np.linalg.eigvalsh(H).min() > 0
 

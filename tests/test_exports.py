@@ -87,3 +87,39 @@ def test_private_names_taken_from_siblings_are_listed():
     taken = {path.stem: found for path in pathlib.Path(taumres.__file__).parent.glob("*.py")
              if (found := private_reach_ins(path))}
     assert taken == PRIVATE_REACH_INS
+
+
+
+def private_definitions(tree):
+    """(name, node) for each module-level single-underscore function, class or assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from ((name, node) for name in names
+                    if name.startswith("_") and not name.startswith("__"))
+
+
+def reads(node, name):
+    """Whether ``node`` loads ``name``: as a name, an attribute or an imported alias."""
+    return (isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute) and node.attr == name
+            or isinstance(node, ast.alias) and node.name == name)
+
+
+def test_no_private_helper_is_dead():
+    # a private name nothing in the package reads is code a deletion left behind
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in pathlib.Path(taumres.__file__).parent.glob("*.py")}
+    nodes = [node for tree in trees.values() for node in ast.walk(tree)]
+    dead = []
+    for stem, tree in trees.items():
+        for name, definition in private_definitions(tree):
+            own = set(map(id, ast.walk(definition)))
+            if not any(id(node) not in own and reads(node, name) for node in nodes):
+                dead.append(f"{stem}.{name}")
+    assert not dead, f"private names nothing in src/taumres reads: {dead}"

@@ -5,8 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from taumres.discretization import (FractionalParams, GridSpec, assemble_operator, build_L,
-                                    grunwald_g)
+from taumres.discretization import FractionalParams, GridSpec, assemble_operator, grunwald_g
 from taumres.krylov import MinresConfig, bound_curve, pminres
 from taumres.pde import FractionalProblem, sample_grid
 from taumres.spectrum import sym_eig
@@ -85,7 +84,7 @@ SCALAR_ENTRIES = {
     "GridSpec b": (lambda v: GridSpec((0.0,), (v,), (3,)), 2.0),
     "MinresConfig tol": (lambda v: MinresConfig(tol=v), 1e-8),
     "FractionalProblem T": (lambda v: FractionalProblem(GRID, PARAMS, v, 4, None, None), 1.0),
-    "MultilevelOperator nu": (lambda v: MultilevelOperator((3,), v, [Toeplitz1D(COL)]), 2.0),
+    "MultilevelOperator nu": (lambda v: MultilevelOperator((3,), v, [Toeplitz1D(COL, COL)]), 2.0),
     "TauPreconditioner nu": (lambda v: TauPreconditioner((3,), v, [COL]), 2.0),
     "build_preconditioner nu": (lambda v: build_preconditioner(PARAMS, GRID, v), 2.0),
     "grunwald_g alpha": (lambda v: grunwald_g(v, 3), 1.5),
@@ -113,12 +112,12 @@ def test_scalar_entry_refuses_non_real_input(entry, bad):
     lambda: grunwald_g(1.5, True),
     lambda: _check_dims(("3",)),
     lambda: _check_dims(3),
-    lambda: build_L(1.5, 2.5),
+    lambda: GridSpec((0,), (1,), (2.5,)),
     lambda: bound_curve(0.5, -1),
     lambda: tau_eigs([1.0, np.nan]),
     lambda: FractionalParams((), (), ()),
 ), ids=("GridSpec-n-bool", "maxit-bool", "tol-bool", "M-bool", "grunwald-K-bool",
-        "dims-text", "dims-not-a-sequence", "build_L-fraction", "k_max-negative", "tau_eigs-nan",
+        "dims-text", "dims-not-a-sequence", "GridSpec-n-fraction", "k_max-negative", "tau_eigs-nan",
         "params-no-direction"))
 def test_counts_and_finite_columns_refuse(call):
     with pytest.raises(ValueError):
@@ -130,7 +129,10 @@ def test_whole_floats_are_counts():
     assert MinresConfig(maxit=2.0).maxit == 2
     assert FractionalProblem(GRID, PARAMS, 1.0, 4.0, None, None).M == 4
     assert np.array_equal(grunwald_g(1.5, 3.0), grunwald_g(1.5, 3))
-    assert np.array_equal(build_L(1.5, 3.0).dense(), build_L(1.5, 3).dense())
+    # a whole float size sets up the same operator as the integer one
+    operators = [assemble_operator(PARAMS, GridSpec((0, 0), (1, 1), n), 1.0).materialize()
+                 for n in ((2.0, 3.0), (2, 3))]
+    assert np.array_equal(*operators)
     assert np.array_equal(bound_curve(0.5, 4.0), bound_curve(0.5, 4))
     assert _check_dims((np.int64(2), 3.0)) == (2, 3)
 

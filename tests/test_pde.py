@@ -201,7 +201,8 @@ def test_stalled_solve_reports_an_unmoved_residual():
     # A = 0 stalls MINRES in its first iteration with an empty history: the
     # residual is the right-hand side's, relres 1, not 0
     prob = example1_problem(3, (1.5, 1.5))
-    A = MultilevelOperator(prob.grid.n, 0.0, [Toeplitz1D(np.zeros(m)) for m in prob.grid.n])
+    A = MultilevelOperator(prob.grid.n, 0.0,
+                           [Toeplitz1D(np.zeros(m), np.zeros(m)) for m in prob.grid.n])
     u1, rep = step_first_order(prob, A, None, np.ones(prob.grid.size), prob.tau_step)
     assert (rep.iters, rep.converged, rep.relres) == (0, False, 1.0)
     assert np.array_equal(u1, np.zeros(prob.grid.size))

@@ -241,7 +241,7 @@ def test_symmetry_defect_raises():
             out[1] = x[2]
             return out[::-1].copy()
 
-    A = Broken((4,), 1.0, [Toeplitz1D(np.zeros(4))])
+    A = Broken((4,), 1.0, [Toeplitz1D(np.zeros(4), np.zeros(4))])
     P = TauPreconditioner((4,), 1.0, [np.zeros(4)])
     params = FractionalParams((1.5,), (1.0,), (1.0,))
     with pytest.raises(RuntimeError):
@@ -301,7 +301,7 @@ def test_params_of_other_direction_count_rejected():
 def test_ideal_spectrum_refuses_a_non_spd_symmetric_part():
     # nu = 0 and a level with a negative diagonal: H(A) has a negative eigenvalue
     A = MultilevelOperator((4, 3), 0.0, [Toeplitz1D([-2.0, 1.0, 0.0, 0.0], [-2.0, 0.5, 0.0, 0.0]),
-                                         Toeplitz1D([1.0, -0.5, 0.0])])
+                                         Toeplitz1D([1.0, -0.5, 0.0], [1.0, -0.5, 0.0])])
     params = FractionalParams((1.5, 1.5), (1.0, 1.0), (1.0, 1.0))
     with pytest.raises(RuntimeError, match="not positive definite"):
         ideal_preconditioned_spectrum(A, params)
@@ -315,6 +315,24 @@ def test_ideal_spectrum_beyond_a_thousand_unknowns():
     assert rep.n == 2025
     assert rep.violations == 0
     assert np.min(np.abs(rep.eigenvalues)) >= 1.0 - 1e-8
+
+
+@pytest.mark.parametrize("dims", ((65, 65), (4225,)), ids=("example2", "1d"))
+def test_every_spectrum_refuses_past_the_dense_cap_before_allocating(dims):
+    # n = 4225 > MATERIALIZE_CAP: one n x n matrix would be 143 MB.  (65, 65)
+    # is example2's set-up at n1 = 65; in 1-D the level's own dense block is n x n too
+    d = len(dims)
+    params, A, P = setup(dims, (1.5, 1.9)[:d], (EX2[0][:d], EX2[1][:d]), SECOND_ORDER,
+                         nu=66.0, box=2.0)
+    assert A.n == 4225 > toeplitz.MATERIALIZE_CAP
+    for run in (lambda: preconditioned_spectrum(A, P, params),
+                lambda: equivalence_spectrum(A, P),
+                lambda: ideal_preconditioned_spectrum(A, params),
+                lambda: unpreconditioned_spectrum(A)):
+        def refused():
+            with pytest.raises(ValueError, match=f"capped at n={toeplitz.MATERIALIZE_CAP},"):
+                run()
+        assert traced_peak(refused) < 2 ** 20
 
 
 def test_unpreconditioned_spectrum_has_no_interval():

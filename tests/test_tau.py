@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from taumres.discretization import (FIRST_ORDER, SECOND_ORDER, FractionalParams,
-                                    GridSpec, _directions, build_L)
+                                    GridSpec, _directions)
 from taumres.pde import example2_problem
 from taumres.tau import TauPreconditioner, build_preconditioner, tau_eigs
 from taumres.transforms import DENSE_AXIS_MAX, FOLD_MIN, _axis_path
 
-from conftest import (each_scheme, kron_chain, rel_err, sine_matrix, sine_oracle,
-                      tau_dense_oracle, tau_eigs_cosine, tau_lam_reference, toeplitz_dense,
-                      traced_peak)
+from conftest import (each_scheme, grunwald_block, kron_chain, rel_err, sine_matrix,
+                      sine_oracle, tau_dense_oracle, tau_eigs_cosine, tau_lam_reference,
+                      toeplitz_dense, traced_peak)
 
 # the first length past the dense cutoff that runs by FFT
 FFT_M = next(m for m in itertools.count(DENSE_AXIS_MAX + 1) if _axis_path(m) == "fft")
@@ -19,7 +19,7 @@ FFT_M = next(m for m in itertools.count(DENSE_AXIS_MAX + 1) if _axis_path(m) == 
 
 def symmetric_part_col(alpha, m, scheme):
     """First column of H(L) = (L + L^T)/2 for the Grünwald block L."""
-    L = build_L(alpha, m, scheme)
+    L = grunwald_block(alpha, m, scheme)
     return 0.5 * (L.col + L.row)
 
 

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from taumres import toeplitz
+from taumres.discretization import SECOND_ORDER
 from taumres.spectrum import sym_eig
 from taumres.toeplitz import DENSE_LEVEL_MAX, MultilevelOperator, Toeplitz1D, flip
 
-from conftest import (assemble_dense, convolve_direct, kron_chain, rel_err,
+from conftest import (assemble_dense, convolve_direct, grunwald_block, kron_chain, rel_err,
                       toeplitz_dense, traced_peak, two_sided)
 
 
@@ -25,12 +26,12 @@ def random_operator(rng, dims):
 # Toeplitz1D
 
 def test_identity_matvec():
-    T = Toeplitz1D([1.0, 0.0, 0.0])
+    T = Toeplitz1D([1.0, 0.0, 0.0], [1.0, 0.0, 0.0])
     assert T.matvec([1.0, 2.0, 3.0]) == pytest.approx([1.0, 2.0, 3.0], abs=1e-14)
 
 
 def test_tridiagonal_frozen():
-    T = Toeplitz1D([2.0, -1.0, 0.0])
+    T = Toeplitz1D([2.0, -1.0, 0.0], [2.0, -1.0, 0.0])
     assert T.matvec([1.0, 1.0, 1.0]) == pytest.approx([1.0, 0.0, 1.0], abs=1e-13)
 
 
@@ -204,7 +205,7 @@ def test_symmetric_part_halves_sum(rng):
 
 def test_symmetric_part_equals_apply_for_symmetric_operator(rng):
     col = rng.standard_normal(4)
-    T = Toeplitz1D(col)
+    T = Toeplitz1D(col, col)
     A = MultilevelOperator((4,), 1.0, [two_sided(T, 0.8, 0.8)])
     x = rng.standard_normal(4)
     dense = A.materialize()
@@ -213,19 +214,15 @@ def test_symmetric_part_equals_apply_for_symmetric_operator(rng):
 
 
 def test_symmetric_part_grunwald_block():
-    from taumres.discretization import SECOND_ORDER, build_L
-
     # the symmetric part of a one-sided Grünwald level is the symmetric
     # Toeplitz matrix the tau preconditioner is built from
-    L = build_L(1.5, 3, SECOND_ORDER)
+    L = grunwald_block(1.5, 3, SECOND_ORDER)
     dense = MultilevelOperator((3,), 0.0, [two_sided(L, 1.0, 0.0)]).materialize()
     assert rel_err(0.5 * (dense + dense.T), toeplitz_dense(0.5 * (L.col + L.row))) <= 1e-15
 
 
 def test_symmetrized_grunwald_block_dense(rng):
-    from taumres.discretization import SECOND_ORDER, build_L
-
-    L = build_L(1.5, 3, SECOND_ORDER)
+    L = grunwald_block(1.5, 3, SECOND_ORDER)
     A = MultilevelOperator((3,), 2.0, [two_sided(L, 1.5, 0.5)])
     x = rng.standard_normal(3)
     dense = 2.0 * np.eye(3) + 1.5 * toeplitz_dense(L.col, L.row) \
@@ -287,11 +284,11 @@ def test_materialize_holds_one_matrix():
 
 
 def test_materialize_cap(monkeypatch):
-    T = Toeplitz1D(np.zeros(65))
+    T = Toeplitz1D(np.zeros(65), np.zeros(65))
     with pytest.raises(ValueError):
         MultilevelOperator((65, 65), 1.0, [T, T]).materialize()
     # the cap is read at call time
-    T = Toeplitz1D(np.zeros(5))
+    T = Toeplitz1D(np.zeros(5), np.zeros(5))
     A = MultilevelOperator((5, 5), 1.0, [T, T])
     monkeypatch.setattr(toeplitz, "MATERIALIZE_CAP", 24)
     with pytest.raises(ValueError, match="materialize capped at n=24"):
