@@ -14,8 +14,8 @@ spectrum diagonalizes H(A) by one ``eigh`` per level (fast diagonalization; Lync
 Rice and Thomas, 1964).  Every matrix passes ``sym_eig``'s symmetry gate; reports
 carry the band and a count of eigenvalues outside it beyond INTERVAL_TOL.
 
-Memory: ``toeplitz.MATERIALIZE_CAP`` is the one dense cap.  A spectrum peaks at two n x n
-matrices, its own and LAPACK's copy (ideal: an axis product and its input; 1-D: three).
+Memory: ``toeplitz.MATERIALIZE_CAP`` is the one dense cap.  A spectrum peaks at one n x n
+matrix, which LAPACK diagonalizes in place (ideal: an axis product and its input; 1-D: three).
 """
 
 import functools
@@ -85,11 +85,12 @@ def _symmetrize(M):
 
 
 def sym_eig(M):
-    """Sorted eigenvalues of a dense symmetric matrix; overwrites M by its symmetric part.
+    """Sorted eigenvalues of a dense symmetric matrix; consumes M.
 
     The one symmetry gate: refuses (``SymmetryError``) a matrix with a
-    non-finite entry or with max|M - M^T| > SYM_TOL * max|M|, then solves
-    on (M + M^T)/2, written into M (a read-only M is copied first).
+    non-finite entry or with max|M - M^T| > SYM_TOL * max|M|, writes
+    (M + M^T)/2 into M and hands M to LAPACK ``dsyevd``, which overwrites it
+    in place (a read-only or non-C-contiguous M is copied once first).
     Refuses an empty matrix and n > ``toeplitz.MATERIALIZE_CAP``.
     """
     M = _as_real(M, "matrix", shape=(None, None))
@@ -98,8 +99,8 @@ def sym_eig(M):
     n = M.shape[0]
     if n > toeplitz.MATERIALIZE_CAP:
         raise ValueError(f"dense eigensolve capped at n={toeplitz.MATERIALIZE_CAP}, got {n}")
-    if not M.flags.writeable:
-        M = M.copy()
+    if not (M.flags.writeable and M.flags.c_contiguous):
+        M = np.array(M, order="C")
     defects, scales = [], []
     with np.errstate(invalid="ignore"):   # inf - inf; refused below
         for I, J in _tile_pairs(n):
@@ -110,7 +111,11 @@ def sym_eig(M):
         raise SymmetryError("matrix has non-finite entries")
     if defect > SYM_TOL * scale:
         raise SymmetryError(f"matrix is not symmetric to tolerance (defect {defect:.2e})")
-    return np.linalg.eigvalsh(_symmetrize(M))
+    # here, not at module level: scipy adds ~25 MB of RSS that no solve needs.
+    # M.T is the Fortran view of the symmetric M; "evd" is np.linalg.eigvalsh's routine
+    from scipy.linalg import eigh
+    return eigh(_symmetrize(M).T, eigvals_only=True, overwrite_a=True, check_finite=False,
+                driver="evd")
 
 
 def _report(M, eps, lo, hi, tag, tol=INTERVAL_TOL, signed=True):
@@ -192,7 +197,12 @@ def equivalence_spectrum(A, P):
 
 def unpreconditioned_spectrum(A):
     """Spectrum of Y A itself; exported for plotting, no theorem interval."""
-    return _report(A.materialize()[::-1, :], math.nan, math.nan, math.nan, "none")
+    M = A.materialize()
+    n = M.shape[0]
+    for i in range(0, n // 2, 32):   # Y: reverse the rows in place, 32 pairs at a time
+        j = min(i + 32, n // 2)
+        M[i:j], M[n - j:n - i] = M[n - j:n - i][::-1], M[i:j][::-1].copy()
+    return _report(M, math.nan, math.nan, math.nan, "none")
 
 
 def export_spectrum_csv(report, path):

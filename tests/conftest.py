@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -156,7 +160,14 @@ def convolve_direct(a, b):
 
 
 def traced_peak(f, *args):
-    """Peak bytes numpy and Python allocate while f(*args) runs (not LAPACK's own work arrays)."""
+    """Peak bytes numpy and Python allocate while f(*args) runs.
+
+    Blind to C-level ``malloc``: LAPACK's work arrays, and the Fortran copy that
+    ``np.linalg.eigvalsh`` makes of its input.  ``run_fresh`` reads such copies off RSS.
+    scipy is imported first, so ``sym_eig``'s lazy import (about 10 MB traced) counts
+    in no test, whichever runs first.
+    """
+    import scipy.linalg   # noqa: F401
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
@@ -168,6 +179,17 @@ def traced_peak(f, *args):
     finally:
         if started:
             tracemalloc.stop()
+
+
+def run_fresh(code):
+    """stdout of ``code`` run by a fresh interpreter that imports taumres from this tree."""
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def rel_err(got, ref):

@@ -14,7 +14,7 @@ from taumres.pde import (FractionalProblem, example1_problem, example2_problem,
 from taumres.tau import build_preconditioner
 from taumres.toeplitz import MultilevelOperator, Toeplitz1D, flip
 
-from conftest import traced_peak
+from conftest import run_fresh, traced_peak
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +248,20 @@ def test_example2_first_step_error_matches_frozen_run():
     # frozen from the dense-verified reference run of this implementation;
     # coarse-grid error is pre-asymptotic, an order above the fine-grid trend
     assert rep.err_inf == pytest.approx(0.015322140913161822, rel=1e-6)
+
+
+def test_solves_never_import_scipy():
+    # scipy (~25 MB of RSS) serves the dense eigensolve only: importing the package, a
+    # first step and a march in a fresh process must leave it unimported
+    out = run_fresh("""
+import sys
+from taumres.pde import example2_problem, first_step_row, run_steps
+problem = example2_problem(15, (1.5, 1.5))
+first_step_row(problem, "tau", 1e-8, 100)
+run_steps(problem)
+print("scipy" in sys.modules)
+""")
+    assert out.split() == ["False"]
 
 
 def test_symmetric_degeneracy_matches_direct_solve(rng):

@@ -1,4 +1,5 @@
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from taumres.tau import TauPreconditioner, build_preconditioner
 from taumres.toeplitz import MultilevelOperator, Toeplitz1D
 
 from conftest import (assemble_dense, congruence_oracle, each_scheme, ideal_oracle, kron_chain,
-                      rel_err, sine_matrix, traced_peak)
+                      rel_err, run_fresh, sine_matrix, traced_peak)
 
 EX1 = ((2.0, 0.3), (0.5, 1.0))   # d_plus, d_minus per direction
 EX2 = ((3.0, 2.0), (1.0, 1.0))
@@ -80,23 +81,25 @@ def test_sym_eig_refuses_non_finite_entries():
 
 
 def test_sym_eig_solves_the_symmetric_part_in_place(rng):
-    # several tiles, a ragged last one; M is overwritten by exactly (M + M^T)/2
+    # several tiles, a ragged last one; the eigenvalues are exactly those of (M + M^T)/2,
+    # solved in M's own buffer, which is consumed
     n = 2 * spectrum._TILE + 37
     M = rng.standard_normal((n, n))
     M = M + M.T
     M[n - 1, 3] += 1e-13
     H = 0.5 * (M + M.T)
-    ev = sym_eig(M)
-    assert np.array_equal(M, H)
-    assert np.array_equal(ev, np.linalg.eigvalsh(H))
-    # a read-only input is copied, not written
-    R = rng.standard_normal((n, n))
-    R = R + R.T
-    R[5, n - 2] += 1e-13
+    want = np.linalg.eigvalsh(H)
+    # a read-only input and non-C-contiguous views are copied, not written
+    R = M.copy()
     R.setflags(write=False)
-    before = R.copy()
-    assert np.array_equal(sym_eig(R), np.linalg.eigvalsh(0.5 * (before + before.T)))
-    assert np.array_equal(R, before)
+    assert np.array_equal(sym_eig(R), want)
+    assert np.array_equal(R, M)
+    for view in (M.T[:, :], M[::-1, ::-1]):
+        before = view.copy()
+        assert np.array_equal(sym_eig(view), np.linalg.eigvalsh(0.5 * (before + before.T)))
+        assert np.array_equal(view, before)
+    assert rel_err(sym_eig(M[::-1, ::-1]), want) <= 1e-13   # P H P: rounding differs
+    assert np.array_equal(sym_eig(M), want)
 
 
 def test_sym_eig_gate_reports_the_whole_matrix_defect(rng):
@@ -116,6 +119,27 @@ def test_sym_eig_holds_no_n_by_n_temporary(rng):
     M = rng.standard_normal((n, n))
     M = M + M.T
     assert traced_peak(sym_eig, M) < 0.25 * M.nbytes
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in Linux's KiB")
+def test_sym_eig_copies_no_matrix_outside_numpy():
+    # traced_peak misses a C-level copy such as np.linalg.eigvalsh's Fortran buffer, so
+    # peak RSS is read in a fresh process: scipy imported first, M built with no second
+    # n x n array (tile by tile), and no growth by anything near M across the solve
+    out = run_fresh("""
+import resource
+import numpy as np
+from taumres import spectrum
+spectrum.sym_eig(np.eye(3))
+M = np.empty((3072, 3072))
+np.random.default_rng(0).standard_normal(out=M)
+spectrum._symmetrize(M)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+spectrum.sym_eig(M)
+print(1024 * (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before), M.nbytes)
+""")
+    grown, nbytes = map(int, out.split())
+    assert grown < 0.5 * nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -345,12 +369,18 @@ def test_unpreconditioned_spectrum_has_no_interval():
     dense = A.materialize()[::-1, :]
     assert rep.eigenvalues == pytest.approx(np.linalg.eigvalsh(0.5 * (dense + dense.T)),
                                             abs=1e-10)
+    # the rows are reversed in place 32 pairs at a time: even and odd n, a ragged last chunk
+    for dims in ((10, 13), (9, 15)):
+        _, A, _ = setup(dims, (1.5, 1.5), EX1, FIRST_ORDER, nu=6.0)
+        assert np.array_equal(unpreconditioned_spectrum(A).eigenvalues,
+                              sym_eig(A.materialize()[::-1, :]))
 
 
 @pytest.mark.parametrize("which", ("preconditioned", "equivalence", "unpreconditioned"))
 def test_spectrum_holds_one_matrix(which):
-    # the spectrum's own matrix; LAPACK's copy inside eigvalsh is not traced.
-    # In 1-D the level's dense block becomes the matrix
+    # the spectrum's own matrix, which LAPACK diagonalizes in place (its C-level work arrays
+    # are not traced; the RSS test above covers copies).  In 1-D the level's dense block
+    # becomes the matrix
     for dims, alphas, dpm in (((31, 31), (1.5, 1.9), EX2), ((1023,), (1.5,), ((3.0,), (1.0,)))):
         params, A, P = setup(dims, alphas, dpm, SECOND_ORDER, nu=32.0, box=2.0)
         run = {"preconditioned": lambda: preconditioned_spectrum(A, P, params),
