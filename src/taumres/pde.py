@@ -44,7 +44,7 @@ class FractionalProblem:
     """Model problem data: grid, coefficients, time grid and samplers.
 
     ``source``/``exact`` are called as f(x1, ..., xd, t) on broadcast
-    coordinate arrays; ``u0`` as u0(x1, ..., xd).  T > 0 is finite, M >= 1 whole.
+    coordinate arrays; ``u0`` as u0(x1, ..., xd).  T > 0 and nu = M/T are finite, M >= 1 whole.
     """
 
     grid: GridSpec
@@ -60,6 +60,8 @@ class FractionalProblem:
         object.__setattr__(self, "T", _as_real(self.T, "final time T", shape=(), finite=True))
         if not self.T > 0:
             raise ValueError(f"final time must be positive, got {self.T}")
+        if not math.isfinite(self.M / self.T):
+            raise ValueError(f"M/T must be finite, got M = {self.M} and T = {self.T}")
 
     @property
     def tau_step(self):

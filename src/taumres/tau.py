@@ -11,7 +11,9 @@ Only q is computed, as a read-only array, by the DST first-column identity
 in O(m log m) (``tau_eigs``); the dense tau(T) and the cosine sum are the
 test suite's oracles.  The multilevel preconditioner P = S diag(lam) S
 writes lam = nu + sum_i I (x) q_i (x) I, the Kronecker sum of one such
-spectrum per axis, itself; P^{-1} and P^{-1/2} (P itself is never
+finite spectrum per axis, itself, and checks it by nu plus the per-axis
+extremes (exact: rounded addition is monotone in each operand, so lam's
+extremes are those sums); P^{-1} and P^{-1/2} (P itself is never
 applied) share one body: two multilevel DSTs around one elementwise
 division, by lam or by sqrt(lam).  Per axis each DST is one full dense
 product, the exact even/odd fold with two half-size products, or real
@@ -56,8 +58,9 @@ class TauPreconditioner:
     ``spectra`` holds one real sine-basis spectrum q_i of length dims[i]
     per axis (zeros for a direction that adds nothing) and ``nu >= 0``;
     ``lam = nu + sum_i I (x) q_i (x) I`` is their Kronecker sum, a new
-    read-only length-n array that shares memory with no caller's array.
-    Immutable; all applications are pure.
+    read-only length-n array that shares memory with no caller's array,
+    checked finite and positive by nu plus the per-axis extremes (lam's
+    own, bit for bit).  Immutable; all applications are pure.
     """
 
     def __init__(self, dims, nu, spectra):
@@ -69,11 +72,13 @@ class TauPreconditioner:
         nu = _as_real(nu, "nu", shape=(), finite=True)
         if nu < 0:
             raise ValueError(f"nu must be nonnegative, got {nu}")
-        spectra = [_as_real(q, f"spectrum of axis {i}", shape=(m,))
+        spectra = [_as_real(q, f"spectrum of axis {i}", shape=(m,), finite=True)
                    for i, (m, q) in enumerate(zip(self.dims, spectra))]
         with np.errstate(over="ignore"):   # an overflowed sum is refused just below
             lam = functools.reduce(np.add.outer, spectra, nu).reshape(-1)
-        if not -math.inf < (lo := lam.min()) <= lam.max() < math.inf:   # NaN fails too
+            lo = functools.reduce(np.add, [q.min() for q in spectra], nu)
+            hi = functools.reduce(np.add, [q.max() for q in spectra], nu)
+        if not -math.inf < lo <= hi < math.inf:   # finite spectra overflow only to an extreme
             raise ValueError("preconditioner eigenvalues have non-finite entries")
         if lo <= 0.0:
             raise ValueError(f"preconditioner not positive definite: min eigenvalue {lo}")

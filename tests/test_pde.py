@@ -46,6 +46,33 @@ def test_example2_samples_equal_the_one_line_formula(n1):
     assert pde.example2_exact(0.5, 1.5, 0.2) == math.exp(0.2) * 0.25 * 2.25 * 2.25 * 0.25
 
 
+def example2_source_formula(x1, x2, t, a1, a2):
+    """example2's f, with 8, -24, 24 the coefficients of its sums over i = 2, 3, 4."""
+    def sums(x, a, dp, dm):
+        return (8.0 * (dp * x ** (2 - a) + dm * (2.0 - x) ** (2 - a)) / math.gamma(3 - a)
+                - 24.0 * (dp * x ** (3 - a) + dm * (2.0 - x) ** (3 - a)) / math.gamma(4 - a)
+                + 24.0 * (dp * x ** (4 - a) + dm * (2.0 - x) ** (4 - a)) / math.gamma(5 - a))
+    phi1, phi2 = x1 ** 2 * (2.0 - x1) ** 2, x2 ** 2 * (2.0 - x2) ** 2
+    return math.exp(t) * (phi1 * phi2 - phi2 * sums(x1, a1, 3.0, 1.0) - phi1 * sums(x2, a2, 2.0, 1.0))
+
+
+@pytest.mark.parametrize("n1", [63, 255])
+def test_sources_equal_the_one_line_formulas(n1):
+    for alphas in ((1.1, 1.9), (1.5, 1.5), (1.9, 1.1)):
+        prob = example2_problem(n1, alphas)
+        x1, x2 = np.meshgrid(prob.grid.axis_points(0), prob.grid.axis_points(1),
+                             indexing="ij", sparse=True)
+        for t in (0.5 * prob.tau_step, 0.5, prob.T - 0.5 * prob.tau_step):
+            assert np.array_equal(sample_grid(prob.grid, prob.source, t),
+                                  example2_source_formula(x1, x2, t, *alphas).reshape(-1))
+    prob = example1_problem(n1, (1.5, 1.9))
+    x1, x2 = np.meshgrid(prob.grid.axis_points(0), prob.grid.axis_points(1),
+                         indexing="ij", sparse=True)
+    for t in (prob.tau_step, 0.5, prob.T):
+        formula = 100.0 * np.sin(10.0 * x1) * np.cos(x2) + np.sin(10.0 * t) * x1 * x2
+        assert np.array_equal(sample_grid(prob.grid, prob.source, t), formula.reshape(-1))
+
+
 def test_sample_2d_lexicographic():
     grid = GridSpec((0.0, 0.0), (3.0, 3.0), (2, 2))
     out = sample_grid(grid, lambda x1, x2: x1 + 10.0 * x2)
@@ -142,6 +169,15 @@ def test_problem_invariants():
         with pytest.raises(ValueError):
             FractionalProblem(prob.grid, prob.params, T, M, prob.source, prob.u0)
     assert FractionalProblem(prob.grid, prob.params, 1.0, 4.0, prob.source, prob.u0).M == 4
+
+
+def test_problem_refuses_a_non_finite_nu():
+    # nu = M/T overflows for a tiny T: refused here, by the names the caller passed
+    prob = scalar_problem()
+    for T, M in ((1e-320, 1), (1e-300, 10 ** 9)):
+        with pytest.raises(ValueError, match=f"M/T must be finite, got M = {M} and T = {T}"):
+            FractionalProblem(prob.grid, prob.params, T, M, prob.source, prob.u0)
+    assert FractionalProblem(prob.grid, prob.params, 1e-308, 1, prob.source, prob.u0).nu < math.inf
 
 
 def test_second_order_zero_step():

@@ -1,4 +1,7 @@
+import functools
 import itertools
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -289,14 +292,66 @@ def test_non_finite_spectrum_rejected():
         for spectra in ([[1.0, bad, 2.0]], [[1.0, 2.0, 3.0], [bad]]):
             with pytest.raises(ValueError, match="non-finite"):
                 TauPreconditioner((3, 1)[:len(spectra)], 1.0, spectra)
+    # +inf on one axis and -inf on another would sum to NaN, with an "invalid" warning
+    # before the check; a non-finite spectrum is refused as such instead
+    for dims, spectra in (((1, 1), [[np.inf], [-np.inf]]), ((1, 1, 1), [[1.0], [np.inf], [-np.inf]])):
+        with pytest.raises(ValueError, match=r"spectrum of axis \d has non-finite entries"):
+            TauPreconditioner(dims, 1.0, spectra)
+
+
+def kronecker_sum(nu, spectra):
+    """lam = nu + sum_i I (x) q_i (x) I, n-size, by the outer-sum chain."""
+    with np.errstate(over="ignore"):
+        return functools.reduce(np.add.outer, [np.asarray(q, dtype=float) for q in spectra],
+                                float(nu)).reshape(-1)
+
+
+def shortcut_cases(dims, nu, rng):
+    """Seeded spectra, one axis zero or not, whose smallest sum is random, 0 or one ulp off it."""
+    cases = []
+    for zero_axis in (None, 0):
+        spectra = [np.zeros(m) if i == zero_axis else rng.uniform(-1.0, 2.0, m)
+                   for i, m in enumerate(dims)]
+        cases.append(spectra)
+        # the last axis's minimum is moved to cancel the sum of all others', in their order
+        rest = functools.reduce(np.add, [q.min() for q in spectra[:-1]], nu)
+        for target in (-rest, np.nextafter(-rest, 1.0), np.nextafter(-rest, -1.0)):
+            last = spectra[-1] - spectra[-1].min() + target
+            assert last.min() == target
+            cases.append(spectra[:-1] + [last])
+    return cases
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.75])
+@pytest.mark.parametrize("dims", [(7,), (5, 4), (3, 4, 2)], ids=["1d", "2d", "3d"])
+def test_extremes_from_the_spectra_decide_as_the_kronecker_sum(dims, nu, rng):
+    # the per-axis extremes stand for lam's: the same decision and the same printed
+    # minimum as lam.min() of an independent Kronecker sum, and the same lam bit for bit
+    decided = set()
+    for spectra in shortcut_cases(dims, nu, rng):
+        ref = kronecker_sum(nu, spectra)
+        if ref.min() > 0.0:
+            P = TauPreconditioner(dims, nu, spectra)
+            assert P.lam.tobytes() == ref.tobytes()
+            decided.add("accepted")
+        else:
+            with pytest.raises(ValueError, match=re.escape(f"min eigenvalue {ref.min()}") + "$"):
+                TauPreconditioner(dims, nu, spectra)
+            decided.add("refused")
+    assert decided == {"accepted", "refused"}
 
 
 def test_overflowed_sum_is_refused_as_non_finite():
     # finite spectra whose Kronecker sum overflows reach the one finite
     # check, with no overflow warning first
-    for dims, nu, spectra in (((1, 1), 0.0, [[1e308], [1e308]]), ((1,), 1e308, [[1e308]])):
-        with pytest.raises(ValueError, match="non-finite"):
-            TauPreconditioner(dims, nu, spectra)
+    for dims, nu, spectra in (((1, 1), 0.0, [[1e308], [1e308]]), ((1,), 1e308, [[1e308]]),
+                              ((2, 1), 0.0, [[1.0, 1e308], [1e308]]),
+                              ((1, 1), 0.0, [[-1e308], [-1e308]])):
+        assert not np.isfinite(kronecker_sum(nu, spectra)).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="eigenvalues have non-finite entries"):
+                TauPreconditioner(dims, nu, spectra)
 
 
 def test_constructor_refuses_spectra_that_miss_the_dims():
