@@ -17,6 +17,7 @@ vector x0 = 1/sqrt(n), the experiments' protocol; every step of
 """
 
 import math
+import sys
 import time
 from dataclasses import dataclass
 
@@ -60,7 +61,7 @@ class FractionalProblem:
         object.__setattr__(self, "T", _as_real(self.T, "final time T", shape=(), finite=True))
         if not self.T > 0:
             raise ValueError(f"final time must be positive, got {self.T}")
-        if not math.isfinite(self.M / self.T):
+        if not (self.M <= sys.float_info.max and math.isfinite(self.M / self.T)):
             raise ValueError(f"M/T must be finite, got M = {self.M} and T = {self.T}")
 
     @property

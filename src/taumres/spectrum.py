@@ -10,12 +10,14 @@ scaled.  Without D, M's symmetric part is similar to P^{-1/2} H(A) P^{-1/2},
 H(A) = (A + A^T)/2, so P^{-1} H(A) needs no H(A) operator.  A seeded probe
 ties M to the solver: S (lam^{-1/2} * M (lam^{1/2} * S v)) must match
 ``P.apply_inverse(A.apply_symmetrized(v))`` (``A.apply`` without D).  The ideal
-spectrum diagonalizes H(A) by one ``eigh`` per level (fast diagonalization; Lynch,
-Rice and Thomas, 1964).  Every matrix passes ``sym_eig``'s symmetry gate; reports
-carry the band and a count of eigenvalues outside it beyond INTERVAL_TOL.
+spectrum shares the assembly, with B_i = V_i^T S_i K_i S_i V_i for S_i K_i S_i and the
+eigenvalues of H(A) for lam: S H(A) S commutes with D, so one ``eigh`` per level and
+mode parity gives V_i (fast diagonalization; Lynch, Rice and Thomas, 1964) and D V = V D.
+Every matrix passes ``sym_eig``'s symmetry gate; reports carry the band and a count of
+eigenvalues outside it beyond INTERVAL_TOL.
 
 Memory: ``toeplitz.MATERIALIZE_CAP`` is the one dense cap.  A spectrum peaks at one n x n
-matrix, which LAPACK diagonalizes in place (ideal: an axis product and its input; 1-D: three).
+matrix, which LAPACK diagonalizes in place (the 1-D ideal one at three: B_1, V_1, a product).
 """
 
 import functools
@@ -26,7 +28,7 @@ import numpy as np
 
 from . import toeplitz, transforms
 from .discretization import FIRST_ORDER, epsilon_bound
-from .transforms import _as_real, _axis_matmul
+from .transforms import _as_real
 
 __all__ = ["SpectrumReport", "SymmetryError", "sym_eig", "preconditioned_spectrum",
            "ideal_preconditioned_spectrum", "equivalence_spectrum",
@@ -132,20 +134,29 @@ def _epsilon_star(A, params):
     return epsilon_bound(params)
 
 
+def _sine_levels(A):
+    # S_i K_i S_i: one 2-D DST of each dense level, in place, once the dense cap is checked
+    if A.n > toeplitz.MATERIALIZE_CAP:
+        raise ValueError(f"dense verification capped at n={toeplitz.MATERIALIZE_CAP}, got {A.n}")
+    return (transforms.dst1_multi(D.shape, D.reshape(-1), out=D.reshape(-1)).reshape(D.shape)
+            for D in (K.dense() for K in A.levels))
+
+
+def _assemble(A, levels, lam, flipped):
+    # diag(lam)^{-1/2} D (nu*I + sum_i I (x) B_i (x) I) diag(lam)^{-1/2}, no D unless flipped
+    M = toeplitz._kron_sum(A.dims, A.nu, levels)
+    w = np.sqrt(1.0 / lam)
+    signs = np.indices(A.dims).sum(axis=0).reshape(-1) % 2 if flipped else 0
+    M *= np.where(signs, -w, w)[:, None]
+    M *= w
+    return M, w
+
+
 def _sine_basis(A, P, flipped):
     """Dense diag(lam)^{-1/2} D (S A S) diag(lam)^{-1/2} (no D unless ``flipped``), probed."""
     if P.dims != A.dims:
         raise ValueError(f"preconditioner dims {P.dims} do not match operator dims {A.dims}")
-    if A.n > toeplitz.MATERIALIZE_CAP:
-        raise ValueError(f"dense verification capped at n={toeplitz.MATERIALIZE_CAP}, got {A.n}")
-    # S_i K_i S_i: one 2-D DST of each dense level, in place
-    levels = (transforms.dst1_multi(D.shape, D.reshape(-1), out=D.reshape(-1)).reshape(D.shape)
-              for D in (K.dense() for K in A.levels))
-    M = toeplitz._kron_sum(A.dims, A.nu, levels)
-    w = np.sqrt(1.0 / P.lam)
-    signs = np.indices(A.dims).sum(axis=0).reshape(-1) % 2 if flipped else 0
-    M *= np.where(signs, -w, w)[:, None]
-    M *= w
+    M, w = _assemble(A, _sine_levels(A), P.lam, flipped)
     # S (lam^{-1/2} * M (lam^{1/2} * S v)) against P^{-1} Y A v (P^{-1} A v), to SYM_TOL
     v = np.random.default_rng(0).standard_normal(A.n)
     want = P.apply_inverse((A.apply_symmetrized if flipped else A.apply)(v))
@@ -166,27 +177,21 @@ def preconditioned_spectrum(A, P, params):
 
 
 def ideal_preconditioned_spectrum(A, params):
-    """Spectrum of H(A)^{-1} Y A against +-[1, 1+eps*]; RuntimeError unless H(A) is SPD.
-
-    With H(A) = Q diag(lam) Q^T, its matrix is diag(lam)^{-1/2} Q^T (Y A) Q diag(lam)^{-1/2}.
-    """
+    """Spectrum of H(A)^{-1} Y A against +-[1, 1+eps*]; RuntimeError unless H(A) is SPD."""
     eps = _epsilon_star(A, params)
-    if A.n > toeplitz.MATERIALIZE_CAP:
-        raise ValueError(f"dense verification capped at n={toeplitz.MATERIALIZE_CAP}, got {A.n}")
-    # H_i = Q_i diag(mu_i) Q_i^T by eigh of 2 H_i, each dense level dropped before materialize
-    eigs = [np.linalg.eigh(D + D.T) for D in (K.dense() for K in A.levels)]
-    lam = functools.reduce(np.add.outer, (0.5 * mu for mu, _ in eigs), A.nu).reshape(-1)
+    levels, mus = [], []
+    for B in _sine_levels(A):
+        # B + B^T = 2 S_i H_i S_i couples modes of one parity only: an eigh per parity
+        # gives V_i with D_i V_i = V_i D_i exactly, so V^T D = D V^T; B becomes V_i^T B V_i
+        V, mu = np.zeros(B.shape), np.empty(len(B))
+        for p in (0, 1):
+            mu[p::2], V[p::2, p::2] = np.linalg.eigh(B[p::2, p::2] + B[p::2, p::2].T)
+        levels.append(np.matmul(V.T @ B, V, out=B))
+        mus.append(0.5 * mu)
+    lam = functools.reduce(np.add.outer, mus, A.nu).reshape(-1)
     if not lam.min() > 0.0:
         raise RuntimeError("H(A) is not positive definite; discretization is broken")
-    # columns M Q_i along axis d + i, rows Q_i^T Y_i M along axis i; each product replaces M
-    M = A.materialize()
-    for axis, (_, Q) in enumerate(eigs):
-        M = _axis_matmul(M.reshape(A.dims * 2), len(A.dims) + axis, Q.T)
-        M = _axis_matmul(M, axis, Q[::-1].T).reshape(A.n, A.n)
-    w = np.sqrt(1.0 / lam)
-    M *= w[:, None]
-    M *= w
-    return _report(M, eps, 1.0, 1.0 + eps, "ideal")
+    return _report(_assemble(A, levels, lam, flipped=True)[0], eps, 1.0, 1.0 + eps, "ideal")
 
 
 def equivalence_spectrum(A, P):

@@ -20,7 +20,7 @@ v_minus[i] * L_i^T.  A level whose entries all vanish costs no product.
 ``apply`` is the only product of the operator.  Dense matrices, capped
 at MATERIALIZE_CAP unknowns, come from one block assembly (``_kron_sum``)
 that holds one n x n array: ``materialize`` adds the levels K_i, the
-dense spectra of ``spectrum`` the levels in the sine basis, S_i K_i S_i.
+dense spectra of ``spectrum`` the levels in a sine basis, such as S_i K_i S_i.
 """
 
 import functools

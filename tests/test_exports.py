@@ -59,7 +59,7 @@ PRIVATE_REACH_INS = {
     "krylov": {"transforms._as_real", "transforms._count"},
     "pde": {"transforms._as_real", "transforms._count"},
     "selftest": {"transforms._axis_path", "transforms._sine_matrix"},
-    "spectrum": {"toeplitz._kron_sum", "transforms._as_real", "transforms._axis_matmul"},
+    "spectrum": {"toeplitz._kron_sum", "transforms._as_real"},
     "tau": {"discretization._directions", "transforms._as_real", "transforms._check_dims",
             "transforms._count", "transforms._dst1_fft_axis"},
     "toeplitz": {"transforms._as_real", "transforms._axis_matmul", "transforms._check_dims",

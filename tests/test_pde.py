@@ -172,9 +172,10 @@ def test_problem_invariants():
 
 
 def test_problem_refuses_a_non_finite_nu():
-    # nu = M/T overflows for a tiny T: refused here, by the names the caller passed
+    # nu = M/T overflows for a tiny T or an M past the float range: refused here, by the names
+    # the caller passed
     prob = scalar_problem()
-    for T, M in ((1e-320, 1), (1e-300, 10 ** 9)):
+    for T, M in ((1e-320, 1), (1e-300, 10 ** 9), (1.0, 10 ** 400)):
         with pytest.raises(ValueError, match=f"M/T must be finite, got M = {M} and T = {T}"):
             FractionalProblem(prob.grid, prob.params, T, M, prob.source, prob.u0)
     assert FractionalProblem(prob.grid, prob.params, 1e-308, 1, prob.source, prob.u0).nu < math.inf

@@ -255,6 +255,32 @@ def test_spectra_match_the_column_oracle(scheme, dims, alphas, dpm):
     assert rel_err(ideal_preconditioned_spectrum(A, params).eigenvalues, ref) <= 1e-12
 
 
+@pytest.mark.parametrize("dims, alphas, dpm", (
+    ((31,), (1.5,), ((3.0,), (1.0,))),
+    ((15, 15), (1.5, 1.9), EX2),
+    ((5, 6, 7), (1.3, 1.5, 1.8), ((1.0, 0.0, 2.0), (0.5, 0.0, 1.0)))),
+    ids=("1d", "n1=15", "3d_middle_off"))
+def test_no_theorem_spectrum_reads_the_physical_matrix(dims, alphas, dpm, monkeypatch):
+    # the oracles are built first; then no dense A and no product over the physical-space
+    # matrix is at hand, and every theorem spectrum still matches its oracle to 1e-12
+    params, A, P = setup(dims, alphas, dpm, SECOND_ORDER, nu=32.0, box=2.0)
+    flipped = sym_eig(congruence_oracle(A, P, flipped=True))
+    N = congruence_oracle(A, P, flipped=False)
+    unflipped = sym_eig(0.5 * (N + N.T))
+    ideal = sym_eig(ideal_oracle(A))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a theorem spectrum reached for the physical-space matrix")
+
+    monkeypatch.setattr(MultilevelOperator, "materialize", refuse)
+    monkeypatch.setattr(spectrum, "_axis_matmul", refuse, raising=False)
+    assert rel_err(preconditioned_spectrum(A, P, params).eigenvalues, flipped) <= 1e-12
+    assert rel_err(equivalence_spectrum(A, P).eigenvalues, unflipped) <= 1e-12
+    assert rel_err(ideal_preconditioned_spectrum(A, params).eigenvalues, ideal) <= 1e-12
+    with pytest.raises(AssertionError, match="physical-space"):
+        unpreconditioned_spectrum(A)
+
+
 def test_symmetry_defect_raises():
     # an operator whose symmetrized product is not Y A: the matrix built
     # from its levels (here A = I) does not reproduce that product
@@ -376,29 +402,30 @@ def test_unpreconditioned_spectrum_has_no_interval():
                               sym_eig(A.materialize()[::-1, :]))
 
 
-@pytest.mark.parametrize("which", ("preconditioned", "equivalence", "unpreconditioned"))
+@pytest.mark.parametrize("which", ("preconditioned", "equivalence", "unpreconditioned", "ideal"))
 def test_spectrum_holds_one_matrix(which):
     # the spectrum's own matrix, which LAPACK diagonalizes in place (its C-level work arrays
     # are not traced; the RSS test above covers copies).  In 1-D the level's dense block
-    # becomes the matrix
-    for dims, alphas, dpm in (((31, 31), (1.5, 1.9), EX2), ((1023,), (1.5,), ((3.0,), (1.0,)))):
+    # becomes the matrix; the ideal one's 1-D peak is the next test's
+    cases = (((31, 31), (1.5, 1.9), EX2), ((1023,), (1.5,), ((3.0,), (1.0,))))
+    for dims, alphas, dpm in cases[:1] if which == "ideal" else cases:
         params, A, P = setup(dims, alphas, dpm, SECOND_ORDER, nu=32.0, box=2.0)
         run = {"preconditioned": lambda: preconditioned_spectrum(A, P, params),
                "equivalence": lambda: equivalence_spectrum(A, P),
-               "unpreconditioned": lambda: unpreconditioned_spectrum(A)}[which]
+               "unpreconditioned": lambda: unpreconditioned_spectrum(A),
+               "ideal": lambda: ideal_preconditioned_spectrum(A, params)}[which]
         assert traced_peak(run) <= 1.25 * 8 * A.n ** 2, dims
 
 
 def test_ideal_spectrum_matches_the_oracle_in_two_matrices():
-    # one axis product and its input at the peak; the m x m eigenvectors are small
+    # at most two: its peak, one matrix, is test_spectrum_holds_one_matrix[ideal]'s
     params, A, _ = setup((31, 31), (1.5, 1.9), EX2, SECOND_ORDER, nu=32.0, box=2.0)
-    assert traced_peak(ideal_preconditioned_spectrum, A, params) <= 2.01 * 8 * A.n ** 2
     ref = sym_eig(ideal_oracle(A))
     assert rel_err(ideal_preconditioned_spectrum(A, params).eigenvalues, ref) <= 1e-12
 
 
 def test_ideal_spectrum_holds_three_matrices():
-    # in 1-D the eigenvectors are n x n too: they, one axis product and its input
+    # in 1-D the eigenvectors are n x n too: they, the sine-basis level and one product of the two
     params, A, _ = setup((1023,), (1.5,), ((3.0,), (1.0,)), SECOND_ORDER, nu=32.0, box=2.0)
     assert traced_peak(ideal_preconditioned_spectrum, A, params) <= 3.01 * 8 * A.n ** 2
 
