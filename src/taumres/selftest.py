@@ -40,8 +40,8 @@ def _check_dst(rng):
 
 
 def _check_operator(rng):
-    # a two-sided operator with one FFT level and one dense level
-    dims = (DENSE_LEVEL_MAX + 1, 2)
+    # a two-sided operator with one FFT level, of unequal halves, and one dense level
+    dims = (DENSE_LEVEL_MAX + 2, 2)
     params = FractionalParams((1.3, 1.8), (3.0, 2.0), (1.0, 0.5))
     A = assemble_operator(params, GridSpec((0, 0), (1, 1), dims), 2.0)
     x = rng.standard_normal(A.n)

@@ -4,9 +4,13 @@ A ``Toeplitz1D`` stores first column and first row and owns the one
 product of a level: ``_axis_apply`` adds T applied to every fibre along
 one axis of an array.  On an axis with m <= DENSE_LEVEL_MAX its kernel is
 the dense matrix, one BLAS product per axis.  On a longer axis it is the
-rFFT of the circulant embedding padded to a power of two: one forward and
-one inverse FFT per axis, run on contiguous blocks of fibres
-(``transforms._fibre_blocks``) and added into the result block by block.
+rFFTs of the blocks T11, T12 and T21 of T = [[T11, T12], [T21, T22]], split
+at h = ceil(m/2) and embedded in circulants of length L, the least power of
+two >= 2h-1 (1024 at m = 1023, half the whole matrix's embedding); T22 is the
+leading block of T11.  Two forward and two inverse FFTs of length L per axis
+run on contiguous copies of blocks of fibres (``transforms._fibre_blocks``),
+added into the result block by block: per call at (1023, 1023) on 2 vCPUs,
+0.93x (axis 1) and 0.88x (axis 0) the time of one length-2048 FFT pair.
 ``matvec`` runs the product along the last axis.
 
 ``MultilevelOperator`` represents the Kronecker-sum form
@@ -40,9 +44,10 @@ MATERIALIZE_CAP = 4096
 # example2 first-step solves (2 vCPUs, one BLAS thread), dense took 12-34%
 # less time per iteration at m = 767 and 895; at m = 1023 the FFT level
 # gave the solve_large benchmark workload 2.6% lower op_s and 12% lower
-# peak_rss_mb, since each dense level holds m^2 floats.  With the blocked
-# FFT level, apply_symmetrized per call took FFT/dense 1.40 at m = 767,
-# 1.10 at 895 and 0.85 at 1023.
+# peak_rss_mb, since each dense level holds m^2 floats.  With the 2 x 2
+# block FFT level, example2's apply_symmetrized per call took FFT/dense
+# 1.06-1.10 at m = 767, 0.84-0.91 at 895 and 0.67-0.74 at 1023 (two runs);
+# the cutoff stays, since no workload has an axis between 256 and 1022.
 DENSE_LEVEL_MAX = 895
 
 
@@ -70,31 +75,39 @@ class Toeplitz1D:
     @functools.cached_property
     def _kernel(self):
         # built on first use, so assembly costs no product.  The dense matrix,
-        # or the rFFT of the circulant embedding of length L, the least power
-        # of two >= 2m-1
-        if self.m <= DENSE_LEVEL_MAX:
+        # or the block rFFTs (module docstring): entry (j, k) of a p x q block
+        # whose corner sits at row minus column s is t_{s+j-k}, at (j - k) mod L
+        m = self.m
+        if m <= DENSE_LEVEL_MAX:
             return self.dense()
-        L = 1 << (2 * self.m - 2).bit_length()
-        c = np.zeros(L)
-        c[:self.m] = self.col
-        c[L - self.m + 1:] = self.row[1:][::-1]
+        h = m - m // 2
+        L = 1 << (2 * h - 2).bit_length()
+        t = np.concatenate((self.row[:0:-1], self.col))   # t_d = t[m-1+d]
+        c = np.zeros((3, L))
+        for ci, s, p, q in zip(c, (0, -h, h), (h, h, m - h), (h, m - h, h)):
+            d = np.arange(1 - q, p)
+            ci[d] = t[m - 1 + s + d]
         return np.fft.rfft(c)
 
     def _axis_apply(self, X, axis, out):
         """Add T applied to every fibre of X along ``axis`` >= 0 to ``out``.
 
-        Dense: one BLAS product.  FFT: per block of fibres, contiguous copy,
-        rfft to length L, multiply, irfft, keep the first m entries.
+        Dense: one BLAS product.  FFT: per block of fibres, the top h and
+        bottom m-h entries of a contiguous copy rfft'd to length L, combined
+        by the 2 x 2 block kernel, irfft'd and the first h and m-h entries kept.
         """
         kernel = self._kernel
-        if kernel.ndim == 2:
+        if kernel.dtype != complex:
             out += _axis_matmul(X, axis, kernel)
             return
-        L = 2 * (kernel.shape[0] - 1)
+        K11, K12, K21 = kernel
+        L, h = 2 * (kernel.shape[1] - 1), self.m - self.m // 2
         for xs, os in zip(_fibre_blocks(X, axis), _fibre_blocks(out, axis)):
-            Y = np.fft.rfft(np.ascontiguousarray(xs), n=L, axis=-1)
-            Y *= kernel
-            os += np.fft.irfft(Y, n=L, axis=-1)[:, :self.m]
+            xs = np.ascontiguousarray(xs)
+            Ft = np.fft.rfft(xs[:, :h], n=L, axis=-1)
+            Fb = np.fft.rfft(xs[:, h:], n=L, axis=-1)
+            os[:, :h] += np.fft.irfft(Ft * K11 + Fb * K12, n=L, axis=-1)[:, :h]
+            os[:, h:] += np.fft.irfft(Ft * K21 + Fb * K11, n=L, axis=-1)[:, :self.m - h]
 
     def matvec(self, x):
         """T @ x along the last axis of x."""

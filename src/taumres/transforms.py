@@ -23,14 +23,13 @@ fill one work buffer as two contiguous blocks on every axis, and the
 products write straight to the odd and even positions (natural order).
 
 FFTs along an axis run _FIBRE_BLOCK fibres at a time, so a block's
-buffers stay in cache.  The DST copies each block into one padded buffer
-allocated per call; off the last axis that buffer and the FFT's output
-are (m, k) slabs of rows of k contiguous entries, like the block itself,
-so no transposed copy is gathered or scattered (per call at (1023, 1023)
-on 2 vCPUs the axis-0 DST took about 0.89x the time of transposed copies).
-``_fibre_blocks`` is shared with the FFT product of a ``toeplitz.Toeplitz1D``
-level, which still gathers each block into a contiguous (k, m) copy: the
-slab layout gave it no gain there.
+buffers stay in cache.  The DST gathers each block into one contiguous
+padded (k, m+1) buffer allocated per call, on every axis, so no FFT runs
+strided; off the last axis the result is staged in that buffer and copied
+out.  Per call on 2 vCPUs the axis-0 DST took 0.87x the time of (m, k) slab
+buffers laid out like the blocks at (1023, 1023), 0.81x at (511, 511), bit
+for bit the same.  ``_fibre_blocks`` is shared with the FFT product of a
+``toeplitz.Toeplitz1D`` level, which also gathers each block contiguously.
 
 Per-axis rule of ``dst1_multi`` (``_axis_path``): an axis with
 m < FOLD_MIN is one full dense BLAS product with the m x m sine matrix
@@ -69,9 +68,10 @@ DENSE_AXIS_MAX = 287
 # largest prime factor of 2(m+1).  p = 11 or 13: 1.58 at m = 351, 1.46 at
 # 415, 1.07 at 703, 0.86 at 831, 0.96 at 1000, 0.85 at 1055, 0.76 at 1247.
 # Larger p: 4.7 at 513 (p = 257), 1.69 at 800 (89), 1.23 at 900 (53).
-# Past the cap the FFT is still slower for some lengths: 3.8 at 1100
-# (367), 1.13 at 1702 (131), 2.5 at 2002 (2003), but not 0.71 at 2302 (47).
-AWKWARD_AXIS_MAX = 1024
+# Up to the cap as well: 3.8 at 1030 (1031), 3.5 at 1100 (367), 2.2 at
+# 2002 (2003), 1.00 at 1702 (131), but 0.90 at 1500 (79) and 0.74 at 2046
+# (89); past it the FFT won at 2302 (47), 0.71.
+AWKWARD_AXIS_MAX = 2047
 
 # Fibres per FFT block: 32 fibres padded to 2048 points hold about 1 MB of
 # buffers, which stays in cache.  At m = 1023, blocks of 32 and 64 were the
@@ -170,18 +170,19 @@ def _dst1_fft_axis(X, axis, out=None):
     m = X.shape[axis]
     scale = -_sine_factor(m)
     out = np.empty(X.shape) if out is None else out
-    # one padded input and one transform per call, laid out like the
-    # blocks: off the last axis, transposed (m, k) slabs of contiguous rows
+    # one contiguous padded input and one transform per call, on every axis;
+    # off the last axis a block's result passes through u on its way out, as
+    # a strided product output ran 1.07x slower at (1023, 1023)
+    last = axis == X.ndim - 1
     k_max = min(_FIBRE_BLOCK, X.size // m)
-    if axis == X.ndim - 1:
-        u, U = np.zeros((k_max, m + 1)), np.empty((k_max, m + 2), dtype=complex)
-    else:
-        u, U = np.zeros((m + 1, k_max)).T, np.empty((m + 2, k_max), dtype=complex).T
+    u, U = np.zeros((k_max, m + 1)), np.empty((k_max, m + 2), dtype=complex)
     for xs, ys in zip(_fibre_blocks(X, axis), _fibre_blocks(out, axis)):
         k = xs.shape[0]
         u[:k, 1:] = xs
         np.fft.rfft(u[:k], n=2 * (m + 1), axis=-1, out=U[:k])
-        np.multiply(U.imag[:k, 1:m + 1], scale, out=ys)
+        np.multiply(U.imag[:k, 1:m + 1], scale, out=ys if last else u[:k, 1:])
+        if not last:
+            ys[...] = u[:k, 1:]
     return out
 
 

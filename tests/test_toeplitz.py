@@ -35,8 +35,9 @@ def test_tridiagonal_frozen():
     assert T.matvec([1.0, 1.0, 1.0]) == pytest.approx([1.0, 0.0, 1.0], abs=1e-13)
 
 
-# the last size takes the FFT product, the others the dense one
-@pytest.mark.parametrize("m", (1, 2, 3, 13, 64, DENSE_LEVEL_MAX + 1))
+# the last three sizes take the FFT product, with equal halves (even m) and
+# unequal ones (odd m), the others the dense one
+@pytest.mark.parametrize("m", (1, 2, 3, 13, 64, DENSE_LEVEL_MAX + 1, DENSE_LEVEL_MAX + 2, 1023))
 def test_matvec_matches_dense(m, rng):
     T = random_toeplitz(rng, m)
     x = rng.standard_normal(m)
@@ -47,7 +48,7 @@ def test_matvec_matches_dense(m, rng):
     assert rel_err(AT.apply(x), dense.T @ x) <= 1e-12
 
 
-@pytest.mark.parametrize("m", (5, DENSE_LEVEL_MAX + 1))
+@pytest.mark.parametrize("m", (5, DENSE_LEVEL_MAX + 1, DENSE_LEVEL_MAX + 2, 1023))
 def test_matvec_is_the_operator_product(m, rng):
     # one product per level: matvec and a one-level operator run the same code
     T = random_toeplitz(rng, m)
@@ -56,18 +57,32 @@ def test_matvec_is_the_operator_product(m, rng):
 
 
 def test_matvec_is_circulant_embedding(rng):
-    # the matvec result equals an explicit circular convolution with the
-    # embedded kernel, of length the least power of two >= 2m - 1; the
-    # second size takes the FFT product, which runs on that embedding
-    for m in (6, DENSE_LEVEL_MAX + 1):
+    # a product equals explicit circular convolutions with embedded kernels:
+    # at a dense size one of length the least power of two >= 2m - 1; an FFT
+    # level runs on the 2 x 2 blocks of T split at h = ceil(m/2), each one a
+    # convolution of length L, the least power of two >= 2h - 1, which is half
+    # the whole embedding's length, and T22 is the leading block of T11
+    def convolve(B, x, L):
+        # B's first column from entry 0 on, the rest of its first row at the end
+        kernel = np.zeros(L)
+        kernel[:B.shape[0]] = B[:, 0]
+        kernel[L - B.shape[1] + 1:] = B[0, 1:][::-1]
+        return convolve_direct(kernel, np.concatenate((x, np.zeros(L - x.size))))[:B.shape[0]]
+
+    T = random_toeplitz(rng, 6)
+    x = rng.standard_normal(6)
+    assert rel_err(T.matvec(x), convolve(toeplitz_dense(T.col, T.row), x, 16)) <= 1e-13
+    for m in (DENSE_LEVEL_MAX + 1, DENSE_LEVEL_MAX + 2):
         T = random_toeplitz(rng, m)
         x = rng.standard_normal(m)
-        L = 1 << (2 * m - 2).bit_length()
-        kernel = np.zeros(L)
-        kernel[:m] = T.col
-        kernel[L - m + 1:] = T.row[1:][::-1]
-        padded = np.concatenate((x, np.zeros(L - m)))
-        assert rel_err(T.matvec(x), convolve_direct(kernel, padded)[:m]) <= 1e-13
+        D = toeplitz_dense(T.col, T.row)
+        h = m - m // 2
+        L = 1 << (2 * h - 2).bit_length()
+        assert 2 * L == 1 << (2 * m - 2).bit_length() and T._kernel.shape == (3, L // 2 + 1)
+        assert np.array_equal(D[h:, h:], D[:m - h, :m - h])
+        top = convolve(D[:h, :h], x[:h], L) + convolve(D[:h, h:], x[h:], L)
+        bottom = convolve(D[h:, :h], x[:h], L) + convolve(D[:m - h, :m - h], x[h:], L)
+        assert rel_err(T.matvec(x), np.concatenate((top, bottom))) <= 1e-13
 
 
 def test_dense_entry_layout():
@@ -158,8 +173,10 @@ def test_apply_matches_explicit_2x2_kron(rng):
 
 # one (n_i, sides) entry per axis: sides "+-" is two-sided, "+" or "-"
 # one-sided (v- = 0 or v+ = 0) and "" vanishing (v+ = v- = 0, skipped);
-# the last three sit at the cutoff: an FFT axis (DENSE_LEVEL_MAX + 1) next to
-# a dense one, either way round, and a dense axis of exactly DENSE_LEVEL_MAX
+# the last six sit at or past the cutoff: an FFT axis (DENSE_LEVEL_MAX + 1)
+# next to a dense one, either way round, a dense axis of exactly
+# DENSE_LEVEL_MAX, FFT axes with unequal halves (odd m) alone and next to a
+# dense one, and an odd FFT axis in the middle of three with one vanishing
 ORACLE_DIMS = (
     ((5, "+-"),),
     ((3, "+-"), (4, "+-")),
@@ -175,6 +192,9 @@ ORACLE_DIMS = (
     ((DENSE_LEVEL_MAX + 1, "+-"), (2, "+-")),
     ((2, "+-"), (DENSE_LEVEL_MAX + 1, "+-")),
     ((DENSE_LEVEL_MAX, "+-"), (2, "+-")),
+    ((DENSE_LEVEL_MAX + 2, "+-"), (2, "-")),
+    ((1023, "+-"),),
+    ((1, "+"), (DENSE_LEVEL_MAX + 2, "+-"), (2, "")),
 )
 
 

@@ -60,6 +60,8 @@ def test_axis_path_rule():
         ["full", "full", "fold", "fold"]
     assert _axis_path(FFT_M) == "fft" and _axis_path(AWKWARD_M) == "fold"
     assert _axis_path(1023) == "fft"  # 2 * 1024 is a power of two
+    # 2 * 1031 and 2 * 3 * 367: the FFT took 3.8x and 3.5x the fold's time
+    assert _axis_path(1030) == _axis_path(1100) == "fold"
     # past the awkward cap even a length with a large prime factor goes by FFT
     awkward_past_cap = next(m for m in itertools.count(AWKWARD_AXIS_MAX + 1)
                             if not transforms._smooth(2 * (m + 1)))
@@ -85,7 +87,7 @@ def test_fold_matches_sine_oracle(m, rng, monkeypatch):
 @pytest.mark.parametrize("dims", ((FOLD_MIN - 1, FOLD_MIN, 2), (2, FOLD_MIN, FOLD_MIN - 1),
                                   (FFT_M, 2, FOLD_MIN), (FOLD_MIN, FFT_M, 3),
                                   (3, FOLD_MIN + 1, FFT_M), (AWKWARD_M, 3, FOLD_MIN - 1),
-                                  (AWKWARD_M, 1, FFT_M), (DENSE_AXIS_MAX, FFT_M)))
+                                  (AWKWARD_M, 1, FFT_M), (DENSE_AXIS_MAX, FFT_M), (1100, 3)))
 def test_mixed_paths_match_tensordot_oracle(dims, rng):
     x = rng.standard_normal(int(np.prod(dims)))
     xc = x.copy()
@@ -125,11 +127,12 @@ def test_multi_rejects_bad_length():
 
 
 # TauPreconditioner scales the first DST's result and transforms it again
-# in place; every path, a full axis after a folded or FFT one, and the fold
-# of an odd m (its middle entry) on the last and on a middle axis
+# in place; every path, an FFT axis first and last, a full axis after a
+# folded or FFT one, and the fold of an odd m (its middle entry) on the last
+# and on a middle axis
 @pytest.mark.parametrize("dims", ((1,), (1, 1), (3, 4), (FOLD_MIN, 2), (FFT_M,), (2, FFT_M),
                                   (FOLD_MIN, 3, FFT_M), (2, FOLD_MIN + 1),
-                                  (2, FOLD_MIN + 1, 3)))
+                                  (2, FOLD_MIN + 1, 3), (FFT_M, 3)))
 def test_multi_new_array_or_out(dims, rng):
     x = rng.standard_normal(int(np.prod(dims)))
     expected = sine_oracle(dims, x)
