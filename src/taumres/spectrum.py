@@ -20,8 +20,10 @@ Memory: ``toeplitz.MATERIALIZE_CAP`` is the one dense cap.  A spectrum peaks at 
 matrix, which LAPACK diagonalizes in place (the 1-D ideal one at three: B_1, V_1, a product).
 """
 
+import ctypes
 import functools
 import math
+import pathlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,8 +93,11 @@ def sym_eig(M):
 
     The one symmetry gate: refuses (``SymmetryError``) a matrix with a
     non-finite entry or with max|M - M^T| > SYM_TOL * max|M|, writes
-    (M + M^T)/2 into M and hands M to LAPACK ``dsyevd``, which overwrites it
-    in place (a read-only or non-C-contiguous M is copied once first).
+    (M + M^T)/2 into M and hands M to LAPACK ``dsyevd`` from numpy's own
+    OpenBLAS, which overwrites it in place (a read-only or non-C-contiguous M
+    is copied once first).  A numpy without that library runs
+    ``np.linalg.eigvalsh``, which copies M once.  A LAPACK failure raises
+    ``np.linalg.LinAlgError``.
     Refuses an empty matrix and n > ``toeplitz.MATERIALIZE_CAP``.
     """
     M = _as_real(M, "matrix", shape=(None, None))
@@ -113,11 +118,39 @@ def sym_eig(M):
         raise SymmetryError("matrix has non-finite entries")
     if defect > SYM_TOL * scale:
         raise SymmetryError(f"matrix is not symmetric to tolerance (defect {defect:.2e})")
-    # here, not at module level: scipy adds ~25 MB of RSS that no solve needs.
-    # M.T is the Fortran view of the symmetric M; "evd" is np.linalg.eigvalsh's routine
-    from scipy.linalg import eigh
-    return eigh(_symmetrize(M).T, eigvals_only=True, overwrite_a=True, check_finite=False,
-                driver="evd")
+    M, dsyevd = _symmetrize(M), _dsyevd()
+    if dsyevd is None:   # numpy on another LAPACK: eigvalsh copies M, two n x n matrices
+        return np.linalg.eigvalsh(M)
+    # the symmetric C-order M is its own Fortran-order transpose: dsyevd overwrites it
+    dim, info, w = ctypes.c_int64(n), ctypes.c_int64(0), np.empty(n)
+
+    def call(lwork, liwork):   # -1, -1 asks for the workspace sizes
+        work, iwork = np.empty(max(lwork, 1)), np.empty(max(liwork, 1), np.int64)
+        dsyevd(b"N", b"L", dim, M.ctypes.data, dim, w.ctypes.data, work.ctypes.data,
+               ctypes.c_int64(lwork), iwork.ctypes.data, ctypes.c_int64(liwork), info, 1, 1)
+        if info.value:
+            raise np.linalg.LinAlgError(f"LAPACK dsyevd failed (info {info.value})")
+        return int(work[0]), int(iwork[0])
+    call(*call(-1, -1))
+    return w
+
+
+@functools.cache
+def _dsyevd():
+    """numpy's own ILP64 LAPACK ``dsyevd`` (the scipy-openblas its wheels bundle), else None."""
+    root = pathlib.Path(np.__file__).parent
+    for lib in (*root.parent.glob("numpy.libs/*scipy_openblas64_*"),   # Linux, Windows
+                *root.glob(".dylibs/*scipy_openblas64_*")):            # macOS
+        try:
+            f = ctypes.CDLL(str(lib)).scipy_dsyevd_64_
+        except (OSError, AttributeError):   # not loadable, or no such symbol
+            continue
+        # jobz, uplo, n, a, lda, w, work, lwork, iwork, liwork, info; the strings' lengths
+        i64, ptr, size = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p, ctypes.c_size_t
+        f.argtypes = [ctypes.c_char_p] * 2 + [i64, ptr, i64, ptr, ptr, i64, ptr, i64, i64, size, size]
+        f.restype = None
+        return f
+    return None
 
 
 def _report(M, eps, lo, hi, tag, tol=INTERVAL_TOL, signed=True):

@@ -98,7 +98,12 @@ def _sine_matrix(m):
     return _sine_block(m, j, j)
 
 
-@functools.lru_cache(maxsize=64)
+# An entry holds m^2 doubles, 33.5 MB at m = AWKWARD_AXIS_MAX: the cache keeps
+# _HALVES_CACHED lengths, the axes of a 3-D problem and one more, so at most 134 MB
+_HALVES_CACHED = 4
+
+
+@functools.lru_cache(maxsize=_HALVES_CACHED)
 def _sine_halves(m):
     # S_odd (rows k = 1, 3, ... on columns j <= ceil(m/2)), S_even (rows
     # k = 2, 4, ... on j <= m/2) and their transposes, all C-contiguous: a

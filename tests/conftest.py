@@ -164,10 +164,7 @@ def traced_peak(f, *args):
 
     Blind to C-level ``malloc``: LAPACK's work arrays, and the Fortran copy that
     ``np.linalg.eigvalsh`` makes of its input.  ``run_fresh`` reads such copies off RSS.
-    scipy is imported first, so ``sym_eig``'s lazy import (about 10 MB traced) counts
-    in no test, whichever runs first.
     """
-    import scipy.linalg   # noqa: F401
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()

@@ -1,6 +1,6 @@
 """Every exported name resolves, so a deleted function cannot linger in an ``__all__``;
 no exported callable takes a private parameter; the private names one module takes from
-a sibling are an explicit list; every third-party import is a declared dependency."""
+a sibling are an explicit list; numpy is the one dependency and third-party import."""
 
 import ast
 import importlib
@@ -127,30 +127,24 @@ def test_no_private_helper_is_dead():
     assert not dead, f"private names nothing in src/taumres reads: {dead}"
 
 
-def absolute_imports(node, scope=""):
-    """(scope, top-level package) per absolute import under ``node``, at any depth; scope
-    is the dotted name of the enclosing functions and classes, "" at module level."""
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.Import):
-            yield from ((scope, alias.name.partition(".")[0]) for alias in child.names)
-        elif isinstance(child, ast.ImportFrom) and child.level == 0:
-            yield scope, child.module.partition(".")[0]
-        else:
-            name = child.name if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else ""
-            yield from absolute_imports(child, ".".join(filter(None, (scope, name))))
+def absolute_imports(tree):
+    """Top-level package of every absolute import under ``tree``, at any depth."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.partition(".")[0]
 
 
-def test_third_party_imports_are_declared_and_scipy_stays_in_sym_eig():
-    # scipy is a dependency only for the dense eigensolve; imported anywhere else it would
-    # add its RSS to every solve
+def test_numpy_is_the_only_third_party_import():
+    # numpy is the one runtime dependency and the one third-party package src/ imports:
+    # the dense eigensolve calls numpy's own LAPACK, so no second BLAS joins a process
     tomllib = pytest.importorskip("tomllib")
     package = pathlib.Path(taumres.__file__).parent
     pyproject = tomllib.loads((package.parents[1] / "pyproject.toml").read_text(encoding="utf-8"))
     declared = {re.match(r"[\w.-]+", dep).group().lower().replace("-", "_")
                 for dep in pyproject["project"]["dependencies"]}
-    third_party = {(f"{path.stem}.{scope}".rstrip("."), top)
-                   for path in package.glob("*.py")
-                   for scope, top in absolute_imports(ast.parse(path.read_text(encoding="utf-8")))
+    third_party = {top for path in package.glob("*.py")
+                   for top in absolute_imports(ast.parse(path.read_text(encoding="utf-8")))
                    if top not in sys.stdlib_module_names}
-    assert {top for _, top in third_party} <= declared, third_party
-    assert {where for where, top in third_party if top == "scipy"} == {"spectrum.sym_eig"}
+    assert declared == third_party == {"numpy"}, (declared, third_party)

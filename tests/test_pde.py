@@ -288,14 +288,16 @@ def test_example2_first_step_error_matches_frozen_run():
 
 
 def test_solves_never_import_scipy():
-    # scipy (~25 MB of RSS) serves the dense eigensolve only: importing the package, a
-    # first step and a march in a fresh process must leave it unimported
+    # scipy would bring a second OpenBLAS (~22 MB of RSS): importing the package, a first
+    # step, a march and a dense spectrum (numpy's own LAPACK) must leave it unimported
     out = run_fresh("""
 import sys
-from taumres.pde import example2_problem, first_step_row, run_steps
+from taumres.pde import example2_problem, first_step_row, run_steps, setup_operators
+from taumres.spectrum import preconditioned_spectrum
 problem = example2_problem(15, (1.5, 1.5))
 first_step_row(problem, "tau", 1e-8, 100)
 run_steps(problem)
+preconditioned_spectrum(*setup_operators(problem, "tau"), problem.params)
 print("scipy" in sys.modules)
 """)
     assert out.split() == ["False"]

@@ -124,10 +124,10 @@ def test_sym_eig_holds_no_n_by_n_temporary(rng):
 @pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in Linux's KiB")
 def test_sym_eig_copies_no_matrix_outside_numpy():
     # traced_peak misses a C-level copy such as np.linalg.eigvalsh's Fortran buffer, so
-    # peak RSS is read in a fresh process: scipy imported first, M built with no second
-    # n x n array (tile by tile), and no growth by anything near M across the solve
+    # peak RSS is read in a fresh process: numpy's LAPACK looked up first, M built with no
+    # second n x n array (tile by tile), and no growth by anything near M across the solve
     out = run_fresh("""
-import resource
+import resource, sys
 import numpy as np
 from taumres import spectrum
 spectrum.sym_eig(np.eye(3))
@@ -137,9 +137,52 @@ spectrum._symmetrize(M)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 spectrum.sym_eig(M)
 print(1024 * (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before), M.nbytes)
+print(spectrum._dsyevd() is not None, "scipy" in sys.modules)
 """)
-    grown, nbytes = map(int, out.split())
-    assert grown < 0.5 * nbytes
+    grown, nbytes, in_place, scipy = out.split()
+    assert (in_place, scipy) == ("True", "False")
+    assert int(grown) < 0.5 * int(nbytes)
+
+
+def test_sym_eig_runs_the_lapack_numpy_ships():
+    # a numpy wheel bundles scipy-openblas, whose dsyevd sym_eig calls in place; only a
+    # numpy on another LAPACK takes the eigvalsh fallback
+    lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]["name"]
+    assert (spectrum._dsyevd() is not None) == (lapack == "scipy-openblas")
+
+
+def test_sym_eig_fallback_matches_dsyevd(rng, monkeypatch):
+    M = rng.standard_normal((300, 300))
+    M = M + M.T
+    params, A, P = setup((15, 15), (1.5, 1.5), EX2, SECOND_ORDER, nu=16.0)
+    want = [sym_eig(M.copy()), preconditioned_spectrum(A, P, params).eigenvalues]
+    monkeypatch.setattr(spectrum, "_dsyevd", lambda: None)   # a numpy on another LAPACK
+    got = [sym_eig(M.copy()), preconditioned_spectrum(A, P, params).eigenvalues]
+    for g, w in zip(got, want):
+        assert rel_err(g, w) <= 1e-13
+
+
+@pytest.mark.parametrize("lapack", ["dsyevd", "eigvalsh"])
+def test_sym_eig_gate_holds_on_either_path(lapack, rng, monkeypatch):
+    if lapack == "eigvalsh":
+        monkeypatch.setattr(spectrum, "_dsyevd", lambda: None)
+    M = np.eye(4)
+    M[1, 2] = M[2, 1] = np.inf
+    with pytest.raises(spectrum.SymmetryError, match="non-finite"):
+        sym_eig(M)
+    with pytest.raises(spectrum.SymmetryError, match="not symmetric"):
+        sym_eig(rng.standard_normal((5, 5)))
+    assert np.array_equal(sym_eig(np.diag([3.0, 1.0, 2.0])), [1.0, 2.0, 3.0])
+
+
+def test_sym_eig_raises_a_lapack_failure(monkeypatch):
+    # dsyevd's info != 0 (an illegal argument, or no convergence) is numpy's LinAlgError
+    def failing(*args):
+        args[10].value = 3   # info, the eleventh argument
+
+    monkeypatch.setattr(spectrum, "_dsyevd", lambda: failing)
+    with pytest.raises(np.linalg.LinAlgError, match=r"dsyevd failed \(info 3\)"):
+        sym_eig(np.eye(4))
 
 
 # ---------------------------------------------------------------------------

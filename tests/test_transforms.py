@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -66,6 +67,29 @@ def test_axis_path_rule():
     awkward_past_cap = next(m for m in itertools.count(AWKWARD_AXIS_MAX + 1)
                             if not transforms._smooth(2 * (m + 1)))
     assert _axis_path(awkward_past_cap) == "fft"
+
+
+def test_sine_halves_cache_holds_a_few_lengths(rng):
+    # a folded axis caches its sine blocks, m^2 doubles; long awkward lengths must not pile
+    # up: the cache keeps _HALVES_CACHED lengths, at most 134 MB however long they are
+    cap = transforms._HALVES_CACHED
+    assert cap * 8 * (AWKWARD_AXIS_MAX ** 2 + 1) <= 134.1e6
+    lengths = [m for m in range(1025, AWKWARD_AXIS_MAX) if _axis_path(m) == "fold"][:cap + 3]
+    transforms._sine_halves.cache_clear()
+    tracemalloc.start()
+    try:
+        for m in lengths:
+            dst1_multi((m,), np.ones(m))
+        held = tracemalloc.get_traced_memory()[0]   # the vectors are gone, the cache is not
+    finally:
+        tracemalloc.stop()
+        transforms._sine_halves.cache_clear()
+    assert held <= cap * 8 * (max(lengths) ** 2 + 1) < 8 * sum(m * m for m in lengths)
+    # a march at n1 = 127 folds one length: its blocks are built once
+    x = rng.standard_normal(127 * 127)
+    for _ in range(2):
+        dst1_multi((127, 127), x)
+    assert transforms._sine_halves.cache_info().misses == 1
 
 
 # every m folds here: odd and even m, with and without a middle row, on the
