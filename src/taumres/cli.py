@@ -6,7 +6,7 @@ example1   first-order benchmark (iterations per preconditioner)
 example2   second-order benchmark (iterations and first-step error vs exact solution)
 solve      single first-step solve for one or more (alpha1, alpha2) pairs
 spectrum   dense spectrum of the (preconditioned) symmetrized operator, CSV export
-selftest   run the four built-in checks on fixed random vectors
+selftest   run the five built-in checks on fixed random vectors
 
 Each option is one ``RunConfig`` field, which carries its flag's parser
 settings; its name is the flag and the config-file key.  Flags override

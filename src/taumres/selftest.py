@@ -1,9 +1,11 @@
-"""Built-in battery for `taumres selftest`: four fixed checks, no options, no timings.
+"""Built-in battery for `taumres selftest`: five fixed checks, no options, no timings.
 
 On sizes that reach every per-axis path, with vectors from a fixed seed: ``dst1_multi``
 against the dense sine product per axis, ``A.apply`` against ``A.materialize()``,
-P^{-1/2} P^{-1/2} x against P^{-1} x, and the paper's theorem (example2's spectrum at
-n1 = 15 inside its interval).  Speed is measured by the benchmark script alone.
+P^{-1/2} P^{-1/2} x against P^{-1} x, ``sym_eig``'s ctypes binding of LAPACK against
+``np.linalg.eigvalsh`` (ctypes checks no Fortran signature), and the paper's theorem
+(example2's spectrum at n1 = 15 inside its interval).  Speed is measured by the benchmark
+script alone.
 """
 
 import itertools
@@ -12,7 +14,7 @@ import numpy as np
 
 from .discretization import FractionalParams, GridSpec, assemble_operator
 from .pde import ALPHA_PAIRS, example2_problem, setup_operators
-from .spectrum import preconditioned_spectrum
+from .spectrum import preconditioned_spectrum, sym_eig
 from .tau import build_preconditioner
 from .toeplitz import DENSE_LEVEL_MAX
 from .transforms import DENSE_AXIS_MAX, FOLD_MIN, _axis_path, _sine_matrix, dst1_multi
@@ -59,6 +61,14 @@ def _check_inv_sqrt(rng):
     return None
 
 
+def _check_eigensolve(rng):
+    M = rng.standard_normal((225, 225))
+    M += M.T
+    if _rel(sym_eig(M.copy()), np.linalg.eigvalsh(M)) > 1e-12:
+        return "sym_eig disagrees with np.linalg.eigvalsh at n=225"
+    return None
+
+
 def _check_theorem():
     for pair in ALPHA_PAIRS:
         problem = example2_problem(15, pair)
@@ -76,6 +86,7 @@ def run_selftest():
         ("multilevel sine transform", lambda: _check_dst(rng)),
         ("multilevel Toeplitz operator", lambda: _check_operator(rng)),
         ("tau preconditioner square root", lambda: _check_inv_sqrt(rng)),
+        ("dense symmetric eigensolve", lambda: _check_eigensolve(rng)),
         ("preconditioned spectrum theorem", _check_theorem),
     ]
     ok = True

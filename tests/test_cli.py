@@ -1,3 +1,4 @@
+import ctypes
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from taumres import cli
+from taumres import cli, spectrum
 from taumres.discretization import FIRST_ORDER, SECOND_ORDER, FractionalParams
 from taumres.pde import PRECONDITIONERS, example2_problem, setup_operators
 from taumres.spectrum import SpectrumReport
@@ -221,12 +222,34 @@ def test_spectrum_violation_exit_code(tmp_path, monkeypatch):
 
 SELFTEST_LINES = [f"[selftest] {check}: PASS" for check in (
     "multilevel sine transform", "multilevel Toeplitz operator",
-    "tau preconditioner square root", "preconditioned spectrum theorem")]
+    "tau preconditioner square root", "dense symmetric eigensolve",
+    "preconditioned spectrum theorem")]
 
 
 def test_selftest_command(capsys):
     assert run_cli(["selftest"]) == 0
     assert capsys.readouterr().out.splitlines() == SELFTEST_LINES
+
+
+def test_selftest_fails_a_wrong_eigensolve_binding(capsys, monkeypatch):
+    # ctypes type-checks no LAPACK signature: a routine that answers the workspace query
+    # and then writes eigenvalues off by 1e-10 relative must fail the selftest
+    def view(address, k, ctype=ctypes.c_double):
+        return np.ctypeslib.as_array(ctypes.cast(address, ctypes.POINTER(ctype)), (k,))
+
+    def off(jobz, uplo, n, a, lda, w, work, lwork, iwork, liwork, info, *lengths):
+        m = n.value
+        if lwork.value == -1:
+            view(work, 1)[0] = view(iwork, 1, ctypes.c_int64)[0] = 1
+        else:
+            view(w, m)[:] = (1 + 1e-10) * np.linalg.eigvalsh(view(a, m * m).reshape(m, m))
+
+    monkeypatch.setattr(spectrum, "_dsyevd_2stage", lambda: off)
+    assert run_cli(["selftest"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[3] == ("[selftest] dense symmetric eigensolve: FAIL "
+                        "(sym_eig disagrees with np.linalg.eigvalsh at n=225)")
+    assert lines[:3] + lines[4:] == SELFTEST_LINES[:3] + SELFTEST_LINES[4:]
 
 
 def test_cli_runs_as_a_process():

@@ -1,7 +1,7 @@
-"""The experiments' invariants at n1 = 31, pinned: every first-step row of both examples
-against a committed table, and the runners' exit codes.  A change that moves an
-iteration count, a convergence flag or an exit code shows up as a failure here; a change
-to the table is a diff of tests/data/first_steps.json."""
+"""The experiments' invariants, pinned: every first-step row of both examples at n1 = 31
+and 63 against a committed table, and the runners' exit codes at n1 = 31.  A change that
+moves an iteration count, a convergence flag or an exit code shows up as a failure here; a
+change to the table is a diff of tests/data/first_steps.json."""
 
 import json
 import pathlib
@@ -21,17 +21,20 @@ RTOL = 1e-6
 
 
 def test_first_steps_match_the_committed_table():
-    assert len(TABLE["rows"]) == 27
-    for want in TABLE["rows"]:
-        problem = PROBLEMS[want["example"]](TABLE["n1"], (want["alpha1"], want["alpha2"]))
-        got = first_step_row(problem, want["preconditioner"], TABLE["tol"], TABLE["maxit"])
-        case = {k: want[k] for k in ("example", "alpha1", "alpha2", "preconditioner")}
-        assert (got["iters"], got["converged"]) == (want["iters"], want["converged"]), case
-        assert got["relres"] == pytest.approx(want["relres"], rel=RTOL), case
-        if want["err_inf"] is None:
-            assert got["err_inf"] is None, case
-        else:
-            assert got["err_inf"] == pytest.approx(want["err_inf"], rel=RTOL), case
+    assert [table["n1"] for table in TABLE["tables"]] == [31, 63]
+    for table in TABLE["tables"]:
+        assert len(table["rows"]) == 27
+        for want in table["rows"]:
+            problem = PROBLEMS[want["example"]](table["n1"], (want["alpha1"], want["alpha2"]))
+            got = first_step_row(problem, want["preconditioner"], TABLE["tol"], TABLE["maxit"])
+            case = {k: want[k] for k in ("example", "alpha1", "alpha2", "preconditioner")}
+            case["n1"] = table["n1"]
+            assert (got["iters"], got["converged"]) == (want["iters"], want["converged"]), case
+            assert got["relres"] == pytest.approx(want["relres"], rel=RTOL), case
+            if want["err_inf"] is None:
+                assert got["err_inf"] is None, case
+            else:
+                assert got["err_inf"] == pytest.approx(want["err_inf"], rel=RTOL), case
 
 
 @pytest.mark.parametrize("args, code", [

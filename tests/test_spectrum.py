@@ -82,13 +82,15 @@ def test_sym_eig_refuses_non_finite_entries():
 
 def test_sym_eig_solves_the_symmetric_part_in_place(rng):
     # several tiles, a ragged last one; the eigenvalues are exactly those of (M + M^T)/2,
-    # solved in M's own buffer, which is consumed
+    # solved in M's own buffer, which is consumed: bit for bit those of an explicitly
+    # symmetrized, C-contiguous, writable copy, and eigvalsh's to another LAPACK's rounding
     n = 2 * spectrum._TILE + 37
     M = rng.standard_normal((n, n))
     M = M + M.T
     M[n - 1, 3] += 1e-13
     H = 0.5 * (M + M.T)
-    want = np.linalg.eigvalsh(H)
+    want = sym_eig(H.copy())
+    assert rel_err(want, np.linalg.eigvalsh(H)) <= 1e-13
     # a read-only input and non-C-contiguous views are copied, not written
     R = M.copy()
     R.setflags(write=False)
@@ -96,7 +98,7 @@ def test_sym_eig_solves_the_symmetric_part_in_place(rng):
     assert np.array_equal(R, M)
     for view in (M.T[:, :], M[::-1, ::-1]):
         before = view.copy()
-        assert np.array_equal(sym_eig(view), np.linalg.eigvalsh(0.5 * (before + before.T)))
+        assert np.array_equal(sym_eig(view), sym_eig(0.5 * (before + before.T)))
         assert np.array_equal(view, before)
     assert rel_err(sym_eig(M[::-1, ::-1]), want) <= 1e-13   # P H P: rounding differs
     assert np.array_equal(sym_eig(M), want)
@@ -137,7 +139,7 @@ spectrum._symmetrize(M)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 spectrum.sym_eig(M)
 print(1024 * (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before), M.nbytes)
-print(spectrum._dsyevd() is not None, "scipy" in sys.modules)
+print(spectrum._dsyevd_2stage() is not None, "scipy" in sys.modules)
 """)
     grown, nbytes, in_place, scipy = out.split()
     assert (in_place, scipy) == ("True", "False")
@@ -145,10 +147,14 @@ print(spectrum._dsyevd() is not None, "scipy" in sys.modules)
 
 
 def test_sym_eig_runs_the_lapack_numpy_ships():
-    # a numpy wheel bundles scipy-openblas, whose dsyevd sym_eig calls in place; only a
-    # numpy on another LAPACK takes the eigvalsh fallback
+    # a numpy wheel bundles scipy-openblas, whose two-stage dsyevd_2stage sym_eig calls in
+    # place, not the one-stage dsyevd; only a numpy on another LAPACK takes the eigvalsh
+    # fallback
     lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]["name"]
-    assert (spectrum._dsyevd() is not None) == (lapack == "scipy-openblas")
+    routine = spectrum._dsyevd_2stage()
+    assert (routine is not None) == (lapack == "scipy-openblas")
+    if routine is not None:
+        assert routine.__name__ == "scipy_dsyevd_2stage_64_"
 
 
 def test_sym_eig_fallback_matches_dsyevd(rng, monkeypatch):
@@ -156,7 +162,7 @@ def test_sym_eig_fallback_matches_dsyevd(rng, monkeypatch):
     M = M + M.T
     params, A, P = setup((15, 15), (1.5, 1.5), EX2, SECOND_ORDER, nu=16.0)
     want = [sym_eig(M.copy()), preconditioned_spectrum(A, P, params).eigenvalues]
-    monkeypatch.setattr(spectrum, "_dsyevd", lambda: None)   # a numpy on another LAPACK
+    monkeypatch.setattr(spectrum, "_dsyevd_2stage", lambda: None)   # a numpy on another LAPACK
     got = [sym_eig(M.copy()), preconditioned_spectrum(A, P, params).eigenvalues]
     for g, w in zip(got, want):
         assert rel_err(g, w) <= 1e-13
@@ -165,7 +171,7 @@ def test_sym_eig_fallback_matches_dsyevd(rng, monkeypatch):
 @pytest.mark.parametrize("lapack", ["dsyevd", "eigvalsh"])
 def test_sym_eig_gate_holds_on_either_path(lapack, rng, monkeypatch):
     if lapack == "eigvalsh":
-        monkeypatch.setattr(spectrum, "_dsyevd", lambda: None)
+        monkeypatch.setattr(spectrum, "_dsyevd_2stage", lambda: None)
     M = np.eye(4)
     M[1, 2] = M[2, 1] = np.inf
     with pytest.raises(spectrum.SymmetryError, match="non-finite"):
@@ -176,12 +182,13 @@ def test_sym_eig_gate_holds_on_either_path(lapack, rng, monkeypatch):
 
 
 def test_sym_eig_raises_a_lapack_failure(monkeypatch):
-    # dsyevd's info != 0 (an illegal argument, or no convergence) is numpy's LinAlgError
+    # dsyevd_2stage's info != 0 (an illegal argument, or no convergence) is numpy's
+    # LinAlgError
     def failing(*args):
         args[10].value = 3   # info, the eleventh argument
 
-    monkeypatch.setattr(spectrum, "_dsyevd", lambda: failing)
-    with pytest.raises(np.linalg.LinAlgError, match=r"dsyevd failed \(info 3\)"):
+    monkeypatch.setattr(spectrum, "_dsyevd_2stage", lambda: failing)
+    with pytest.raises(np.linalg.LinAlgError, match=r"dsyevd_2stage failed \(info 3\)"):
         sym_eig(np.eye(4))
 
 
