@@ -29,8 +29,8 @@ from .discretization import FIRST_ORDER, SECOND_ORDER, _SCHEMES, _check_alpha, _
 from .krylov import MinresConfig
 from .pde import (ALPHA_PAIRS, PRECONDITIONERS, _check_preconditioner, example1_problem,
                   example2_problem, first_step_row, setup_operators)
-from .spectrum import export_spectrum_csv, preconditioned_spectrum, unpreconditioned_spectrum
-from .toeplitz import MATERIALIZE_CAP
+from .spectrum import (DENSE_CAP, export_spectrum_csv, preconditioned_spectrum,
+                       unpreconditioned_spectrum)
 from .transforms import _count
 from . import selftest as _selftest
 
@@ -86,8 +86,8 @@ class RunConfig:
             _check_preconditioner(self.precond)
         if not (self.out is None or isinstance(self.out, str) and self.out):
             raise ValueError(f"out must be a non-empty path string, got {self.out!r}")
-        if self.command == "spectrum" and self.n1 ** 2 > MATERIALIZE_CAP:
-            raise ValueError(f"a dense spectrum needs n1**2 <= {MATERIALIZE_CAP}, got n1 = {self.n1}")
+        if self.command == "spectrum" and self.n1 ** 2 > DENSE_CAP:
+            raise ValueError(f"a dense spectrum needs n1**2 <= {DENSE_CAP}, got n1 = {self.n1}")
         if self.scheme is not None:
             _check_scheme(self.scheme)
         try:

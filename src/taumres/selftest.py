@@ -1,11 +1,11 @@
 """Built-in battery for `taumres selftest`: five fixed checks, no options, no timings.
 
 On sizes that reach every per-axis path, with vectors from a fixed seed: ``dst1_multi``
-against the dense sine product per axis, ``A.apply`` against ``A.materialize()``,
-P^{-1/2} P^{-1/2} x against P^{-1} x, ``sym_eig``'s ctypes binding of LAPACK against
-``np.linalg.eigvalsh`` (ctypes checks no Fortran signature), and the paper's theorem
-(example2's spectrum at n1 = 15 inside its interval).  Speed is measured by the benchmark
-script alone.
+against the dense sine product per axis, ``A.apply`` against nu x plus each level's dense
+block applied along its axis by ``np.tensordot``, P^{-1/2} P^{-1/2} x against P^{-1} x,
+``sym_eig``'s ctypes binding of LAPACK against ``np.linalg.eigvalsh`` (ctypes checks no
+Fortran signature), and the paper's theorem (example2's spectrum at n1 = 15 inside its
+interval).  Speed is measured by the benchmark script alone.
 """
 
 import itertools
@@ -47,8 +47,12 @@ def _check_operator(rng):
     params = FractionalParams((1.3, 1.8), (3.0, 2.0), (1.0, 0.5))
     A = assemble_operator(params, GridSpec((0, 0), (1, 1), dims), 2.0)
     x = rng.standard_normal(A.n)
-    if _rel(A.apply(x), A.materialize() @ x) > 1e-11:
-        return f"multilevel apply disagrees with dense assembly at dims={dims}"
+    X = x.reshape(dims)
+    ref = A.nu * X
+    for axis, K in enumerate(A.levels):
+        ref += np.moveaxis(np.tensordot(K.dense(), X, axes=([1], [axis])), 0, axis)
+    if _rel(A.apply(x), ref.reshape(-1)) > 1e-11:
+        return f"multilevel apply disagrees with the dense levels at dims={dims}"
     return None
 
 

@@ -5,18 +5,18 @@ diagonalizes the tau preconditioner, P = S diag(lam) S, takes A to nu*I +
 sum_i I (x) S_i K_i S_i and the flip Y to the diagonal D of the signs
 (-1)^(k_1 + ... + k_d) of the 0-based modes (Bini and Capovani, 1983).  So
 P^{-1} Y A has the eigenvalues of M = diag(lam)^{-1/2} D (S A S) diag(lam)^{-1/2},
-assembled by ``toeplitz._kron_sum`` from one 2-D DST per dense level, then
-scaled.  Without D, M's symmetric part is similar to P^{-1/2} H(A) P^{-1/2},
-H(A) = (A + A^T)/2, so P^{-1} H(A) needs no H(A) operator.  A seeded probe
-ties M to the solver: S (lam^{-1/2} * M (lam^{1/2} * S v)) must match
-``P.apply_inverse(A.apply_symmetrized(v))`` (``A.apply`` without D).  The ideal
-spectrum shares the assembly, with B_i = V_i^T S_i K_i S_i V_i for S_i K_i S_i and the
-eigenvalues of H(A) for lam: S H(A) S commutes with D, so one ``eigh`` per level and
-mode parity gives V_i (fast diagonalization; Lynch, Rice and Thomas, 1964) and D V = V D.
-Every matrix passes ``sym_eig``'s symmetry gate; reports carry the band and a count of
-eigenvalues outside it beyond INTERVAL_TOL.
+which ``_assemble`` builds as the Kronecker sum of one 2-D DST per dense level, then
+scales; Y A itself is the case lam = 1.  Without D, M's symmetric part is similar to
+P^{-1/2} H(A) P^{-1/2}, H(A) = (A + A^T)/2, so P^{-1} H(A) needs no H(A) operator.
+A seeded probe ties M to the solver: S (lam^{-1/2} * M (lam^{1/2} * S v)) must match
+``P.apply_inverse(A.apply_symmetrized(v))`` (``A.apply`` without D; no P^{-1} for Y A).
+The ideal spectrum shares the assembly, with B_i = V_i^T S_i K_i S_i V_i for S_i K_i S_i
+and the eigenvalues of H(A) for lam: S H(A) S commutes with D, so one ``eigh`` per level
+and mode parity gives V_i (fast diagonalization; Lynch, Rice and Thomas, 1964) and
+D V = V D.  Every matrix passes ``sym_eig``'s symmetry gate; reports carry the band and
+a count of eigenvalues outside it beyond INTERVAL_TOL.
 
-Memory: ``toeplitz.MATERIALIZE_CAP`` is the one dense cap.  A spectrum peaks at one n x n
+Memory: ``DENSE_CAP`` is the one dense cap.  A spectrum peaks at one n x n
 matrix, which LAPACK's two-stage ``dsyevd_2stage`` diagonalizes in place with a workspace of
 about 105 n doubles, 3.3 MB at n = 3969 (the 1-D ideal one at three matrices: B_1, V_1, a
 product).
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import toeplitz, transforms
+from . import transforms
 from .discretization import FIRST_ORDER, epsilon_bound
 from .transforms import _as_real
 
@@ -38,6 +38,9 @@ __all__ = ["SpectrumReport", "SymmetryError", "sym_eig", "preconditioned_spectru
            "ideal_preconditioned_spectrum", "equivalence_spectrum",
            "unpreconditioned_spectrum", "export_spectrum_csv"]
 
+# The one limit on a dense n x n matrix: ``sym_eig``, every spectrum and the
+# ``taumres spectrum`` command refuse n above it
+DENSE_CAP = 4096
 SYM_TOL = 1e-10
 INTERVAL_TOL = 1e-8
 EQUIVALENCE_TOL = 1e-10
@@ -64,7 +67,10 @@ class SpectrumReport:
     tolerance: float = INTERVAL_TOL
 
     def __post_init__(self):
-        ev = _as_real(self.eigenvalues, "eigenvalues", shape=(None,))
+        # a private read-only copy: the caller's array is neither frozen nor shared
+        ev = _as_real(self.eigenvalues, "eigenvalues", shape=(None,), copy=True)
+        if self.n != len(ev):
+            raise ValueError(f"n = {self.n} but {len(ev)} eigenvalues")
         ev.setflags(write=False)
         object.__setattr__(self, "eigenvalues", ev)
 
@@ -103,14 +109,14 @@ def sym_eig(M):
     (Haidar, Ltaief and Dongarra, SC 2011).  A numpy without that library runs
     ``np.linalg.eigvalsh``, which copies M once.  A LAPACK failure raises
     ``np.linalg.LinAlgError``.
-    Refuses an empty matrix and n > ``toeplitz.MATERIALIZE_CAP``.
+    Refuses an empty matrix and n > ``DENSE_CAP``.
     """
     M = _as_real(M, "matrix", shape=(None, None))
     if M.shape[0] != M.shape[1] or not M.size:
         raise ValueError(f"expected a non-empty square (n, n) matrix, got shape {M.shape}")
     n = M.shape[0]
-    if n > toeplitz.MATERIALIZE_CAP:
-        raise ValueError(f"dense eigensolve capped at n={toeplitz.MATERIALIZE_CAP}, got {n}")
+    if n > DENSE_CAP:
+        raise ValueError(f"dense eigensolve capped at n={DENSE_CAP}, got {n}")
     if not (M.flags.writeable and M.flags.c_contiguous):
         M = np.array(M, order="C")
     defects, scales = [], []
@@ -175,15 +181,26 @@ def _epsilon_star(A, params):
 
 def _sine_levels(A):
     # S_i K_i S_i: one 2-D DST of each dense level, in place, once the dense cap is checked
-    if A.n > toeplitz.MATERIALIZE_CAP:
-        raise ValueError(f"dense verification capped at n={toeplitz.MATERIALIZE_CAP}, got {A.n}")
+    if A.n > DENSE_CAP:
+        raise ValueError(f"dense verification capped at n={DENSE_CAP}, got {A.n}")
     return (transforms.dst1_multi(D.shape, D.reshape(-1), out=D.reshape(-1)).reshape(D.shape)
             for D in (K.dense() for K in A.levels))
 
 
 def _assemble(A, levels, lam, flipped):
-    # diag(lam)^{-1/2} D (nu*I + sum_i I (x) B_i (x) I) diag(lam)^{-1/2}, no D unless flipped
-    M = toeplitz._kron_sum(A.dims, A.nu, levels)
+    # diag(lam)^{-1/2} D (nu*I + sum_i I (x) B_i (x) I) diag(lam)^{-1/2}, no D unless flipped;
+    # in 1-D the C-contiguous B_1 is written and becomes M
+    if len(A.dims) == 1:
+        (M,) = levels
+        M.reshape(-1)[::A.n + 1] += A.nu
+    else:
+        M = np.eye(A.n)
+        M *= A.nu
+        for axis, B in enumerate(levels):
+            # the (l, r) diagonal blocks of M viewed as (left, m_i, right, left, m_i, right)
+            shape = (math.prod(A.dims[:axis]), A.dims[axis], math.prod(A.dims[axis + 1:]))
+            diagonal = np.einsum("lirljr->lrij", M.reshape(shape + shape))
+            diagonal += B
     w = np.sqrt(1.0 / lam)
     signs = np.indices(A.dims).sum(axis=0).reshape(-1) % 2 if flipped else 0
     M *= np.where(signs, -w, w)[:, None]
@@ -192,13 +209,17 @@ def _assemble(A, levels, lam, flipped):
 
 
 def _sine_basis(A, P, flipped):
-    """Dense diag(lam)^{-1/2} D (S A S) diag(lam)^{-1/2} (no D unless ``flipped``), probed."""
-    if P.dims != A.dims:
+    """Dense diag(lam)^{-1/2} D (S A S) diag(lam)^{-1/2} (no D unless ``flipped``; lam = 1
+    for ``P=None``), probed."""
+    if P is not None and P.dims != A.dims:
         raise ValueError(f"preconditioner dims {P.dims} do not match operator dims {A.dims}")
-    M, w = _assemble(A, _sine_levels(A), P.lam, flipped)
-    # S (lam^{-1/2} * M (lam^{1/2} * S v)) against P^{-1} Y A v (P^{-1} A v), to SYM_TOL
+    M, w = _assemble(A, _sine_levels(A), 1.0 if P is None else P.lam, flipped)
+    # S (lam^{-1/2} * M (lam^{1/2} * S v)) against P^{-1} Y A v (P^{-1} A v; Y A v for
+    # P=None), to SYM_TOL
     v = np.random.default_rng(0).standard_normal(A.n)
-    want = P.apply_inverse((A.apply_symmetrized if flipped else A.apply)(v))
+    want = (A.apply_symmetrized if flipped else A.apply)(v)
+    if P is not None:
+        want = P.apply_inverse(want)
     got = transforms.dst1_multi(A.dims, w * (M @ (transforms.dst1_multi(A.dims, v) / w)))
     if not (defect := np.max(np.abs(got - want))) <= SYM_TOL * np.max(np.abs(want)):
         raise SymmetryError(f"dense matrix misses the solver's product (defect {defect:.2e})")
@@ -240,13 +261,9 @@ def equivalence_spectrum(A, P):
 
 
 def unpreconditioned_spectrum(A):
-    """Spectrum of Y A itself; exported for plotting, no theorem interval."""
-    M = A.materialize()
-    n = M.shape[0]
-    for i in range(0, n // 2, 32):   # Y: reverse the rows in place, 32 pairs at a time
-        j = min(i + 32, n // 2)
-        M[i:j], M[n - j:n - i] = M[n - j:n - i][::-1], M[i:j][::-1].copy()
-    return _report(M, math.nan, math.nan, math.nan, "none")
+    """Spectrum of Y A itself, by the similar D (S A S); exported for plotting, no theorem
+    interval.  A broken operator product raises ``SymmetryError``."""
+    return _report(_sine_basis(A, None, flipped=True), math.nan, math.nan, math.nan, "none")
 
 
 def export_spectrum_csv(report, path):

@@ -21,10 +21,8 @@ with one nonsymmetric Toeplitz level K_i per axis, applied axis by axis
 on the lexicographically ordered vector; for the Grünwald operators
 ``discretization.assemble_operator`` builds K_i = v_plus[i] * L_i +
 v_minus[i] * L_i^T.  A level whose entries all vanish costs no product.
-``apply`` is the only product of the operator.  Dense matrices, capped
-at MATERIALIZE_CAP unknowns, come from one block assembly (``_kron_sum``)
-that holds one n x n array: ``materialize`` adds the levels K_i, the
-dense spectra of ``spectrum`` the levels in a sine basis, such as S_i K_i S_i.
+``apply`` is the only product of the operator; it builds no n x n matrix.
+The dense spectra of ``spectrum`` read each level's m x m ``dense`` block.
 """
 
 import functools
@@ -35,10 +33,6 @@ import numpy as np
 from .transforms import _as_real, _axis_matmul, _check_dims, _count, _fibre_blocks
 
 __all__ = ["Toeplitz1D", "MultilevelOperator", "flip"]
-
-# The one limit on a dense n x n matrix: ``materialize`` and every dense
-# spectrum (``spectrum``, the ``taumres spectrum`` command) refuse n above it
-MATERIALIZE_CAP = 4096
 
 # Longest axis whose level is applied as a dense m x m product.  Measured in
 # example2 first-step solves (2 vCPUs, one BLAS thread), dense took 12-34%
@@ -171,25 +165,3 @@ class MultilevelOperator:
     def apply_symmetrized(self, x):
         """(Y A) @ x; the induced dense matrix is symmetric."""
         return self.apply(x)[::-1].copy()
-
-    def materialize(self):
-        """Dense n x n assembly, built in place; refuses n > MATERIALIZE_CAP."""
-        if self.n > MATERIALIZE_CAP:
-            raise ValueError(f"materialize capped at n={MATERIALIZE_CAP}, operator has n={self.n}")
-        return _kron_sum(self.dims, self.nu, (K.dense() for K in self.levels))
-
-
-def _kron_sum(dims, nu, blocks):
-    """Dense nu*I + sum_i I (x) B_i (x) I; in 1-D the C-contiguous B_1 is written and returned."""
-    if len(dims) == 1:
-        (A,) = blocks
-        A.reshape(-1)[::dims[0] + 1] += nu
-        return A
-    A = np.eye(math.prod(dims))
-    A *= nu
-    for axis, B in enumerate(blocks):
-        # the (l, r) diagonal blocks of A viewed as (left, m_i, right, left, m_i, right)
-        shape = (math.prod(dims[:axis]), dims[axis], math.prod(dims[axis + 1:]))
-        diagonal = np.einsum("lirljr->lrij", A.reshape(shape + shape))
-        diagonal += B
-    return A

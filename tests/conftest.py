@@ -41,11 +41,12 @@ def sine_oracle(dims, x):
 
 
 def toeplitz_dense(col, row=None):
+    """Dense Toeplitz matrix, entry (j, k) col[j - k] for j >= k, else row[k - j] (row
+    defaults to col), by index arithmetic."""
     col = np.asarray(col, dtype=float)
     row = col if row is None else np.asarray(row, dtype=float)
-    m = len(col)
-    return np.array([[col[j - k] if j >= k else row[k - j] for k in range(m)]
-                     for j in range(m)])
+    d = np.subtract.outer(np.arange(len(col)), np.arange(len(col)))   # j - k
+    return np.where(d >= 0, col[np.abs(d)], row[np.abs(d)])
 
 
 def kron_chain(mats):
@@ -65,6 +66,23 @@ def assemble_dense(dims, nu, level_data):
         W = kron_chain(blocks)
         A += vp * W + vm * W.T
     return A
+
+
+def operator_dense(A):
+    """Dense nu*I + sum_i I (x) K_i (x) I of a MultilevelOperator, from the first columns
+    and rows of its levels."""
+    return assemble_dense(A.dims, A.nu, [(K.col, K.row, 1.0, 0.0) for K in A.levels])
+
+
+def operator_product(A, x):
+    """A @ x without an n x n matrix: nu*x plus each level's dense block applied along its
+    axis with tensordot."""
+    X = np.asarray(x, dtype=float).reshape(A.dims)
+    out = A.nu * X
+    for axis, K in enumerate(A.levels):
+        out = out + np.moveaxis(np.tensordot(toeplitz_dense(K.col, K.row), X,
+                                             axes=([1], [axis])), 0, axis)
+    return out.reshape(-1)
 
 
 def two_sided(T, vp, vm):
@@ -147,7 +165,7 @@ def ideal_oracle(A):
 
     Its eigenvalues are those of H(A)^{-1} Y A; a non-SPD H(A) raises LinAlgError.
     """
-    dense = A.materialize()
+    dense = operator_dense(A)
     C = np.linalg.cholesky(0.5 * (dense + dense.T))
     return np.linalg.solve(C, np.linalg.solve(C, dense[::-1, :].T).T)
 

@@ -9,8 +9,8 @@ from taumres.discretization import (FIRST_ORDER, SECOND_ORDER, FractionalParams,
 from taumres.tau import build_preconditioner
 from taumres.toeplitz import Toeplitz1D
 
-from conftest import (assemble_dense, each_scheme, grunwald_block, omega_bound, rel_err,
-                      symbol_closed, symbol_series, toeplitz_dense)
+from conftest import (assemble_dense, each_scheme, grunwald_block, omega_bound, operator_dense,
+                      rel_err, symbol_closed, symbol_series, toeplitz_dense)
 
 ALPHAS = (1.1, 1.5, 1.9)
 
@@ -140,14 +140,14 @@ def test_assemble_scalar_case():
     grid = GridSpec((0.0,), (1.0,), (1,))
     assert grid.h == (0.5,)
     A = assemble_operator(params, grid, 0.0)
-    assert A.materialize()[0, 0] == pytest.approx(2.4748737341529163, abs=1e-14)
+    assert operator_dense(A)[0, 0] == pytest.approx(2.4748737341529163, abs=1e-14)
 
 
 def test_assemble_identity_degeneracy():
     params = FractionalParams((1.5, 1.9), (0.0, 0.0), (0.0, 0.0), SECOND_ORDER)
     grid = GridSpec((0, 0), (1, 1), (2, 3))
     A = assemble_operator(params, grid, 7.0)
-    assert np.array_equal(A.materialize(), 7.0 * np.eye(6))
+    assert np.array_equal(operator_dense(A), 7.0 * np.eye(6))
 
 
 @each_scheme
@@ -163,7 +163,7 @@ def test_assemble_matches_kron_oracle(scheme):
         s = half / grid.h[i] ** params.alpha[i]
         level_data.append((L.col, L.row, 3.0 * s if i == 0 else 2.0 * s, 1.0 * s))
     dense = assemble_dense((3, 3), nu, level_data)
-    assert rel_err(A.materialize(), dense) <= 1e-14
+    assert rel_err(operator_dense(A), dense) <= 1e-14
 
 
 @each_scheme

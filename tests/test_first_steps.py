@@ -1,7 +1,8 @@
 """The experiments' invariants, pinned: every first-step row of both examples at n1 = 31
-and 63 against a committed table, and the runners' exit codes at n1 = 31.  A change that
-moves an iteration count, a convergence flag or an exit code shows up as a failure here; a
-change to the table is a diff of tests/data/first_steps.json."""
+and 63, and every tau row at n1 = 127, against a committed table, and the runners' exit
+codes at n1 = 31.  A change that moves an iteration count, a convergence flag or an exit
+code shows up as a failure here; a change to the table is a diff of
+tests/data/first_steps.json."""
 
 import json
 import pathlib
@@ -21,9 +22,9 @@ RTOL = 1e-6
 
 
 def test_first_steps_match_the_committed_table():
-    assert [table["n1"] for table in TABLE["tables"]] == [31, 63]
+    assert [(table["n1"], len(table["rows"])) for table in TABLE["tables"]] \
+        == [(31, 27), (63, 27), (127, 18)]
     for table in TABLE["tables"]:
-        assert len(table["rows"]) == 27
         for want in table["rows"]:
             problem = PROBLEMS[want["example"]](table["n1"], (want["alpha1"], want["alpha2"]))
             got = first_step_row(problem, want["preconditioner"], TABLE["tol"], TABLE["maxit"])

@@ -13,6 +13,8 @@ from taumres.tau import TauPreconditioner, build_preconditioner, tau_eigs
 from taumres.toeplitz import MultilevelOperator, Toeplitz1D, flip
 from taumres.transforms import _check_dims, dst1_multi
 
+from conftest import operator_dense
+
 # integer-valued data, so int and float32 copies hold the same numbers
 X = np.array([3.0, -1.0, 2.0, 0.0, 5.0, 1.0])
 COL = np.array([4.0, -1.0, 2.0])
@@ -130,7 +132,7 @@ def test_whole_floats_are_counts():
     assert FractionalProblem(GRID, PARAMS, 1.0, 4.0, None, None).M == 4
     assert np.array_equal(grunwald_g(1.5, 3.0), grunwald_g(1.5, 3))
     # a whole float size sets up the same operator as the integer one
-    operators = [assemble_operator(PARAMS, GridSpec((0, 0), (1, 1), n), 1.0).materialize()
+    operators = [operator_dense(assemble_operator(PARAMS, GridSpec((0, 0), (1, 1), n), 1.0))
                  for n in ((2.0, 3.0), (2, 3))]
     assert np.array_equal(*operators)
     assert np.array_equal(bound_curve(0.5, 4.0), bound_curve(0.5, 4))

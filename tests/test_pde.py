@@ -14,7 +14,7 @@ from taumres.pde import (FractionalProblem, example1_problem, example2_problem,
 from taumres.tau import build_preconditioner
 from taumres.toeplitz import MultilevelOperator, Toeplitz1D, flip
 
-from conftest import run_fresh, traced_peak
+from conftest import operator_dense, run_fresh, traced_peak
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +308,7 @@ def test_symmetric_degeneracy_matches_direct_solve(rng):
     params = FractionalParams((1.5, 1.7), (1.0, 2.0), (1.0, 2.0), SECOND_ORDER)
     grid = GridSpec((0, 0), (1, 1), (7, 7))
     A = assemble_operator(params, grid, 5.0)
-    dense = A.materialize()
+    dense = operator_dense(A)
     assert np.array_equal(dense, dense.T)
     b = rng.standard_normal(49)
     via_flip = pminres(A.apply_symmetrized, None, b[::-1].copy(),

@@ -6,7 +6,7 @@ import pytest
 
 from taumres.discretization import (FIRST_ORDER, SECOND_ORDER, FractionalParams,
                                     GridSpec, assemble_operator, epsilon_bound)
-from taumres import spectrum, toeplitz
+from taumres import spectrum
 from taumres.pde import example2_problem, setup_operators
 from taumres.spectrum import (SpectrumReport, equivalence_spectrum,
                               export_spectrum_csv, ideal_preconditioned_spectrum,
@@ -15,7 +15,7 @@ from taumres.spectrum import (SpectrumReport, equivalence_spectrum,
 from taumres.tau import TauPreconditioner, build_preconditioner
 from taumres.toeplitz import MultilevelOperator, Toeplitz1D
 
-from conftest import (assemble_dense, congruence_oracle, each_scheme, ideal_oracle, kron_chain,
+from conftest import (congruence_oracle, each_scheme, ideal_oracle, kron_chain, operator_dense,
                       rel_err, run_fresh, sine_matrix, traced_peak)
 
 EX1 = ((2.0, 0.3), (0.5, 1.0))   # d_plus, d_minus per direction
@@ -54,7 +54,7 @@ def test_sym_eig_trace_invariance(rng):
 def test_sym_eig_rejects_nonsymmetric_and_oversized(rng, monkeypatch):
     with pytest.raises(ValueError):
         sym_eig(rng.standard_normal((5, 5)))
-    monkeypatch.setattr(toeplitz, "MATERIALIZE_CAP", 9)
+    monkeypatch.setattr(spectrum, "DENSE_CAP", 9)
     with pytest.raises(ValueError, match="dense eigensolve capped at n=9"):
         sym_eig(np.eye(10))
     assert np.array_equal(sym_eig(np.eye(9)), np.ones(9))
@@ -266,7 +266,7 @@ def test_equivalence_example2_small(scheme):
 def test_equivalence_matches_dense_oracle(dpm):
     # eigenvalues of P^{-1} H(A) from dense P = S diag(lam) S and H(A) = (A + A^T)/2
     params, A, P = setup((5, 7), (1.3, 1.8), dpm, SECOND_ORDER, nu=3.0)
-    dense = assemble_dense(A.dims, A.nu, [(K.col, K.row, 1.0, 0.0) for K in A.levels])
+    dense = operator_dense(A)
     S = kron_chain([sine_matrix(m) for m in A.dims])
     ev = np.linalg.eigvals(np.linalg.solve(S @ np.diag(P.lam) @ S, 0.5 * (dense + dense.T)))
     assert np.max(np.abs(ev.imag)) <= 1e-10
@@ -312,23 +312,23 @@ def test_spectra_match_the_column_oracle(scheme, dims, alphas, dpm):
     ids=("1d", "n1=15", "3d_middle_off"))
 def test_no_theorem_spectrum_reads_the_physical_matrix(dims, alphas, dpm, monkeypatch):
     # the oracles are built first; then no dense A and no product over the physical-space
-    # matrix is at hand, and every theorem spectrum still matches its oracle to 1e-12
+    # matrix is at hand, and all four spectra still match their oracles to 1e-12
     params, A, P = setup(dims, alphas, dpm, SECOND_ORDER, nu=32.0, box=2.0)
     flipped = sym_eig(congruence_oracle(A, P, flipped=True))
     N = congruence_oracle(A, P, flipped=False)
     unflipped = sym_eig(0.5 * (N + N.T))
     ideal = sym_eig(ideal_oracle(A))
+    plain = sym_eig(operator_dense(A)[::-1, :])
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a theorem spectrum reached for the physical-space matrix")
+        raise AssertionError("a spectrum reached for the physical-space matrix")
 
-    monkeypatch.setattr(MultilevelOperator, "materialize", refuse)
+    assert not hasattr(MultilevelOperator, "materialize")
     monkeypatch.setattr(spectrum, "_axis_matmul", refuse, raising=False)
     assert rel_err(preconditioned_spectrum(A, P, params).eigenvalues, flipped) <= 1e-12
     assert rel_err(equivalence_spectrum(A, P).eigenvalues, unflipped) <= 1e-12
     assert rel_err(ideal_preconditioned_spectrum(A, params).eigenvalues, ideal) <= 1e-12
-    with pytest.raises(AssertionError, match="physical-space"):
-        unpreconditioned_spectrum(A)
+    assert rel_err(unpreconditioned_spectrum(A).eigenvalues, plain) <= 1e-12
 
 
 def test_symmetry_defect_raises():
@@ -346,12 +346,14 @@ def test_symmetry_defect_raises():
     params = FractionalParams((1.5,), (1.0,), (1.0,))
     with pytest.raises(RuntimeError):
         preconditioned_spectrum(A, P, params)
+    with pytest.raises(spectrum.SymmetryError, match="solver's product"):
+        unpreconditioned_spectrum(A)
 
 
 @pytest.mark.parametrize("target", ("apply_inverse", "_axis_apply"))
 def test_broken_solver_product_raises(target, monkeypatch):
-    # P^{-1} scaled by 1.01, or one level's product perturbed: the seeded
-    # probe finds that the assembled matrix misses the solver's product
+    # P^{-1} scaled by 1.01, or one level's product perturbed (which Y A misses too): the
+    # seeded probe finds that the assembled matrix misses the solver's product
     params, A, P = setup((5, 4), (1.5, 1.9), EX2, SECOND_ORDER)
     if target == "apply_inverse":
         apply_inverse = TauPreconditioner.apply_inverse
@@ -365,6 +367,9 @@ def test_broken_solver_product_raises(target, monkeypatch):
         preconditioned_spectrum(A, P, params)
     with pytest.raises(spectrum.SymmetryError, match="solver's product"):
         equivalence_spectrum(A, P)
+    if target == "_axis_apply":
+        with pytest.raises(spectrum.SymmetryError, match="solver's product"):
+            unpreconditioned_spectrum(A)
 
 
 def test_symmetrized_product_without_the_flip_raises(monkeypatch):
@@ -408,7 +413,7 @@ def test_ideal_spectrum_refuses_a_non_spd_symmetric_part():
 
 
 def test_ideal_spectrum_beyond_a_thousand_unknowns():
-    # n = 2025 > 1024: the ideal spectrum has no cap of its own below MATERIALIZE_CAP
+    # n = 2025 > 1024: the ideal spectrum has no cap of its own below DENSE_CAP
     problem = example2_problem(45, (1.5, 1.5))
     A, _ = setup_operators(problem, "identity")
     rep = ideal_preconditioned_spectrum(A, problem.params)
@@ -419,18 +424,18 @@ def test_ideal_spectrum_beyond_a_thousand_unknowns():
 
 @pytest.mark.parametrize("dims", ((65, 65), (4225,)), ids=("example2", "1d"))
 def test_every_spectrum_refuses_past_the_dense_cap_before_allocating(dims):
-    # n = 4225 > MATERIALIZE_CAP: one n x n matrix would be 143 MB.  (65, 65)
+    # n = 4225 > DENSE_CAP: one n x n matrix would be 143 MB.  (65, 65)
     # is example2's set-up at n1 = 65; in 1-D the level's own dense block is n x n too
     d = len(dims)
     params, A, P = setup(dims, (1.5, 1.9)[:d], (EX2[0][:d], EX2[1][:d]), SECOND_ORDER,
                          nu=66.0, box=2.0)
-    assert A.n == 4225 > toeplitz.MATERIALIZE_CAP
+    assert A.n == 4225 > spectrum.DENSE_CAP
     for run in (lambda: preconditioned_spectrum(A, P, params),
                 lambda: equivalence_spectrum(A, P),
                 lambda: ideal_preconditioned_spectrum(A, params),
                 lambda: unpreconditioned_spectrum(A)):
         def refused():
-            with pytest.raises(ValueError, match=f"capped at n={toeplitz.MATERIALIZE_CAP},"):
+            with pytest.raises(ValueError, match=f"capped at n={spectrum.DENSE_CAP},"):
                 run()
         assert traced_peak(refused) < 2 ** 20
 
@@ -442,14 +447,31 @@ def test_unpreconditioned_spectrum_has_no_interval():
     assert rep.violations == 0
     assert rep.n == 25
     # spectrum of Y*A is that of the dense symmetrized matrix
-    dense = A.materialize()[::-1, :]
+    dense = operator_dense(A)[::-1, :]
     assert rep.eigenvalues == pytest.approx(np.linalg.eigvalsh(0.5 * (dense + dense.T)),
                                             abs=1e-10)
-    # the rows are reversed in place 32 pairs at a time: even and odd n, a ragged last chunk
-    for dims in ((10, 13), (9, 15)):
-        _, A, _ = setup(dims, (1.5, 1.5), EX1, FIRST_ORDER, nu=6.0)
-        assert np.array_equal(unpreconditioned_spectrum(A).eigenvalues,
-                              sym_eig(A.materialize()[::-1, :]))
+    # D (S A S) is similar to Y A: even and odd n, and in 1-D, where Y is S D S itself
+    for dims in ((10, 13), (9, 15), (40,)):
+        _, A, _ = setup(dims, (1.5, 1.5)[:len(dims)], (EX1[0][:len(dims)], EX1[1][:len(dims)]),
+                        FIRST_ORDER, nu=6.0)
+        assert rel_err(unpreconditioned_spectrum(A).eigenvalues,
+                       sym_eig(operator_dense(A)[::-1, :])) <= 1e-12
+
+
+def test_assemble_is_the_kronecker_sum_bit_for_bit(rng):
+    # nu*I, then I (x) B_i (x) I added level by level for any square blocks B_i; in 1-D, nu
+    # added to B_1's diagonal in B_1 itself; all-zero blocks give nu*I.  Unit lam, no D
+    for dims, scale in (((3, 4, 5), 1.0), ((6,), 1.0), ((2, 3), 0.0), ((4,), 0.0)):
+        nu = rng.uniform(0, 3)
+        A = MultilevelOperator(dims, nu, [Toeplitz1D(np.zeros(m), np.zeros(m)) for m in dims])
+        blocks = [scale * rng.standard_normal((m, m)) for m in dims]
+        ref = nu * np.eye(A.n)
+        for axis, B in enumerate(blocks):
+            ref += kron_chain([B if i == axis else np.eye(m) for i, m in enumerate(dims)])
+        levels = [B.copy() for B in blocks]
+        M, _ = spectrum._assemble(A, levels, np.ones(A.n), flipped=False)
+        assert np.array_equal(M, ref), dims
+        assert (M is levels[0]) == (len(dims) == 1), dims
 
 
 @pytest.mark.parametrize("which", ("preconditioned", "equivalence", "unpreconditioned", "ideal"))
@@ -482,6 +504,18 @@ def test_ideal_spectrum_holds_three_matrices():
 
 # ---------------------------------------------------------------------------
 # CSV export
+
+def test_report_keeps_a_private_read_only_copy():
+    # the caller's array stays writable and unshared; an n that is not the count is refused
+    ev = np.array([1.0, 2.0])
+    rep = SpectrumReport(2, ev, 0.0, 0.5, 1.5, 0, "none")
+    assert ev.flags.writeable and not rep.eigenvalues.flags.writeable
+    assert not np.shares_memory(rep.eigenvalues, ev)
+    ev[0] = 5.0
+    assert np.array_equal(rep.eigenvalues, [1.0, 2.0])
+    with pytest.raises(ValueError, match="n = 5 but 1 eigenvalues"):
+        SpectrumReport(5, np.array([1.0]), 0.0, 0.5, 1.5, 0, "none")
+
 
 def test_export_empty_report(tmp_path):
     rep = SpectrumReport(0, np.array([]), 0.0, 0.5, 1.5, 0, "none")

@@ -1,12 +1,10 @@
 import numpy as np
 import pytest
 
-from taumres import toeplitz
 from taumres.discretization import SECOND_ORDER
-from taumres.spectrum import sym_eig
 from taumres.toeplitz import DENSE_LEVEL_MAX, MultilevelOperator, Toeplitz1D, flip
 
-from conftest import (assemble_dense, convolve_direct, grunwald_block, kron_chain, rel_err,
+from conftest import (assemble_dense, convolve_direct, grunwald_block, operator_dense, rel_err,
                       toeplitz_dense, traced_peak, two_sided)
 
 
@@ -217,7 +215,7 @@ def test_symmetric_part_halves_sum(rng):
     # with H(K_i) = (v+_i + v-_i) H(L_i) the symmetric Toeplitz matrix of first
     # column (col + row)/2: the sum the tau preconditioner approximates
     A = random_operator(rng, (3, 5))
-    dense = A.materialize()
+    dense = operator_dense(A)
     halves = [(0.5 * (K.col + K.row), None, 1.0, 0.0) for K in A.levels]
     ref = assemble_dense(A.dims, A.nu, halves)
     assert np.max(np.abs(0.5 * (dense + dense.T) - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -228,7 +226,7 @@ def test_symmetric_part_equals_apply_for_symmetric_operator(rng):
     T = Toeplitz1D(col, col)
     A = MultilevelOperator((4,), 1.0, [two_sided(T, 0.8, 0.8)])
     x = rng.standard_normal(4)
-    dense = A.materialize()
+    dense = operator_dense(A)
     assert np.array_equal(dense, dense.T)
     assert rel_err(A.apply(x), dense.T @ x) <= 1e-14
 
@@ -237,7 +235,7 @@ def test_symmetric_part_grunwald_block():
     # the symmetric part of a one-sided Grünwald level is the symmetric
     # Toeplitz matrix the tau preconditioner is built from
     L = grunwald_block(1.5, 3, SECOND_ORDER)
-    dense = MultilevelOperator((3,), 0.0, [two_sided(L, 1.0, 0.0)]).materialize()
+    dense = operator_dense(MultilevelOperator((3,), 0.0, [two_sided(L, 1.0, 0.0)]))
     assert rel_err(0.5 * (dense + dense.T), toeplitz_dense(0.5 * (L.col + L.row))) <= 1e-15
 
 
@@ -262,62 +260,9 @@ def test_symmetrized_is_flip_of_apply(rng):
 
 def test_symmetrized_dense_is_symmetric(rng):
     A = random_operator(rng, (4, 5))
-    dense = A.materialize()
+    dense = operator_dense(A)
     ya = dense[::-1, :]
     assert np.max(np.abs(ya - ya.T)) <= 1e-13 * np.max(np.abs(ya))
-
-
-def test_materialize_identity_and_1d(rng):
-    A = MultilevelOperator((4,), 2.0, [two_sided(random_toeplitz(rng, 4), 0.0, 0.0)])
-    assert np.array_equal(A.materialize(), 2.0 * np.eye(4))
-    T = random_toeplitz(rng, 5)
-    A = MultilevelOperator((5,), 0.0, [two_sided(T, 1.0, 0.0)])
-    assert np.allclose(A.materialize(), toeplitz_dense(T.col, T.row), atol=1e-15)
-
-
-def test_materialize_columns_equal_apply(rng):
-    A = random_operator(rng, (3, 3))
-    dense = A.materialize()
-    for j in range(A.n):
-        e = np.zeros(A.n)
-        e[j] = 1.0
-        assert rel_err(dense[:, j], A.apply(e)) <= 1e-13
-
-
-def test_materialize_is_the_kronecker_sum_bit_for_bit(rng):
-    # nu*I, then I (x) K_i (x) I added level by level; in 1-D, nu added to K_1's diagonal
-    for dims in ((3, 4, 5), (6,)):
-        A = random_operator(rng, dims)
-        ref = A.nu * np.eye(A.n)
-        for axis, K in enumerate(A.levels):
-            blocks = [np.eye(m) for m in A.dims]
-            blocks[axis] = K.dense()
-            ref += kron_chain(blocks)
-        assert np.array_equal(A.materialize(), ref), dims
-
-
-def test_materialize_holds_one_matrix():
-    from taumres.pde import example2_problem, setup_operators
-
-    A, _ = setup_operators(example2_problem(31, (1.5, 1.9)), "identity")
-    assert traced_peak(A.materialize) <= 1.25 * 8 * A.n ** 2
-
-
-def test_materialize_cap(monkeypatch):
-    T = Toeplitz1D(np.zeros(65), np.zeros(65))
-    with pytest.raises(ValueError):
-        MultilevelOperator((65, 65), 1.0, [T, T]).materialize()
-    # the cap is read at call time
-    T = Toeplitz1D(np.zeros(5), np.zeros(5))
-    A = MultilevelOperator((5, 5), 1.0, [T, T])
-    monkeypatch.setattr(toeplitz, "MATERIALIZE_CAP", 24)
-    with pytest.raises(ValueError, match="materialize capped at n=24"):
-        A.materialize()
-    # the one cap on a dense matrix: the spectra read it too
-    with pytest.raises(ValueError, match="dense eigensolve capped at n=24"):
-        sym_eig(np.eye(25))
-    monkeypatch.setattr(toeplitz, "MATERIALIZE_CAP", 25)
-    assert np.array_equal(A.materialize(), np.eye(25))
 
 
 def test_dimension_validation(rng):
