@@ -13,9 +13,8 @@ from .krylov import BreakdownError, MinresConfig, MinresResult, bound_curve, pmi
 from .pde import (ALPHA_PAIRS, FractionalProblem, StepReport, example1_problem,
                   example2_problem, first_step_row, run_steps, sample_grid,
                   step_first_order, step_second_order)
-from .spectrum import (SpectrumReport, equivalence_spectrum, export_spectrum_csv,
-                       ideal_preconditioned_spectrum, preconditioned_spectrum,
-                       sym_eig, unpreconditioned_spectrum)
+from .spectrum import (SpectrumReport, export_spectrum_csv, ideal_preconditioned_spectrum,
+                       preconditioned_spectrum, sym_eig, unpreconditioned_spectrum)
 from .tau import TauPreconditioner, build_preconditioner, tau_eigs
 from .toeplitz import MultilevelOperator, Toeplitz1D, flip
 from .transforms import dst1_multi
@@ -31,7 +30,7 @@ __all__ = [
     "ALPHA_PAIRS", "FractionalProblem", "StepReport", "example1_problem",
     "example2_problem", "first_step_row", "run_steps",
     "sample_grid", "step_first_order", "step_second_order",
-    "SpectrumReport", "equivalence_spectrum", "export_spectrum_csv",
+    "SpectrumReport", "export_spectrum_csv",
     "ideal_preconditioned_spectrum", "preconditioned_spectrum", "sym_eig",
     "unpreconditioned_spectrum",
     "TauPreconditioner", "build_preconditioner", "tau_eigs",

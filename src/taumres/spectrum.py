@@ -6,10 +6,10 @@ sum_i I (x) S_i K_i S_i and the flip Y to the diagonal D of the signs
 (-1)^(k_1 + ... + k_d) of the 0-based modes (Bini and Capovani, 1983).  So
 P^{-1} Y A has the eigenvalues of M = diag(lam)^{-1/2} D (S A S) diag(lam)^{-1/2},
 which ``_assemble`` builds as the Kronecker sum of one 2-D DST per dense level, then
-scales; Y A itself is the case lam = 1.  Without D, M's symmetric part is similar to
-P^{-1/2} H(A) P^{-1/2}, H(A) = (A + A^T)/2, so P^{-1} H(A) needs no H(A) operator.
+scales; Y A itself is the case lam = 1.  Every spectrum here is of a flipped system; the
+lemma P^{-1} H(A) in (1/2, 3/2) is checked against a dense test oracle.
 A seeded probe ties M to the solver: S (lam^{-1/2} * M (lam^{1/2} * S v)) must match
-``P.apply_inverse(A.apply_symmetrized(v))`` (``A.apply`` without D; no P^{-1} for Y A).
+``P.apply_inverse(A.apply_symmetrized(v))`` (no P^{-1} for Y A).
 The ideal spectrum shares the assembly, with B_i = V_i^T S_i K_i S_i V_i for S_i K_i S_i
 and the eigenvalues of H(A) for lam: S H(A) S commutes with D, so one ``eigh`` per level
 and mode parity gives V_i (fast diagonalization; Lynch, Rice and Thomas, 1964) and
@@ -35,15 +35,13 @@ from .discretization import FIRST_ORDER, epsilon_bound
 from .transforms import _as_real
 
 __all__ = ["SpectrumReport", "SymmetryError", "sym_eig", "preconditioned_spectrum",
-           "ideal_preconditioned_spectrum", "equivalence_spectrum",
-           "unpreconditioned_spectrum", "export_spectrum_csv"]
+           "ideal_preconditioned_spectrum", "unpreconditioned_spectrum", "export_spectrum_csv"]
 
 # The one limit on a dense n x n matrix: ``sym_eig``, every spectrum and the
 # ``taumres spectrum`` command refuse n above it
 DENSE_CAP = 4096
 SYM_TOL = 1e-10
 INTERVAL_TOL = 1e-8
-EQUIVALENCE_TOL = 1e-10
 _TILE = 128           # tile edge of sym_eig's gate and symmetrization
 
 
@@ -51,10 +49,10 @@ _TILE = 128           # tile edge of sym_eig's gate and symmetrization
 class SpectrumReport:
     """Sorted spectrum plus the theorem-interval verdict.
 
-    ``interval_lo``/``interval_hi`` bound the magnitude band; for the
-    signed theorems the admissible set is the union of +- the band.  A
-    report with ``which_theorem == "none"`` carries no constraint and
-    zero violations by construction.
+    ``interval_lo``/``interval_hi`` bound the magnitude band: the admissible
+    set is the union of +- the band, widened by INTERVAL_TOL.  A report with
+    ``which_theorem == "none"`` carries no constraint and zero violations by
+    construction.
     """
 
     n: int
@@ -64,7 +62,6 @@ class SpectrumReport:
     interval_hi: float
     violations: int
     which_theorem: str
-    tolerance: float = INTERVAL_TOL
 
     def __post_init__(self):
         # a private read-only copy: the caller's array is neither frozen nor shared
@@ -165,12 +162,12 @@ def _dsyevd_2stage():
     return None
 
 
-def _report(M, eps, lo, hi, tag, tol=INTERVAL_TOL, signed=True):
-    # every spectrum's tail: gate and eigensolve, count outside the band
+def _report(M, eps, lo, hi, tag):
+    # every spectrum's tail: gate and eigensolve, count |ev| outside the band
     ev = sym_eig(M)
-    mag = np.abs(ev) if signed else ev
-    violations = int(np.count_nonzero((mag < lo - tol) | (mag > hi + tol)))
-    return SpectrumReport(M.shape[0], ev, eps, lo, hi, violations, tag, tol)
+    mag = np.abs(ev)
+    violations = int(np.count_nonzero((mag < lo - INTERVAL_TOL) | (mag > hi + INTERVAL_TOL)))
+    return SpectrumReport(M.shape[0], ev, eps, lo, hi, violations, tag)
 
 
 def _epsilon_star(A, params):
@@ -187,9 +184,9 @@ def _sine_levels(A):
             for D in (K.dense() for K in A.levels))
 
 
-def _assemble(A, levels, lam, flipped):
-    # diag(lam)^{-1/2} D (nu*I + sum_i I (x) B_i (x) I) diag(lam)^{-1/2}, no D unless flipped;
-    # in 1-D the C-contiguous B_1 is written and becomes M
+def _assemble(A, levels, lam):
+    # diag(lam)^{-1/2} D (nu*I + sum_i I (x) B_i (x) I) diag(lam)^{-1/2}; in 1-D the
+    # C-contiguous B_1 is written and becomes M
     if len(A.dims) == 1:
         (M,) = levels
         M.reshape(-1)[::A.n + 1] += A.nu
@@ -202,22 +199,20 @@ def _assemble(A, levels, lam, flipped):
             diagonal = np.einsum("lirljr->lrij", M.reshape(shape + shape))
             diagonal += B
     w = np.sqrt(1.0 / lam)
-    signs = np.indices(A.dims).sum(axis=0).reshape(-1) % 2 if flipped else 0
+    signs = np.indices(A.dims).sum(axis=0).reshape(-1) % 2
     M *= np.where(signs, -w, w)[:, None]
     M *= w
     return M, w
 
 
-def _sine_basis(A, P, flipped):
-    """Dense diag(lam)^{-1/2} D (S A S) diag(lam)^{-1/2} (no D unless ``flipped``; lam = 1
-    for ``P=None``), probed."""
+def _sine_basis(A, P):
+    """Dense diag(lam)^{-1/2} D (S A S) diag(lam)^{-1/2} (lam = 1 for ``P=None``), probed."""
     if P is not None and P.dims != A.dims:
         raise ValueError(f"preconditioner dims {P.dims} do not match operator dims {A.dims}")
-    M, w = _assemble(A, _sine_levels(A), 1.0 if P is None else P.lam, flipped)
-    # S (lam^{-1/2} * M (lam^{1/2} * S v)) against P^{-1} Y A v (P^{-1} A v; Y A v for
-    # P=None), to SYM_TOL
+    M, w = _assemble(A, _sine_levels(A), 1.0 if P is None else P.lam)
+    # S (lam^{-1/2} * M (lam^{1/2} * S v)) against P^{-1} Y A v (Y A v for P=None), to SYM_TOL
     v = np.random.default_rng(0).standard_normal(A.n)
-    want = (A.apply_symmetrized if flipped else A.apply)(v)
+    want = A.apply_symmetrized(v)
     if P is not None:
         want = P.apply_inverse(want)
     got = transforms.dst1_multi(A.dims, w * (M @ (transforms.dst1_multi(A.dims, v) / w)))
@@ -233,7 +228,7 @@ def preconditioned_spectrum(A, P, params):
     """
     eps = _epsilon_star(A, params)
     tag = "main_first_order" if params.scheme == FIRST_ORDER else "main_second_order"
-    return _report(_sine_basis(A, P, flipped=True), eps, 0.5, 1.5 * (1.0 + eps), tag)
+    return _report(_sine_basis(A, P), eps, 0.5, 1.5 * (1.0 + eps), tag)
 
 
 def ideal_preconditioned_spectrum(A, params):
@@ -251,19 +246,13 @@ def ideal_preconditioned_spectrum(A, params):
     lam = functools.reduce(np.add.outer, mus, A.nu).reshape(-1)
     if not lam.min() > 0.0:
         raise RuntimeError("H(A) is not positive definite; discretization is broken")
-    return _report(_assemble(A, levels, lam, flipped=True)[0], eps, 1.0, 1.0 + eps, "ideal")
-
-
-def equivalence_spectrum(A, P):
-    """Spectrum of P^{-1} H(A), via the symmetric part of P^{-1/2} A P^{-1/2}, against (1/2, 3/2)."""
-    return _report(_symmetrize(_sine_basis(A, P, flipped=False)), 0.0, 0.5, 1.5, "equivalence",
-                   EQUIVALENCE_TOL, signed=False)
+    return _report(_assemble(A, levels, lam)[0], eps, 1.0, 1.0 + eps, "ideal")
 
 
 def unpreconditioned_spectrum(A):
     """Spectrum of Y A itself, by the similar D (S A S); exported for plotting, no theorem
     interval.  A broken operator product raises ``SymmetryError``."""
-    return _report(_sine_basis(A, None, flipped=True), math.nan, math.nan, math.nan, "none")
+    return _report(_sine_basis(A, None), math.nan, math.nan, math.nan, "none")
 
 
 def export_spectrum_csv(report, path):

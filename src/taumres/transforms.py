@@ -261,17 +261,20 @@ def dst1_multi(dims, x, out=None):
     outermost.  Each axis runs by its ``_axis_path``: one full dense
     product, the even/odd fold and two half-size products, or FFTs.  The
     result is a new array, or ``out`` (a C-contiguous float vector of n
-    entries; it may be ``x`` itself, which is then transformed in place).
+    entries: ``x`` itself, which is then transformed in place, or apart from ``x``).
     """
     dims = _check_dims(dims)
     x = _as_real(x, "x", shape=(math.prod(dims),))
     if out is not None and not (isinstance(out, np.ndarray) and out.shape == x.shape
                                 and out.dtype == float and out.flags.c_contiguous):
         raise ValueError(f"out must be a C-contiguous float vector of length {x.size}")
+    # by bounds, no scan: an FFT axis writes a block of out before it reads x's next block
+    if out is not x and out is not None and np.may_share_memory(out, x) and not (
+            x.flags.c_contiguous and out.ctypes.data == x.ctypes.data):
+        raise ValueError("out must be x itself or not overlap x")
     paths = [_axis_path(m) for m in dims]
-    xa = x.reshape(dims)
+    a = xa = x.reshape(dims)
     own = None if out is None else out.reshape(dims)
-    a = xa
     # the fold's scratch is allocated before the output: the other order
     # ran the example2 march at n1 = 127 2-6% slower in benchmark runs
     # (likely the allocator trimming the freed scratch off the heap top)

@@ -143,21 +143,32 @@ def tau_lam_reference(params, grid, nu):
     return lam.reshape(-1)
 
 
-def congruence_oracle(A, P, flipped):
-    """Dense (P^{-1/2} Y A P^{-1/2})^T (without Y unless ``flipped``), column j into row j.
+def congruence_oracle(A, P):
+    """Dense (P^{-1/2} Y A P^{-1/2})^T, column j into row j, symmetric up to rounding.
 
-    n column applications of the solver's own ``A.apply_symmetrized`` (or
-    ``A.apply``) between two ``P.apply_inv_sqrt``; the flipped matrix is
-    symmetric up to rounding, the other one is not.
+    n column applications of the solver's own ``A.apply_symmetrized`` between two
+    ``P.apply_inv_sqrt``.
     """
-    apply = A.apply_symmetrized if flipped else A.apply
     M = np.empty((A.n, A.n))
     e = np.zeros(A.n)
     for j in range(A.n):
         e[j] = 1.0
-        M[j] = P.apply_inv_sqrt(apply(P.apply_inv_sqrt(e)))
+        M[j] = P.apply_inv_sqrt(A.apply_symmetrized(P.apply_inv_sqrt(e)))
         e[j] = 0.0
     return M
+
+
+def equivalence_oracle(A, P):
+    """Sorted eigenvalues of P^{-1} H(A), H(A) = (A + A^T)/2: the spectral-equivalence lemma's
+    matrix, a step of the tau theorem's proof that no library spectrum computes.
+
+    They are those of the symmetric C H(A) C, C = P^{-1/2} = S diag(lam^{-1/2}) S, with the
+    dense S from ``sine_matrix`` and H(A) from ``operator_dense``.
+    """
+    dense = operator_dense(A)
+    S = kron_chain([sine_matrix(m) for m in A.dims])
+    C = (S / np.sqrt(P.lam)) @ S
+    return np.linalg.eigvalsh(C @ (0.5 * (dense + dense.T)) @ C)
 
 
 def ideal_oracle(A):

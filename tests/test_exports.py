@@ -127,6 +127,51 @@ def test_no_private_helper_is_dead():
     assert not dead, f"private names nothing in src/taumres reads: {dead}"
 
 
+def defaulted(function):
+    """(name, position) of each parameter of ``function`` that has a default: position None
+    for a keyword-only one, counted without ``self`` or ``cls`` for a method."""
+    args = function.args.posonlyargs + function.args.args
+    skip = 1 if args and args[0].arg in ("self", "cls") else 0
+    first = len(args) - len(function.args.defaults)
+    return [(a.arg, i - skip) for i, a in enumerate(args) if i >= first] + [
+        (a.arg, None) for a, d in zip(function.args.kwonlyargs, function.args.kw_defaults)
+        if d is not None]
+
+
+def passes(call, name, position):
+    """Whether ``call`` sets the parameter ``name`` at ``position``: by keyword, by position
+    or through a ``*`` or ``**`` argument."""
+    return (any(k.arg in (name, None) for k in call.keywords)
+            or any(isinstance(a, ast.Starred) for a in call.args)
+            or position is not None and len(call.args) > position)
+
+
+def fixed_defaults(trees):
+    """``module.function(parameter=)`` for each keyword default of a private function that
+    no call in ``trees`` (module name -> AST) overrides."""
+    calls = {}
+    for node in (node for tree in trees.values() for node in ast.walk(tree)):
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+            calls.setdefault(getattr(node.func, "id", None) or node.func.attr, []).append(node)
+    return [f"{stem}.{f.name}({name}=)" for stem, tree in trees.items() for f in ast.walk(tree)
+            if isinstance(f, ast.FunctionDef) and f.name.startswith("_")
+            and not f.name.startswith("__") for name, position in defaulted(f)
+            if not any(passes(c, name, position) for c in calls.get(f.name, ()))]
+
+
+def test_no_private_switch_has_one_value():
+    # a keyword default of a private function that no call in the package overrides is a
+    # switch with one value, and the code behind its other values is dead
+    probe = ast.parse("def _f(a, b=1, c=2, *, d=3, e=4): pass\n"
+                      "class K:\n    def _g(self, x=0): pass\n"
+                      "_f(0, 1, e=5)\nK()._g()\nK()._g\n")
+    assert fixed_defaults({"probe": probe}) == ["probe._f(c=)", "probe._f(d=)", "probe._g(x=)"]
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in pathlib.Path(taumres.__file__).parent.glob("*.py")}
+    assert not (fixed := fixed_defaults(trees)), \
+        f"private keyword defaults no call in src/taumres overrides: {fixed}"
+
+
 def absolute_imports(tree):
     """Top-level package of every absolute import under ``tree``, at any depth."""
     for node in ast.walk(tree):
