@@ -25,7 +25,6 @@ product).
 import ctypes
 import functools
 import math
-import pathlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,21 +144,14 @@ def sym_eig(M):
 
 @functools.cache
 def _dsyevd_2stage():
-    """numpy's own ILP64 LAPACK ``dsyevd_2stage`` (from the scipy-openblas its wheels bundle),
-    else None."""
-    root = pathlib.Path(np.__file__).parent
-    for lib in (*root.parent.glob("numpy.libs/*scipy_openblas64_*"),   # Linux, Windows
-                *root.glob(".dylibs/*scipy_openblas64_*")):            # macOS
-        try:
-            f = ctypes.CDLL(str(lib)).scipy_dsyevd_2stage_64_
-        except (OSError, AttributeError):   # not loadable, or no such symbol
-            continue
+    """LAPACK ``dsyevd_2stage`` from numpy's own OpenBLAS (``transforms._openblas``), else None."""
+    f = getattr(transforms._openblas(), "scipy_dsyevd_2stage_64_", None)
+    if f is not None:
         # jobz, uplo, n, a, lda, w, work, lwork, iwork, liwork, info; the strings' lengths
         i64, ptr, size = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p, ctypes.c_size_t
         f.argtypes = [ctypes.c_char_p] * 2 + [i64, ptr, i64, ptr, ptr, i64, ptr, i64, i64, size, size]
         f.restype = None
-        return f
-    return None
+    return f
 
 
 def _report(M, eps, lo, hi, tag):

@@ -40,8 +40,12 @@ __all__ = ["Toeplitz1D", "MultilevelOperator", "flip"]
 # gave the solve_large benchmark workload 2.6% lower op_s and 12% lower
 # peak_rss_mb, since each dense level holds m^2 floats.  With the 2 x 2
 # block FFT level, example2's apply_symmetrized per call took FFT/dense
-# 1.06-1.10 at m = 767, 0.84-0.91 at 895 and 0.67-0.74 at 1023 (two runs);
-# the cutoff stays, since no workload has an axis between 256 and 1022.
+# 1.06-1.10 at m = 767, 0.84-0.91 at 895 and 0.67-0.74 at 1023 (two runs).
+# Inside MINRES, with the block FFT level, example2 first steps with every
+# level forced onto each path still took FFT/dense 1.18-1.40 per iteration
+# at m = 767, 1.10-1.35 at 831, 1.05-1.07 at 895 and 1.01 at 1023
+# (interleaved medians of 5 and 7 solves, one BLAS thread), so the cutoff
+# stays.
 DENSE_LEVEL_MAX = 895
 
 

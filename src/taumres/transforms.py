@@ -41,12 +41,16 @@ shared with the dense product of a ``toeplitz.Toeplitz1D`` level.
 ``dst1_multi`` is the one public entry, for a single vector too (dims
 ``(m,)``); ``tau.tau_eigs`` builds the preconditioner by the FFT path
 ``_dst1_fft_axis`` directly.  This lowest layer also holds the library's
-one input rule: ``_as_real`` for every number, ``_is_whole`` for counts.
+one input rule: ``_as_real`` for every number, ``_is_whole`` for counts, and
+its one handle on numpy's own OpenBLAS, ``_openblas``, which the dense
+eigensolve and the MINRES recurrences call through ``ctypes``.
 """
 
+import ctypes
 import functools
 import math
 import numbers
+import pathlib
 
 import numpy as np
 
@@ -189,6 +193,20 @@ def _dst1_fft_axis(X, axis, out=None):
         if not last:
             ys[...] = u[:k, 1:]
     return out
+
+
+@functools.cache
+def _openblas():
+    """The ILP64 scipy-openblas numpy's wheels bundle (the BLAS and LAPACK numpy itself
+    runs), loaded by ``ctypes``, else None."""
+    root = pathlib.Path(np.__file__).parent
+    for lib in (*root.parent.glob("numpy.libs/*scipy_openblas64_*"),   # Linux, Windows
+                *root.glob(".dylibs/*scipy_openblas64_*")):            # macOS
+        try:
+            return ctypes.CDLL(str(lib))
+        except OSError:   # not loadable
+            continue
+    return None
 
 
 def _smooth(n):

@@ -56,10 +56,10 @@ PRIVATE_REACH_INS = {
     "cli": {"discretization._SCHEMES", "discretization._check_alpha",
             "discretization._check_scheme", "pde._check_preconditioner", "transforms._count"},
     "discretization": {"transforms._as_real", "transforms._check_dims", "transforms._count"},
-    "krylov": {"transforms._as_real", "transforms._count"},
+    "krylov": {"transforms._as_real", "transforms._count", "transforms._openblas"},
     "pde": {"transforms._as_real", "transforms._count"},
     "selftest": {"transforms._axis_path", "transforms._sine_matrix"},
-    "spectrum": {"transforms._as_real"},
+    "spectrum": {"transforms._as_real", "transforms._openblas"},
     "tau": {"discretization._directions", "transforms._as_real", "transforms._check_dims",
             "transforms._count", "transforms._dst1_fft_axis"},
     "toeplitz": {"transforms._as_real", "transforms._axis_matmul", "transforms._check_dims",

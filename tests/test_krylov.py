@@ -1,10 +1,15 @@
+import math
 import weakref
 
 import numpy as np
 import pytest
 
+from taumres import transforms
 from taumres.krylov import (BreakdownError, MinresConfig, MinresResult, bound_curve,
                             pminres)
+from taumres.pde import example1_problem, example2_problem, flip, sample_grid, setup_operators
+
+from conftest import rel_err, run_fresh
 
 
 def dense_op(A):
@@ -226,6 +231,25 @@ def test_reused_output_buffers_match_fresh_arrays(rng):
     assert np.array_equal(x0, x0_copy)
 
 
+def test_strided_operator_output_is_read_by_value(rng):
+    # the BLAS passes read q as raw memory, so an operator output that is a strided view
+    # must give bit for bit the result of a contiguous one
+    n = 40
+    A = rng.standard_normal((n, n))
+    A = A + A.T
+    b = rng.standard_normal(n)
+
+    def strided(v):
+        out = np.zeros(2 * n)
+        out[::2] = A @ v
+        return out[::2]
+
+    cfg = MinresConfig(tol=1e-12, maxit=60)
+    want, got = pminres(dense_op(A), None, b, cfg), pminres(strided, None, b, cfg)
+    assert want.iters > 2
+    assert got.x.tobytes() == want.x.tobytes()
+    assert got.relres_history == want.relres_history
+
 def test_config_validation():
     for bad in ({"tol": 0.0}, {"tol": np.inf}, {"tol": np.nan}, {"maxit": 0},
                 {"maxit": 2.5}, {"maxit": np.inf}, {"maxit": np.nan}):
@@ -278,3 +302,72 @@ def test_preconditioner_output_dies_before_the_next_product(rng):
     assert res.iters > 5
     assert len(alive) == res.iters + 2 and len(outputs) == res.iters + 1
     assert alive == [0] * len(alive)
+
+
+def first_step_system(example, preconditioner):
+    # the first-step system at n1 = 31 (alpha (1.5, 1.5)) with the paper's x0 = 1/sqrt(n)
+    prob = example(31, (1.5, 1.5))
+    A, P = setup_operators(prob, preconditioner)
+    b = flip(A.dims, sample_grid(prob.grid, prob.u0))
+    cfg = MinresConfig(tol=1e-8, maxit=100, x0=np.full(b.size, 1.0 / math.sqrt(b.size)))
+    return A.apply_symmetrized, None if P is None else P.apply_inverse, b, cfg
+
+
+@pytest.mark.parametrize("example, preconditioner, tol", [
+    (example1_problem, "identity", 1e-9), (example2_problem, "tau", 1e-13)],
+    ids=["example1", "example2"])
+def test_numpy_kernels_match_the_blas_ones(example, preconditioner, tol, monkeypatch):
+    # a numpy without scipy-openblas runs the same recurrences as numpy operations: the
+    # same iterations, and x to rounding.  OpenBLAS's daxpy rounds y + a x once (a fused
+    # multiply-add), numpy twice; 100 unpreconditioned iterations amplify that to about
+    # 3e-11 in x
+    system = first_step_system(example, preconditioner)
+    want = pminres(*system)
+    monkeypatch.setattr(transforms, "_openblas", lambda: None)
+    got = pminres(*system)
+    assert (got.iters, got.converged) == (want.iters, want.converged)
+    assert len(got.relres_history) == len(want.relres_history) == want.iters
+    assert rel_err(got.x, want.x) <= tol
+    assert got.true_relres == pytest.approx(want.true_relres, rel=1e-6)
+
+
+class CountingBlas:
+    """numpy's OpenBLAS with every ``dscal`` and ``daxpy`` call counted."""
+
+    def __init__(self, lib):
+        self.lib, self.calls = lib, {"scipy_dscal_64_": 0, "scipy_daxpy_64_": 0}
+
+    def __getattr__(self, name):
+        routine = getattr(self.lib, name)
+
+        def counted(*args):
+            self.calls[name] += 1
+            return routine(*args)
+        return counted
+
+
+def test_recurrences_run_the_blas_numpy_ships(monkeypatch):
+    # with a numpy wheel's scipy-openblas every iteration is two dscal and five daxpy
+    # passes into it, and a solve imports no scipy; only a numpy on another BLAS takes
+    # the numpy kernels
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    lib = transforms._openblas()
+    assert (lib is not None) == (blas == "scipy-openblas")
+    if lib is None:
+        return
+    system = first_step_system(example2_problem, "tau")
+    want = pminres(*system)
+    counting = CountingBlas(lib)
+    monkeypatch.setattr(transforms, "_openblas", lambda: counting)
+    got = pminres(*system)
+    assert counting.calls == {"scipy_dscal_64_": 2 * want.iters,
+                              "scipy_daxpy_64_": 5 * want.iters}
+    assert got.x.tobytes() == want.x.tobytes()
+    out = run_fresh("""
+import sys
+import numpy as np
+from taumres.krylov import pminres
+pminres(lambda v: 2.0 * v, lambda r: 0.5 * r, np.ones(50))
+print("scipy" in sys.modules)
+""")
+    assert out.split() == ["False"]

@@ -331,11 +331,11 @@ def first_step_setup(example, n1, preconditioner):
 
 
 @pytest.mark.parametrize("example, preconditioner, bound", [
-    (example2_problem, "tau", 12.75),
-    (example1_problem, "identity", 11.25),
+    (example2_problem, "tau", 11.75),
+    (example1_problem, "identity", 10.25),
 ])
 def test_first_step_working_set(example, preconditioner, bound):
-    # beyond the caller's arrays a solve holds x, b, the six MINRES buffers
+    # beyond the caller's arrays a solve holds x, b, the five MINRES buffers
     # and one operator's output and temporaries; no right-hand side in the
     # steppers and no workspace at the closing A x
     step = first_step_setup(example, 127, preconditioner)
